@@ -10,6 +10,10 @@
 #            bit-identical across the two runs.
 #   phase C: SIGTERM mid-grace — /health must report "draining" before
 #            the daemon exits cleanly (code 0).
+#   phase D: a workload of tied (equal-timestamp) arrivals replayed by
+#            the daemon must end with the same reschedule and completion
+#            counts as `dls online --loads` on the same input — one
+#            reschedule per virtual time, whichever driver runs it.
 #
 # Scraping uses bash's /dev/tcp so the test has no curl/nc dependency.
 #
@@ -191,6 +195,46 @@ wait "$SERVE" || {
 grep -q "draining (stop requested)" "$TMP/c.log" || {
   echo "serve_smoke: expected the drain log line" >&2
   cat "$TMP/c.log" >&2
+  exit 1
+}
+
+echo "== phase D: tied arrivals, serve replay == dls online --loads"
+"$DLS" generate --clusters 6 --seed 3 --out "$TMP/plat6" > /dev/null
+{
+  echo "dls-workload 1"
+  for burst in 0 1 2 3 4 5 6 7; do
+    for j in 0 1 2; do
+      echo "app $((5 * burst)) $(((burst + 2 * j) % 6)) $((1 + j)) $((150 + 100 * j)) -"
+    done
+  done
+} > "$TMP/tied.workload"
+"$DLS" online --platform "$TMP/plat6" --loads --workload "$TMP/tied.workload" \
+  --json > "$TMP/tied.online"
+rm -f "$TMP/port"
+"$DLS" serve --platform "$TMP/plat6" --replay "$TMP/tied.workload" \
+  --speed 0 --exit-after-replay --drain-grace 5 --port-file "$TMP/port" \
+  > "$TMP/d.log" 2>&1 &
+SERVE=$!
+wait_port "$TMP/port"
+PORT=$(cat "$TMP/port")
+for _ in $(seq 100); do
+  scrape "$PORT" /stats > "$TMP/tied.stats"
+  grep -q '"replay_pending":0' "$TMP/tied.stats" &&
+    grep -q '"active":0' "$TMP/tied.stats" && break
+  sleep 0.1
+done
+for key in reschedules completed; do
+  want=$(grep -o "\"$key\":[0-9]*" "$TMP/tied.online")
+  got=$(grep -o "\"$key\":[0-9]*" "$TMP/tied.stats")
+  [ -n "$want" ] && [ "$want" = "$got" ] || {
+    echo "serve_smoke: tied replay $key differs: online $want, serve $got" >&2
+    cat "$TMP/tied.online" "$TMP/tied.stats" >&2
+    exit 1
+  }
+done
+wait "$SERVE" || {
+  echo "serve_smoke: phase D daemon exited non-zero" >&2
+  cat "$TMP/d.log" >&2
   exit 1
 }
 

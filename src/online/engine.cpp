@@ -1,18 +1,133 @@
 #include "online/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
-#include <limits>
 #include <optional>
 
 #include "core/schedule.hpp"
-#include "dynamics/dynamic_platform.hpp"
+#include "online/multi_core.hpp"
 
 namespace dls::online {
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Single-load mode: a cluster runs at most one application, later
+// arrivals for a busy cluster wait in its FIFO queue, and rates come
+// from the adaptive rescheduler — verbatim (Fluid) or as the achieved
+// throughputs of a simulated schedule segment (Simulated). The active
+// set is kept in cluster order.
+class SingleLoadCore final : public EventCore {
+public:
+  SingleLoadCore(const platform::Platform& plat, const OnlineOptions& options)
+      : EventCore(plat, options.load_eps),
+        options_(&options),
+        scheduler_(dyn_.plat(), options.sched),
+        queue_(static_cast<std::size_t>(plat.num_clusters())),
+        payoffs_(static_cast<std::size_t>(plat.num_clusters()), 0.0) {
+    sim_options_.policy = options.sim_policy;
+    sim_options_.periods = options.sim_periods;
+    sim_options_.window_units = options.sim_window_units;
+    sim_options_.warmup_periods = 1;
+  }
+
+  void replay_arrival(const AppArrival& a) override {
+    const int app = record_arrival(a.time, a.cluster, a.payoff, a.load);
+    if (!dyn_.cluster_present(a.cluster)) {
+      apps_[app].outcome = AppOutcome::RejectedChurn;
+      ++counters_.rejected_absent;
+      return;
+    }
+    const auto pos = std::lower_bound(
+        active_ids_.cbegin(), active_ids_.cend(), a.cluster,
+        [&](int id, int cluster) { return apps_[id].cluster < cluster; });
+    if (pos == active_ids_.cend() || apps_[*pos].cluster != a.cluster) {
+      admit(app, now_, pos);
+      return;
+    }
+    std::deque<int>& q = queue_[a.cluster];
+    q.push_back(app);
+    ++queued_arrivals;
+    peak_queued = std::max(peak_queued, static_cast<int>(q.size()));
+  }
+
+  int queued_arrivals = 0;  ///< arrivals that had to wait in a queue
+  int peak_queued = 0;      ///< largest single-cluster queue length
+
+private:
+  void solve() override {
+    if (active_ids_.empty()) return;
+    std::fill(payoffs_.begin(), payoffs_.end(), 0.0);
+    for (int app : active_ids_) payoffs_[apps_[app].cluster] = apps_[app].payoff;
+    const Reschedule r = scheduler_.reschedule(payoffs_);
+    count_solve(r.warm, r.repaired, r.seconds);
+    if (options_->rate_model == RateModel::Fluid) {
+      for (int app : active_ids_)
+        rate_[app] = r.allocation.total_alpha(apps_[app].cluster);
+      return;
+    }
+    // The route table is payoff-independent: build it once, re-payoff
+    // it per event (with_payoffs is O(K); a fresh problem is O(K^2 +
+    // links)).
+    if (!sim_base_)
+      sim_base_.emplace(plat(), payoffs_, options_->sched.objective);
+    const core::SteadyStateProblem problem = sim_base_->with_payoffs(payoffs_);
+    const auto schedule = core::build_periodic_schedule(problem, r.allocation);
+    const auto sim = sim::simulate_schedule(problem, schedule, sim_options_);
+    for (int app : active_ids_) rate_[app] = sim.throughput[apps_[app].cluster];
+  }
+
+  void platform_changed(dynamics::ChangeScope scope) override {
+    if (scope == dynamics::ChangeScope::Capacity) {
+      scheduler_.platform_capacity_changed();
+    } else {
+      scheduler_.platform_topology_changed();
+    }
+    sim_base_.reset();  // its cached route table is stale
+  }
+
+  int successor(int app) override {
+    std::deque<int>& q = queue_[apps_[app].cluster];
+    if (q.empty()) return -1;
+    const int heir = q.front();
+    q.pop_front();
+    return heir;
+  }
+
+  void cluster_left(int c) override {
+    for (int app : queue_[c]) retire(app, AppOutcome::AbortedChurn);
+    queue_[c].clear();
+  }
+
+  const OnlineOptions* options_;
+  AdaptiveRescheduler scheduler_;
+  std::vector<std::deque<int>> queue_;  ///< waiting app ids per cluster
+  std::vector<double> payoffs_;         ///< scratch: payoff per cluster
+  std::optional<core::SteadyStateProblem> sim_base_;
+  sim::SimOptions sim_options_;
+};
+
+OnlineReport report_of(const EventCore& core, int arrivals) {
+  const CoreCounters& c = core.counters();
+  OnlineReport report;
+  report.arrivals = arrivals;
+  report.completed = static_cast<int>(c.completed);
+  report.aborted = static_cast<int>(c.aborted_churn);
+  report.rejected = static_cast<int>(c.rejected_absent);
+  report.reschedules = static_cast<int>(c.reschedules);
+  report.platform_events = static_cast<int>(c.platform_events);
+  report.warm_solves = static_cast<int>(c.warm_solves);
+  report.cold_solves = static_cast<int>(c.cold_solves);
+  report.repaired_solves = static_cast<int>(c.repaired_solves);
+  report.warm_seconds = c.warm_seconds;
+  report.cold_seconds = c.cold_seconds;
+  report.makespan = c.makespan;
+  report.total_work = c.total_work;
+  report.peak_active = c.peak_active;
+  report.metrics = core.metrics();
+  report.apps = core.apps();
+  return report;
+}
+
 }  // namespace
 
 OnlineEngine::OnlineEngine(const platform::Platform& plat, OnlineOptions options)
@@ -28,407 +143,32 @@ OnlineReport OnlineEngine::run(const Workload& workload) const {
 
 OnlineReport OnlineEngine::run(const Workload& workload,
                                const dynamics::EventTrace& trace) const {
-  if (options_.multi_load) return run_multi(workload, trace);
-  const int n = plat_->num_clusters();
-  workload.validate(n);
-  trace.validate(*plat_);
-  for (const AppArrival& a : workload.arrivals)
-    require(a.load > options_.load_eps,
-            "OnlineEngine: application loads must exceed load_eps");
-
-  OnlineReport report;
-  report.arrivals = workload.size();
-  report.apps.reserve(workload.arrivals.size());
-  for (std::size_t i = 0; i < workload.arrivals.size(); ++i) {
-    const AppArrival& a = workload.arrivals[i];
-    AppRecord rec;
-    rec.id = static_cast<int>(i);
-    rec.cluster = a.cluster;
-    rec.payoff = a.payoff;
-    rec.load = a.load;
-    rec.arrival = a.time;
-    report.apps.push_back(rec);
-  }
-
-  // The replay mutates a private platform copy; the rescheduler and the
-  // simulated rate model read it through this stable reference.
-  dynamics::DynamicPlatform dyn(*plat_);
-  const platform::Platform& plat = dyn.plat();
-
-  double total_speed = 0.0;
-  for (int k = 0; k < n; ++k) total_speed += plat.cluster(k).speed;
-
-  AdaptiveRescheduler scheduler(plat, options_.sched);
-  std::optional<core::SteadyStateProblem> sim_base;
-  sim::SimOptions sim_options;
-  sim_options.policy = options_.sim_policy;
-  sim_options.periods = options_.sim_periods;
-  sim_options.window_units = options_.sim_window_units;
-  sim_options.warmup_periods = 1;
-
-  std::vector<int> active(n, -1);          // app id hosted by each cluster
-  std::vector<std::deque<int>> queue(n);   // waiting app ids, FIFO
-  std::vector<double> payoffs(n, 0.0);
-  std::vector<double> remaining(workload.arrivals.size(), 0.0);
-  std::vector<double> rate(n, 0.0);        // drain rate of each active app
-  std::vector<double> weighted_rates;      // scratch for the fairness metric
-  int num_active = 0;
-  double now = 0.0;
-  std::size_t next_arrival = 0;
-  std::size_t next_event = 0;
-
-  const auto admit = [&](int app, double at) {
-    const int c = report.apps[app].cluster;
-    DLS_ASSERT(active[c] < 0);
-    active[c] = app;
-    payoffs[c] = report.apps[app].payoff;
-    remaining[app] = report.apps[app].load;
-    report.apps[app].admit = at;
-    ++num_active;
-  };
-
-  // Re-solves the steady state for the current payoff vector and refreshes
-  // every active application's drain rate.
-  const auto reschedule = [&] {
-    std::fill(rate.begin(), rate.end(), 0.0);
-    if (num_active == 0) return;
-    const Reschedule r = scheduler.reschedule(payoffs);
-    ++report.reschedules;
-    if (r.warm) {
-      ++report.warm_solves;
-      report.repaired_solves += r.repaired;
-      report.warm_seconds += r.seconds;
-    } else {
-      ++report.cold_solves;
-      report.cold_seconds += r.seconds;
-    }
-    if (options_.rate_model == RateModel::Fluid) {
-      for (int c = 0; c < n; ++c)
-        if (active[c] >= 0) rate[c] = r.allocation.total_alpha(c);
-      return;
-    }
-    // Simulated: play a schedule segment and adopt achieved throughputs.
-    // The route table is payoff-independent: build it once, re-payoff it
-    // per event (with_payoffs is O(K); a fresh problem is O(K^2 + links)).
-    if (!sim_base) sim_base.emplace(plat, payoffs, options_.sched.objective);
-    const core::SteadyStateProblem problem = sim_base->with_payoffs(payoffs);
-    const auto schedule = core::build_periodic_schedule(problem, r.allocation);
-    const auto sim = sim::simulate_schedule(problem, schedule, sim_options);
-    for (int c = 0; c < n; ++c)
-      if (active[c] >= 0) rate[c] = sim.throughput[c];
-  };
-
-  // Churn kill: an application whose home cluster left the platform.
-  const auto abort_app = [&](int app) {
-    AppRecord& rec = report.apps[app];
-    rec.depart = now;
-    rec.outcome = AppOutcome::AbortedChurn;
-    ++report.aborted;
-  };
-
-  while (next_arrival < workload.arrivals.size() || num_active > 0) {
-    // Next event: first unprocessed arrival vs earliest projected drain
-    // vs next platform event.
-    const double t_arrival = next_arrival < workload.arrivals.size()
-                                 ? workload.arrivals[next_arrival].time
-                                 : kInf;
-    const double t_platform = next_event < trace.events.size()
-                                  ? trace.events[next_event].time
-                                  : kInf;
-    double t_drain = kInf;
-    for (int c = 0; c < n; ++c) {
-      if (active[c] < 0 || rate[c] <= 0.0) continue;
-      t_drain = std::min(t_drain, now + remaining[active[c]] / rate[c]);
-    }
-    double t_next = std::min({t_arrival, t_drain, t_platform});
-    require(std::isfinite(t_next),
-            "online engine stalled: active applications but no draining rate "
-            "and no arrivals or platform events pending");
-    t_next = std::max(t_next, now);  // projected drains cannot move time back
-
-    // Drain the interval [now, t_next) at the rates that held over it,
-    // and fold it into the time-weighted metrics.
-    const double dt = t_next - now;
-    if (dt > 0.0) {
-      double work_rate = 0.0;
-      weighted_rates.clear();
-      for (int c = 0; c < n; ++c) {
-        if (active[c] < 0) continue;
-        work_rate += rate[c];
-        weighted_rates.push_back(payoffs[c] * rate[c]);
-        remaining[active[c]] -= rate[c] * dt;
-        report.total_work += rate[c] * dt;
-      }
-      report.metrics.record_interval(dt, work_rate, total_speed, weighted_rates);
-    }
-    now = t_next;
-
-    bool support_changed = false;
-    // Departures due now (drain rounding can leave a sliver below eps).
-    for (int c = 0; c < n; ++c) {
-      const int app = active[c];
-      if (app < 0 || remaining[app] > options_.load_eps) continue;
-      AppRecord& rec = report.apps[app];
-      rec.depart = now;
-      rec.outcome = AppOutcome::Completed;
-      rec.slowdown = plat.cluster(c).speed > 0.0
-                         ? rec.response() / (rec.load / plat.cluster(c).speed)
-                         : 0.0;
-      report.metrics.record_completion(rec);
-      ++report.completed;
-      report.makespan = now;
-      active[c] = -1;
-      payoffs[c] = 0.0;
-      --num_active;
-      support_changed = true;
-      if (!queue[c].empty()) {  // FIFO hand-over to the next waiting app
-        const int heir = queue[c].front();
-        queue[c].pop_front();
-        admit(heir, now);
-      }
-    }
-    // Platform events due now: mutate the platform copy, fold the change
-    // scopes, and let churn kill the affected applications.
-    dynamics::ChangeScope scope = dynamics::ChangeScope::None;
-    while (next_event < trace.events.size() &&
-           trace.events[next_event].time <= now) {
-      const dynamics::PlatformEvent& ev = trace.events[next_event++];
-      scope = merge_scope(scope, dyn.apply(ev));
-      ++report.platform_events;
-      if (ev.kind == dynamics::EventKind::ClusterLeave) {
-        const int c = ev.target;
-        if (active[c] >= 0) {
-          abort_app(active[c]);
-          active[c] = -1;
-          payoffs[c] = 0.0;
-          --num_active;
-          support_changed = true;
-        }
-        for (int app : queue[c]) abort_app(app);
-        queue[c].clear();
-      }
-    }
-    bool platform_changed = false;
-    if (scope != dynamics::ChangeScope::None) {
-      platform_changed = true;
-      if (scope == dynamics::ChangeScope::Capacity) {
-        scheduler.platform_capacity_changed();
-      } else {
-        scheduler.platform_topology_changed();
-      }
-      sim_base.reset();  // its cached route table is stale
-      total_speed = 0.0;
-      for (int k = 0; k < n; ++k) total_speed += plat.cluster(k).speed;
-    }
-    // Arrivals due now.
-    while (next_arrival < workload.arrivals.size() &&
-           workload.arrivals[next_arrival].time <= now) {
-      const int app = static_cast<int>(next_arrival++);
-      const int c = report.apps[app].cluster;
-      if (!dyn.cluster_present(c)) {
-        report.apps[app].outcome = AppOutcome::RejectedChurn;
-        ++report.rejected;
-      } else if (active[c] < 0) {
-        admit(app, now);
-        support_changed = true;
-      } else {
-        queue[c].push_back(app);
-        ++report.queued_arrivals;
-        report.peak_queued =
-            std::max(report.peak_queued, static_cast<int>(queue[c].size()));
-      }
-    }
-    report.peak_active = std::max(report.peak_active, num_active);
-
-    if (support_changed || platform_changed) reschedule();
-  }
-
-  return report;
-}
-
-// Multi-load replay: same event skeleton as run() but with concurrent
-// applications per cluster and rates from the shared LP. No queues — an
-// arrival is admitted the moment its home cluster is present.
-OnlineReport OnlineEngine::run_multi(const Workload& workload,
-                                     const dynamics::EventTrace& trace) const {
-  require(options_.rate_model == RateModel::Fluid,
+  require(!options_.multi_load || options_.rate_model == RateModel::Fluid,
           "OnlineEngine: multi-load mode requires RateModel::Fluid (the "
           "periodic-schedule reconstruction is single-load)");
-  const int n = plat_->num_clusters();
-  workload.validate(n);
+  workload.validate(plat_->num_clusters());
   trace.validate(*plat_);
   for (const AppArrival& a : workload.arrivals) {
     require(a.load > options_.load_eps,
             "OnlineEngine: application loads must exceed load_eps");
-    require(a.payoff > 0.0,
+    require(!options_.multi_load || a.payoff > 0.0,
             "OnlineEngine: multi-load mode uses payoffs as objective "
             "weights; they must be positive");
   }
 
-  OnlineReport report;
-  report.arrivals = workload.size();
-  report.apps.reserve(workload.arrivals.size());
-  for (std::size_t i = 0; i < workload.arrivals.size(); ++i) {
-    const AppArrival& a = workload.arrivals[i];
-    AppRecord rec;
-    rec.id = static_cast<int>(i);
-    rec.cluster = a.cluster;
-    rec.payoff = a.payoff;
-    rec.load = a.load;
-    rec.arrival = a.time;
-    report.apps.push_back(rec);
+  if (options_.multi_load) {
+    CoreOptions core_options;
+    core_options.sched = options_.multi;
+    core_options.load_eps = options_.load_eps;
+    MultiLoadCore core(*plat_, core_options);
+    ReplayCursor(core, workload, trace).run_to_end();
+    return report_of(core, workload.size());
   }
-
-  dynamics::DynamicPlatform dyn(*plat_);
-  const platform::Platform& plat = dyn.plat();
-  double total_speed = 0.0;
-  for (int k = 0; k < n; ++k) total_speed += plat.cluster(k).speed;
-
-  MultiLoadRescheduler scheduler(plat, options_.multi);
-
-  std::vector<int> active_ids;  // admission order; erased on departure
-  std::vector<double> remaining(workload.arrivals.size(), 0.0);
-  std::vector<double> rate(workload.arrivals.size(), 0.0);
-  std::vector<ActiveLoad> loads;           // scratch for reschedule calls
-  std::vector<double> weighted_rates;      // scratch for the fairness metric
-  double now = 0.0;
-  std::size_t next_arrival = 0;
-  std::size_t next_event = 0;
-
-  const auto reschedule = [&] {
-    for (int app : active_ids) rate[app] = 0.0;
-    if (active_ids.empty()) return;
-    loads.clear();
-    for (int app : active_ids)
-      loads.push_back({app, report.apps[app].cluster, report.apps[app].payoff});
-    const MultiReschedule r = scheduler.reschedule(loads);
-    ++report.reschedules;
-    if (r.warm) {
-      ++report.warm_solves;
-      report.repaired_solves += r.repaired;
-      report.warm_seconds += r.seconds;
-    } else {
-      ++report.cold_solves;
-      report.cold_seconds += r.seconds;
-    }
-    for (std::size_t i = 0; i < active_ids.size(); ++i)
-      rate[active_ids[i]] = r.rate[i];
-  };
-
-  const auto abort_app = [&](int app) {
-    AppRecord& rec = report.apps[app];
-    rec.depart = now;
-    rec.outcome = AppOutcome::AbortedChurn;
-    ++report.aborted;
-  };
-
-  while (next_arrival < workload.arrivals.size() || !active_ids.empty()) {
-    const double t_arrival = next_arrival < workload.arrivals.size()
-                                 ? workload.arrivals[next_arrival].time
-                                 : kInf;
-    const double t_platform = next_event < trace.events.size()
-                                  ? trace.events[next_event].time
-                                  : kInf;
-    double t_drain = kInf;
-    for (int app : active_ids) {
-      if (rate[app] <= 0.0) continue;
-      t_drain = std::min(t_drain, now + remaining[app] / rate[app]);
-    }
-    double t_next = std::min({t_arrival, t_drain, t_platform});
-    require(std::isfinite(t_next),
-            "online engine stalled: active applications but no draining rate "
-            "and no arrivals or platform events pending");
-    t_next = std::max(t_next, now);
-
-    const double dt = t_next - now;
-    if (dt > 0.0) {
-      double work_rate = 0.0;
-      weighted_rates.clear();
-      for (int app : active_ids) {
-        work_rate += rate[app];
-        weighted_rates.push_back(report.apps[app].payoff * rate[app]);
-        remaining[app] -= rate[app] * dt;
-        report.total_work += rate[app] * dt;
-      }
-      report.metrics.record_interval(dt, work_rate, total_speed, weighted_rates);
-    }
-    now = t_next;
-
-    bool support_changed = false;
-    // Departures due now.
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < active_ids.size(); ++i) {
-      const int app = active_ids[i];
-      if (remaining[app] > options_.load_eps) {
-        active_ids[keep++] = app;
-        continue;
-      }
-      AppRecord& rec = report.apps[app];
-      rec.depart = now;
-      rec.outcome = AppOutcome::Completed;
-      const double speed = plat.cluster(rec.cluster).speed;
-      rec.slowdown =
-          speed > 0.0 ? rec.response() / (rec.load / speed) : 0.0;
-      report.metrics.record_completion(rec);
-      ++report.completed;
-      report.makespan = now;
-      support_changed = true;
-    }
-    active_ids.resize(keep);
-    // Platform events due now.
-    dynamics::ChangeScope scope = dynamics::ChangeScope::None;
-    while (next_event < trace.events.size() &&
-           trace.events[next_event].time <= now) {
-      const dynamics::PlatformEvent& ev = trace.events[next_event++];
-      scope = merge_scope(scope, dyn.apply(ev));
-      ++report.platform_events;
-      if (ev.kind == dynamics::EventKind::ClusterLeave) {
-        const int c = ev.target;
-        keep = 0;
-        for (std::size_t i = 0; i < active_ids.size(); ++i) {
-          const int app = active_ids[i];
-          if (report.apps[app].cluster != c) {
-            active_ids[keep++] = app;
-            continue;
-          }
-          abort_app(app);
-          support_changed = true;
-        }
-        active_ids.resize(keep);
-      }
-    }
-    bool platform_changed = false;
-    if (scope != dynamics::ChangeScope::None) {
-      platform_changed = true;
-      if (scope == dynamics::ChangeScope::Capacity) {
-        scheduler.platform_capacity_changed();
-      } else {
-        scheduler.platform_topology_changed();
-      }
-      total_speed = 0.0;
-      for (int k = 0; k < n; ++k) total_speed += plat.cluster(k).speed;
-    }
-    // Arrivals due now: admitted immediately (no per-cluster exclusivity).
-    while (next_arrival < workload.arrivals.size() &&
-           workload.arrivals[next_arrival].time <= now) {
-      const int app = static_cast<int>(next_arrival++);
-      const int c = report.apps[app].cluster;
-      if (!dyn.cluster_present(c)) {
-        report.apps[app].outcome = AppOutcome::RejectedChurn;
-        ++report.rejected;
-        continue;
-      }
-      active_ids.push_back(app);
-      remaining[app] = report.apps[app].load;
-      report.apps[app].admit = now;
-      support_changed = true;
-    }
-    report.peak_active =
-        std::max(report.peak_active, static_cast<int>(active_ids.size()));
-
-    if (support_changed || platform_changed) reschedule();
-  }
-
+  SingleLoadCore core(*plat_, options_);
+  ReplayCursor(core, workload, trace).run_to_end();
+  OnlineReport report = report_of(core, workload.size());
+  report.queued_arrivals = core.queued_arrivals;
+  report.peak_queued = core.peak_queued;
   return report;
 }
 

@@ -1,49 +1,38 @@
-// The online workload engine: application lifecycle over a platform.
+// The online workload engine: replays a workload (workload.hpp) — and
+// optionally a platform-event trace (src/dynamics/) — to completion and
+// reports per-application records and online metrics.
 //
-// Applications arrive (workload.hpp), are admitted — each cluster hosts
-// at most one active application; later arrivals for a busy cluster wait
-// in its FIFO queue — run at the steady-state rate the adaptive
-// rescheduler (rescheduler.hpp) grants their home cluster, and depart
-// when their total load has drained. Every admission or departure
-// changes the payoff vector and triggers a reschedule; an arrival that
-// merely joins a queue does not.
+// It is the batch driver of the shared event core (event_core.hpp): one
+// ReplayCursor stepped to the end of the workload, then folded into an
+// OnlineReport. The settle rule and the tie order are stated there once;
+// the `dls serve` daemon drives the same core and cursor live.
 //
-// Event model: the engine advances from event to event (next arrival vs
-// earliest projected drain). Unlike sim::SimEngine's lazily-invalidated
-// calendar — where one completion perturbs only its connected component
-// — a reschedule here changes *every* active application's rate at once,
-// so a heap of projected finish times would be fully stale after each
-// event. The engine therefore recomputes the earliest departure by
-// scanning the <= K active applications, which is also O(K) but with no
-// stale entries to skip.
+// Two modes pick the core:
+//   * single-load (default) — each cluster hosts at most one active
+//     application, later arrivals for a busy cluster wait in its FIFO
+//     queue, and rates come from the adaptive rescheduler
+//     (rescheduler.hpp). An arrival that only joins a queue triggers no
+//     reschedule. Fluid trusts the allocation (rate = total_alpha of the
+//     home cluster); Simulated plays a reconstructed periodic-schedule
+//     segment on the flow simulator and drains at the *achieved*
+//     throughputs, so bandwidth-sharing overruns stretch response times;
+//   * multi-load — every arrival is admitted at once as a load in ONE
+//     shared LP (MultiLoadCore, multi_core.hpp).
 //
-// Progress: as long as any application is active, the solved allocation
-// gives at least one of them a positive rate (granting an application
-// its idle local speed always improves both objectives, so an all-zero
-// optimum is impossible on platforms with positive cluster speeds), and
-// each event admits or departs at least one application — the loop
-// terminates after exactly 2 * |workload| lifecycle transitions. An
-// individual application can still be starved for a while under
-// Objective::Sum; it drains once enough competitors leave.
+// The engine rescans the <= K active applications for the earliest
+// projected drain: a reschedule changes every rate at once, so a heap of
+// finish times would be fully stale after each event. Progress: while
+// any application is active, the solved allocation gives at least one
+// of them a positive rate (granting an application its idle local speed
+// always improves both objectives), so every replay terminates; an
+// individual application can still starve for a while under
+// Objective::Sum.
 //
-// Rate models: Fluid trusts the allocation (rate = total_alpha of the
-// home cluster, the paper's steady-state reading). Simulated additionally
-// reconstructs the periodic schedule after each reschedule and plays a
-// short segment on the flow-level simulator (sim::simulate_schedule)
-// under a chosen sharing policy, using the *achieved* throughputs as
-// drain rates — bandwidth-sharing overruns then stretch response times
-// instead of being invisible.
-// Platform dynamics (run(workload, trace)): the event loop additionally
-// merges a time-sorted stream of platform events (src/dynamics/). Each
-// due event mutates a private DynamicPlatform copy through the
-// incremental cache-updating mutators; the rescheduler is notified with
-// the folded change scope (capacity events keep the warm capsule for a
-// whole or repaired warm start, topology events force a cold solve) and
-// every active application is re-rated. Cluster churn is destructive:
-// a leaving cluster aborts its active and queued applications and
-// rejects arrivals until it rejoins (so every replay terminates). An
-// empty trace takes the exact same code path as run(workload) and
-// reproduces its report bit for bit.
+// Platform events mutate a private DynamicPlatform copy; capacity events
+// keep the warm capsule for a whole or repaired warm start, topology
+// events force a cold solve. A leaving cluster aborts its active and
+// queued applications and rejects arrivals until it rejoins. An empty
+// trace reproduces run(workload) bit for bit.
 #pragma once
 
 #include <vector>
@@ -123,9 +112,6 @@ public:
                                  const dynamics::EventTrace& trace) const;
 
 private:
-  [[nodiscard]] OnlineReport run_multi(const Workload& workload,
-                                       const dynamics::EventTrace& trace) const;
-
   const platform::Platform* plat_;
   OnlineOptions options_;
 };

@@ -45,6 +45,7 @@ enum class AppOutcome : unsigned char {
   AbortedChurn,  ///< active or queued when its home cluster churned out
   RejectedChurn, ///< arrived while its home cluster was churned out
   Cancelled,     ///< withdrawn by a client `depart` request (serve only)
+  RejectedAdmission,  ///< turned away by the serve load budget or a drain
 };
 
 /// Lifecycle record of one application, filled in by the engine as the

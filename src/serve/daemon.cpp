@@ -99,12 +99,14 @@ bool parse_int_arg(const std::string& s, int& out) {
 
 }  // namespace
 
-// The daemon proper: owns the engine, the replay cursors, and the
+// The daemon proper: owns the engine, the replay cursor, and the
 // connection table. run_daemon() constructs one and runs its loop.
 class Daemon {
 public:
   Daemon(platform::Platform plat, const DaemonOptions& options)
-      : options_(options), engine_(std::move(plat), options.engine) {}
+      : options_(options),
+        engine_(std::move(plat), options.engine),
+        replay_(engine_, options_.replay, options_.events) {}
 
   DaemonReport run();
 
@@ -127,49 +129,13 @@ private:
     return std::max(engine_.now(), paced);
   }
 
-  /// Earliest pending virtual event (replay arrival, replay platform
-  /// event, or fluid completion); kInf when none.
-  [[nodiscard]] double next_due() const {
-    double t = engine_.next_completion();
-    if (next_arrival_ < options_.replay.arrivals.size())
-      t = std::min(t, options_.replay.arrivals[next_arrival_].time);
-    if (next_event_ < options_.events.events.size())
-      t = std::min(t, options_.events.events[next_event_].time);
-    return t;
-  }
-
-  /// Replays everything due under the wall budget, preserving
-  /// run_multi's tie order (completions, then platform events, then
-  /// arrivals). Bounded per call so sockets stay responsive at
+  /// Replays everything due under the wall budget, one virtual time
+  /// per cursor step. Bounded per call so sockets stay responsive at
   /// unlimited speed.
   void pump_replay() {
     const double budget = vt_budget();
-    for (int step = 0; step < 512; ++step) {
-      const double t_arr = next_arrival_ < options_.replay.arrivals.size()
-                               ? options_.replay.arrivals[next_arrival_].time
-                               : kInf;
-      const double t_ev = next_event_ < options_.events.events.size()
-                              ? options_.events.events[next_event_].time
-                              : kInf;
-      const double t_done = engine_.next_completion();
-      const double t = std::min({t_arr, t_ev, t_done});
-      // Note infinity <= infinity: an explicit finiteness check, or an
-      // idle daemon at unlimited speed would advance_to(inf).
-      if (!std::isfinite(t) || !(t <= budget)) break;
-      if (t_done <= t_ev && t_done <= t_arr) {
-        engine_.advance_to(t_done);
-      } else if (t_ev <= t_arr) {
-        (void)engine_.apply_event(t_ev, options_.events.events[next_event_++]);
-      } else {
-        const online::AppArrival& a = options_.replay.arrivals[next_arrival_++];
-        (void)engine_.arrive(t_arr, a.cluster, a.payoff, a.load, a.name);
-      }
-    }
-  }
-
-  [[nodiscard]] bool replay_exhausted() const {
-    return next_arrival_ >= options_.replay.arrivals.size() &&
-           next_event_ >= options_.events.events.size();
+    int steps = 0;
+    while (steps < 512 && replay_.step(budget)) ++steps;
   }
 
   void begin_drain(const std::string& why) {
@@ -182,8 +148,7 @@ private:
     // A drain abandons the replay pace: skip unfed arrivals/events and
     // fast-forward the remaining fluid schedule so shutdown is prompt
     // at any --speed.
-    next_arrival_ = options_.replay.arrivals.size();
-    next_event_ = options_.events.events.size();
+    replay_.skip_rest();
     for (double t = engine_.next_completion(); std::isfinite(t);
          t = engine_.next_completion())
       engine_.advance_to(t);
@@ -218,9 +183,7 @@ private:
     out += ",\"cold_solves\":" + std::to_string(c.cold_solves);
     out += ",\"repaired_solves\":" + std::to_string(c.repaired_solves);
     out += ",\"platform_events\":" + std::to_string(c.platform_events);
-    out += ",\"replay_pending\":" +
-           std::to_string(options_.replay.arrivals.size() - next_arrival_ +
-                          options_.events.events.size() - next_event_);
+    out += ",\"replay_pending\":" + std::to_string(replay_.pending());
     out += ",\"response_mean\":" + obs::format_double(m.response.mean());
     out += ",\"slowdown_mean\":" + obs::format_double(m.slowdown.mean());
     out += ",\"utilization_mean\":" + obs::format_double(m.utilization.mean());
@@ -233,7 +196,7 @@ private:
 
   /// Active-load inventory: one object per draining load with its
   /// identity, home cluster, age in virtual seconds, and current rate.
-  [[nodiscard]] std::string loads_json() const {
+  [[nodiscard]] std::string loads_json() {
     std::string out = "{\"vt\":" + obs::format_double(engine_.now());
     out += ",\"loads\":[";
     bool first = true;
@@ -297,11 +260,12 @@ private:
       try {
         const ServeEngine::ArriveResult r = engine_.arrive(
             vt_now(), cluster, payoff, load, words.size() == 5 ? words[4] : "");
+        engine_.settle();
         std::string reply = std::string("ok ") + to_string(r.admit);
         if (r.admit == Admit::Admitted) reply += " id=" + std::to_string(r.id);
         return reply;
       } catch (const Error& e) {
-        return std::string("err ") + e.what();
+        return std::string("err serve: ") + e.what();
       }
     }
     if (cmd == "depart") {
@@ -309,7 +273,9 @@ private:
       int id = 0;
       if (words.size() != 2 || !parse_int_arg(words[1], id))
         return "err usage: depart <id>";
-      return engine_.depart(vt_now(), id) ? "ok cancelled" : "err not active";
+      const bool cancelled = engine_.depart(vt_now(), id);
+      engine_.settle();
+      return cancelled ? "ok cancelled" : "err not active";
     }
     if (cmd == "event") {
       daemon_obs().req_mutate.inc();
@@ -329,6 +295,7 @@ private:
       ev.time = vt_now();
       try {
         const dynamics::ChangeScope scope = engine_.apply_event(ev.time, ev);
+        engine_.settle();
         return std::string("ok ") + dynamics::to_string(scope);
       } catch (const Error& e) {
         return std::string("err ") + e.what();
@@ -429,8 +396,7 @@ private:
 
   DaemonOptions options_;
   ServeEngine engine_;
-  std::size_t next_arrival_ = 0;
-  std::size_t next_event_ = 0;
+  online::ReplayCursor replay_;
   std::uint64_t start_ns_ = 0;
   std::uint64_t drain_started_ns_ = 0;
   std::map<int, Conn> conns_;
@@ -480,9 +446,8 @@ DaemonReport Daemon::run() {
         if (exit_reason.empty()) exit_reason = "drained";
         break;
       }
-    } else if (options_.exit_after_replay && replay_exhausted() &&
-               engine_.active_count() == 0 &&
-               !std::isfinite(engine_.next_completion())) {
+    } else if (options_.exit_after_replay && replay_.pending() == 0 &&
+               engine_.active_count() == 0) {
       begin_drain("replay complete");
       exit_reason = "replay-complete";
       const double held =
@@ -493,7 +458,7 @@ DaemonReport Daemon::run() {
     // Sleep until the next replay item is due (wall time), the idle
     // tick, or socket activity — whichever first.
     int timeout_ms = options_.idle_poll_ms;
-    const double due = next_due();
+    const double due = replay_.next_time();
     if (std::isfinite(due)) {
       if (options_.speed > 0.0) {
         const double wall_due = due / options_.speed - wall_elapsed();

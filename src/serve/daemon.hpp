@@ -9,11 +9,14 @@
 // connection while line connections stay open for pipelining.
 //
 // Replay: `--replay trace.workload` (plus optional `--events`) feeds a
-// recorded stream through the live engine. Virtual time advances at
-// `speed` times wall clock (0 = as fast as possible), and the engine
-// is only ever advanced to *exact* event times — wall jitter shifts
-// when work happens, never what happens, which is what makes two
-// replays of the same trace end with bit-identical counters.
+// recorded stream through the live engine with the batch engine's
+// ReplayCursor (online/event_core.hpp), stepped while the next item is
+// within the virtual time paid for by the wall clock (`speed` times
+// wall clock, 0 = as fast as possible). The engine only ever advances
+// to *exact* event times — wall jitter shifts when work happens, never
+// what happens — so two replays of the same trace end with
+// bit-identical counters, equal to `dls online --loads`. Client
+// mutations are settled (rescheduled) before they are acknowledged.
 //
 // Lifecycle: ok → (SIGTERM / `shutdown`) → draining → stopped. On
 // drain the daemon stops feeding replay arrivals, rejects client

@@ -1,19 +1,14 @@
 #include "serve/engine.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "support/error.hpp"
 
 namespace dls::serve {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Serve-level lifecycle series. Solver and rescheduler internals are
 // counted one layer down (lp/, online/); these cover what the daemon
@@ -67,228 +62,56 @@ ServeObs& serve_obs() {
 
 }  // namespace
 
-const char* to_string(Admit a) {
-  switch (a) {
-    case Admit::Admitted: return "admitted";
-    case Admit::RejectedOverload: return "rejected_overload";
-    case Admit::RejectedAbsent: return "rejected_absent";
-    case Admit::RejectedDraining: return "rejected_draining";
-  }
-  return "?";
-}
-
 ServeEngine::ServeEngine(platform::Platform base, EngineOptions options)
-    : options_(options),
-      dyn_(std::move(base)),
-      scheduler_(dyn_.plat(), options.sched) {
-  require(options_.max_loads >= 0, "serve: max_loads cannot be negative");
-  require(options_.load_eps > 0.0, "serve: load_eps must be positive");
-  refresh_total_speed();
-}
+    : MultiLoadCore(std::move(base), std::move(options)) {}
 
-void ServeEngine::refresh_total_speed() {
-  total_speed_ = 0.0;
-  for (int k = 0; k < dyn_.plat().num_clusters(); ++k)
-    total_speed_ += dyn_.plat().cluster(k).speed;
-}
-
-void ServeEngine::reschedule() {
-  for (int app : active_ids_) rate_[app] = 0.0;
-  if (active_ids_.empty()) {
-    serve_obs().active.set(0.0);
-    return;
-  }
-  loads_scratch_.clear();
-  for (int app : active_ids_)
-    loads_scratch_.push_back({app, apps_[app].cluster, apps_[app].payoff});
-  const online::MultiReschedule r = scheduler_.reschedule(loads_scratch_);
-  ++counters_.reschedules;
-  if (r.warm) {
-    ++counters_.warm_solves;
-    counters_.repaired_solves += r.repaired;
-  } else {
-    ++counters_.cold_solves;
-  }
-  for (std::size_t i = 0; i < active_ids_.size(); ++i)
-    rate_[active_ids_[i]] = r.rate[i];
-  serve_obs().active.set(static_cast<double>(active_ids_.size()));
-  obs::trace("serve.reschedule",
-             "loads=" + std::to_string(active_ids_.size()) +
-                 " start=" + (r.warm ? (r.repaired ? "repaired" : "warm")
-                                     : "cold") +
-                 " objective=" + std::to_string(r.objective));
-}
-
-double ServeEngine::next_completion() const {
-  double t = kInf;
-  for (int app : active_ids_) {
-    if (rate_[app] <= 0.0) continue;
-    t = std::min(t, now_ + remaining_[app] / rate_[app]);
-  }
-  return t;
-}
-
-void ServeEngine::drain_interval(double vt) {
-  const double dt = vt - now_;
-  if (dt > 0.0) {
-    double work_rate = 0.0;
-    weighted_rates_scratch_.clear();
-    for (int app : active_ids_) {
-      work_rate += rate_[app];
-      weighted_rates_scratch_.push_back(apps_[app].payoff * rate_[app]);
-      remaining_[app] -= rate_[app] * dt;
-    }
-    metrics_.record_interval(dt, work_rate, total_speed_,
-                             weighted_rates_scratch_);
-  }
-  now_ = std::max(now_, vt);
-}
-
-void ServeEngine::complete_due() {
-  bool changed = false;
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < active_ids_.size(); ++i) {
-    const int app = active_ids_[i];
-    if (remaining_[app] > options_.load_eps) {
-      active_ids_[keep++] = app;
-      continue;
-    }
-    online::AppRecord& rec = apps_[app];
-    rec.depart = now_;
-    rec.outcome = online::AppOutcome::Completed;
-    const double speed = dyn_.plat().cluster(rec.cluster).speed;
-    rec.slowdown = speed > 0.0 ? rec.response() / (rec.load / speed) : 0.0;
-    metrics_.record_completion(rec);
-    ++counters_.completed;
-    serve_obs().completed.inc();
-    serve_obs().resp_completed.observe(rec.response());
-    obs::trace("serve.complete", "id=" + std::to_string(app) +
-                                     " response=" +
-                                     std::to_string(rec.response()));
-    changed = true;
-  }
-  active_ids_.resize(keep);
-  if (changed) reschedule();
-}
-
-void ServeEngine::advance_to(double vt) {
-  for (;;) {
-    const double t_drain = next_completion();
-    if (!std::isfinite(t_drain) || !(t_drain <= vt)) break;
-    drain_interval(t_drain);
-    complete_due();
-  }
-  drain_interval(vt);
-}
-
-ServeEngine::ArriveResult ServeEngine::arrive(double vt, int cluster,
-                                              double payoff, double load,
-                                              std::string name) {
-  require(cluster >= 0 && cluster < dyn_.plat().num_clusters(),
-          "serve: arrival cluster out of range");
-  require(payoff > 0.0, "serve: arrival payoff must be positive");
-  require(load > options_.load_eps, "serve: arrival load must exceed load_eps");
-  advance_to(vt);
-  ++counters_.arrivals;
-
-  ArriveResult out;
-  if (draining_) {
-    out.admit = Admit::RejectedDraining;
-    ++counters_.rejected_draining;
-    serve_obs().rej_draining.inc();
-  } else if (!dyn_.cluster_present(cluster)) {
-    out.admit = Admit::RejectedAbsent;
-    ++counters_.rejected_absent;
-    serve_obs().rej_absent.inc();
-  } else if (options_.max_loads > 0 &&
-             active_count() >= options_.max_loads) {
-    out.admit = Admit::RejectedOverload;
-    ++counters_.rejected_overload;
-    serve_obs().rej_overload.inc();
-  } else {
-    out.admit = Admit::Admitted;
-    out.id = static_cast<int>(apps_.size());
-    online::AppRecord rec;
-    rec.id = out.id;
-    rec.cluster = cluster;
-    rec.payoff = payoff;
-    rec.load = load;
-    rec.arrival = vt;
-    rec.admit = vt;
-    apps_.push_back(rec);
-    names_.push_back(std::move(name));
-    remaining_.push_back(load);
-    rate_.push_back(0.0);
-    active_ids_.push_back(out.id);
-    ++counters_.admitted;
-    serve_obs().admitted.inc();
-    counters_.peak_active = std::max(counters_.peak_active, active_count());
-    reschedule();
+void ServeEngine::on_arrival(const online::AppRecord& rec, Admit admit) {
+  ServeObs& o = serve_obs();
+  switch (admit) {
+    case Admit::Admitted: o.admitted.inc(); break;
+    case Admit::RejectedOverload: o.rej_overload.inc(); break;
+    case Admit::RejectedAbsent: o.rej_absent.inc(); break;
+    case Admit::RejectedDraining: o.rej_draining.inc(); break;
   }
   obs::trace("serve.arrive",
-             "cluster=" + std::to_string(cluster) + " load=" +
-                 std::to_string(load) + " outcome=" + to_string(out.admit));
-  return out;
+             "cluster=" + std::to_string(rec.cluster) + " load=" +
+                 std::to_string(rec.load) + " outcome=" + to_string(admit));
 }
 
-bool ServeEngine::depart(double vt, int id) {
-  advance_to(vt);
-  const auto it = std::find(active_ids_.begin(), active_ids_.end(), id);
-  if (it == active_ids_.end()) return false;
-  active_ids_.erase(it);
-  online::AppRecord& rec = apps_[id];
-  rec.depart = vt;
-  rec.outcome = online::AppOutcome::Cancelled;
-  ++counters_.cancelled;
-  serve_obs().cancelled.inc();
-  serve_obs().resp_cancelled.observe(rec.response());
-  obs::trace("serve.cancel", "id=" + std::to_string(id));
-  reschedule();
-  return true;
+void ServeEngine::on_departure(const online::AppRecord& rec) {
+  ServeObs& o = serve_obs();
+  if (rec.outcome == online::AppOutcome::Completed) {
+    o.completed.inc();
+    o.resp_completed.observe(rec.response());
+    obs::trace("serve.complete", "id=" + std::to_string(rec.id) +
+                                     " response=" +
+                                     std::to_string(rec.response()));
+  } else if (rec.outcome == online::AppOutcome::Cancelled) {
+    o.cancelled.inc();
+    o.resp_cancelled.observe(rec.response());
+    obs::trace("serve.cancel", "id=" + std::to_string(rec.id));
+  } else {
+    o.aborted.inc();
+    o.resp_aborted.observe(rec.response());
+  }
 }
 
-dynamics::ChangeScope ServeEngine::apply_event(double vt,
-                                               const dynamics::PlatformEvent& ev) {
-  advance_to(vt);
-  const dynamics::ChangeScope scope = dyn_.apply(ev);
-  ++counters_.platform_events;
+void ServeEngine::on_settled(const online::MultiReschedule* r) {
+  serve_obs().active.set(static_cast<double>(active_count()));
+  if (r == nullptr) return;
+  obs::trace("serve.reschedule",
+             "loads=" + std::to_string(active_count()) +
+                 " start=" + (r->warm ? (r->repaired ? "repaired" : "warm")
+                                      : "cold") +
+                 " objective=" + std::to_string(r->objective));
+}
+
+void ServeEngine::on_platform_event(const dynamics::PlatformEvent& ev,
+                                    dynamics::ChangeScope scope) {
   obs::trace("serve.platform_event",
              std::string(dynamics::to_string(ev.kind)) + " target=" +
                  std::to_string(ev.target) + " scope=" +
                  dynamics::to_string(scope));
-
-  bool support_changed = false;
-  if (ev.kind == dynamics::EventKind::ClusterLeave) {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < active_ids_.size(); ++i) {
-      const int app = active_ids_[i];
-      if (apps_[app].cluster != ev.target) {
-        active_ids_[keep++] = app;
-        continue;
-      }
-      online::AppRecord& rec = apps_[app];
-      rec.depart = now_;
-      rec.outcome = online::AppOutcome::AbortedChurn;
-      ++counters_.aborted_churn;
-      serve_obs().aborted.inc();
-      serve_obs().resp_aborted.observe(rec.response());
-      support_changed = true;
-    }
-    active_ids_.resize(keep);
-  }
-
-  if (scope != dynamics::ChangeScope::None) {
-    if (scope == dynamics::ChangeScope::Capacity) {
-      scheduler_.platform_capacity_changed();
-    } else {
-      scheduler_.platform_topology_changed();
-    }
-    refresh_total_speed();
-    reschedule();
-  } else if (support_changed) {
-    reschedule();
-  }
-  return scope;
 }
 
 }  // namespace dls::serve

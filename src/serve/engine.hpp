@@ -1,165 +1,34 @@
-// Live counterpart of OnlineEngine::run_multi: the same event
-// semantics — fluid drains between events, completions at exact virtual
-// times, one shared-LP reschedule per batch of changes — but driven
-// incrementally by external calls instead of a pre-recorded workload.
-// The daemon (daemon.hpp) feeds it replayed traces and client requests;
-// tests drive it directly.
+// The daemon's engine: online::MultiLoadCore (multi_core.hpp) — the
+// same core `dls online --loads` replays — plus the serve-level
+// metrics and trace spans (dls_serve_arrivals_total,
+// dls_serve_departures_total, dls_serve_response_seconds,
+// dls_serve_active_loads) fed from the core's observation hooks.
 //
-// Virtual time is the engine's only clock. advance_to(vt) drains loads
-// and fires completions up to vt; arrive/depart/apply_event stamp their
-// mutation at the vt the caller supplies (the daemon maps wall clock to
-// virtual time). Because state changes only at call boundaries and
-// every call is deterministic in (vt, arguments), an identical call
-// sequence yields bit-identical counters — the property serve_smoke
-// asserts across two replays.
-//
-// Admission control: a max-concurrent-loads budget plus the platform
-// presence check run_multi applies. Each reject outcome is counted
-// separately so an operator can tell overload from churn from
-// shutdown.
+// The daemon (daemon.hpp) drives it two ways: a ReplayCursor paced by
+// wall clock for recorded traces, and direct arrive/depart/apply_event
+// calls for client requests, each followed by an explicit settle() so
+// an acknowledgement still means "rescheduled". Tests drive it
+// directly.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "dynamics/dynamic_platform.hpp"
-#include "online/metrics.hpp"
-#include "online/rescheduler.hpp"
-#include "platform/platform.hpp"
+#include "online/multi_core.hpp"
 
 namespace dls::serve {
 
-/// Outcome of an arrival request.
-enum class Admit : unsigned char {
-  Admitted,
-  RejectedOverload,  ///< active set at the max_loads budget
-  RejectedAbsent,    ///< home cluster churned out (run_multi's reject)
-  RejectedDraining,  ///< daemon is shutting down
-};
+using online::Admit;
+using EngineOptions = online::CoreOptions;
+using EngineCounters = online::CoreCounters;
 
-[[nodiscard]] const char* to_string(Admit a);
-
-struct EngineOptions {
-  online::MultiReschedulerOptions sched;
-  /// Admission budget: reject arrivals once this many loads are active.
-  /// 0 means unlimited.
-  int max_loads = 0;
-  /// A load counts as drained when remaining <= load_eps (same epsilon
-  /// as OnlineOptions).
-  double load_eps = 1e-6;
-};
-
-/// Monotonic lifecycle counters, exported 1:1 as Prometheus series.
-struct EngineCounters {
-  std::uint64_t arrivals = 0;  ///< every arrive() call
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected_overload = 0;
-  std::uint64_t rejected_absent = 0;
-  std::uint64_t rejected_draining = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t cancelled = 0;      ///< client depart requests honored
-  std::uint64_t aborted_churn = 0;  ///< active when home cluster left
-  std::uint64_t reschedules = 0;
-  std::uint64_t warm_solves = 0;
-  std::uint64_t cold_solves = 0;
-  std::uint64_t repaired_solves = 0;
-  std::uint64_t platform_events = 0;
-  int peak_active = 0;
-};
-
-class ServeEngine {
+class ServeEngine final : public online::MultiLoadCore {
 public:
   ServeEngine(platform::Platform base, EngineOptions options);
-  ServeEngine(const ServeEngine&) = delete;
-  ServeEngine& operator=(const ServeEngine&) = delete;
-
-  /// Drains active loads forward to virtual time vt, firing completions
-  /// (and their reschedules) at their exact drain times. No-op when vt
-  /// is in the past.
-  void advance_to(double vt);
-
-  /// Current virtual time (the latest vt any call reached).
-  [[nodiscard]] double now() const { return now_; }
-
-  /// Virtual time of the next completion under current rates, or +inf
-  /// when nothing is draining. The daemon sleeps until then.
-  [[nodiscard]] double next_completion() const;
-
-  struct ArriveResult {
-    Admit admit = Admit::RejectedOverload;
-    int id = -1;  ///< app id when admitted
-  };
-
-  /// A load arrives at vt with `load` units homed on `cluster`,
-  /// objective weight `payoff`. Throws dls::Error on invalid arguments
-  /// (out-of-range cluster, non-positive payoff, load <= load_eps).
-  ArriveResult arrive(double vt, int cluster, double payoff, double load,
-                      std::string name = "");
-
-  /// Client withdraws load `id` at vt. False when it is not active.
-  bool depart(double vt, int id);
-
-  /// Applies a platform event at vt: churn aborts affected loads, any
-  /// capacity/topology change re-prices the shared LP.
-  dynamics::ChangeScope apply_event(double vt, const dynamics::PlatformEvent& ev);
-
-  /// Shutdown: every subsequent arrival is RejectedDraining; active
-  /// loads keep draining.
-  void begin_drain() { draining_ = true; }
-  [[nodiscard]] bool draining() const { return draining_; }
-
-  [[nodiscard]] int active_count() const {
-    return static_cast<int>(active_ids_.size());
-  }
-  /// Active load ids in admission order (what GET /loads reports on).
-  [[nodiscard]] const std::vector<int>& active_ids() const {
-    return active_ids_;
-  }
-  /// Current fluid drain rate of load `id` (0 when not active).
-  [[nodiscard]] double load_rate(int id) const {
-    return rate_[static_cast<std::size_t>(id)];
-  }
-  /// Work units load `id` still has to drain.
-  [[nodiscard]] double load_remaining(int id) const {
-    return remaining_[static_cast<std::size_t>(id)];
-  }
-  [[nodiscard]] const EngineCounters& counters() const { return counters_; }
-  [[nodiscard]] const online::OnlineMetrics& metrics() const { return metrics_; }
-  [[nodiscard]] const std::vector<online::AppRecord>& apps() const {
-    return apps_;
-  }
-  [[nodiscard]] const std::string& app_name(int id) const {
-    return names_[static_cast<std::size_t>(id)];
-  }
-  [[nodiscard]] const platform::Platform& plat() const { return dyn_.plat(); }
 
 private:
-  /// One shared-LP solve over the current active set; updates rates and
-  /// the solve counters. No-op when nothing is active.
-  void reschedule();
-  /// Advances the fluid drain over [now_, vt] without firing events.
-  void drain_interval(double vt);
-  void complete_due();
-  void refresh_total_speed();
-
-  EngineOptions options_;
-  dynamics::DynamicPlatform dyn_;
-  online::MultiLoadRescheduler scheduler_;
-  double now_ = 0.0;
-  double total_speed_ = 0.0;
-  bool draining_ = false;
-
-  std::vector<online::AppRecord> apps_;  ///< indexed by app id
-  std::vector<std::string> names_;
-  std::vector<double> remaining_;
-  std::vector<double> rate_;
-  std::vector<int> active_ids_;  ///< admission order
-
-  EngineCounters counters_;
-  online::OnlineMetrics metrics_;
-  std::vector<online::ActiveLoad> loads_scratch_;
-  std::vector<double> weighted_rates_scratch_;
+  void on_arrival(const online::AppRecord& rec, Admit admit) override;
+  void on_departure(const online::AppRecord& rec) override;
+  void on_settled(const online::MultiReschedule* r) override;
+  void on_platform_event(const dynamics::PlatformEvent& ev,
+                         dynamics::ChangeScope scope) override;
 };
 
 }  // namespace dls::serve

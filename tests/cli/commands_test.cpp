@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "temp_path.hpp"
+
 #ifndef DLS_SOURCE_DIR
 #define DLS_SOURCE_DIR "."
 #endif
@@ -28,7 +30,7 @@ CliRun run(std::vector<std::string> args) {
 
 /// Writes a platform via `generate` into a temp file; returns its path.
 std::string make_platform_file() {
-  const std::string path = ::testing::TempDir() + "cli_test.platform";
+  const std::string path = testutil::unique_temp_path("cli_test", ".platform");
   const CliRun r = run({"generate", "--clusters", "4", "--seed", "9",
                         "--connected", "--out", path});
   EXPECT_EQ(r.code, 0) << r.err;
@@ -164,7 +166,8 @@ TEST(Cli, CampaignJsonIsWorkerCountInvariant) {
 }
 
 TEST(Cli, CampaignCsvAndCaseStream) {
-  const std::string cases = ::testing::TempDir() + "cli_campaign.jsonl";
+  const std::string cases =
+      testutil::unique_temp_path("cli_campaign", ".jsonl");
   const CliRun r = run({"campaign", "--spec", example_campaign_path(),
                         "--jobs", "2", "--csv", "--cases", cases});
   EXPECT_EQ(r.code, 0) << r.err;
@@ -206,7 +209,7 @@ TEST(Cli, CampaignRejectsBadOptions) {
   EXPECT_EQ(run({"campaign", "--spec", spec, "--shard", "0/4junk"}).code, 1);
   EXPECT_EQ(run({"campaign", "--spec", spec, "--json", "--csv"}).code, 1);
   // Parse diagnostics surface the line number.
-  const std::string bad = ::testing::TempDir() + "cli_bad.campaign";
+  const std::string bad = testutil::unique_temp_path("cli_bad", ".campaign");
   {
     std::ofstream f(bad);
     f << "dls-campaign 1\nworkload frobnicate\n";
@@ -274,7 +277,8 @@ TEST(Cli, OnlineRepsAggregatesAcrossThePool) {
   // error must say so instead of claiming an unknown option.
   const CliRun save = run({"online", "--clusters", "4", "--connected",
                            "--arrivals", "5", "--reps", "2",
-                           "--save-workload", "/tmp/x.workload"});
+                           "--save-workload",
+                           testutil::unique_temp_path("cli_x", ".workload")});
   EXPECT_EQ(save.code, 1);
   EXPECT_NE(save.err.find("not supported with --reps"), std::string::npos)
       << save.err;
@@ -292,7 +296,7 @@ TEST(Cli, DynamicsRepsReportsAggregateDegradation) {
 }
 
 TEST(Cli, ReduceGraph) {
-  const std::string path = ::testing::TempDir() + "cli_test.graph";
+  const std::string path = testutil::unique_temp_path("cli_test", ".graph");
   {
     std::ofstream f(path);
     f << "3 2\n0 1\n1 2\n";
@@ -307,7 +311,7 @@ TEST(Cli, ReduceGraph) {
 
 TEST(Cli, ReduceRejectsBadFile) {
   EXPECT_EQ(run({"reduce", "--graph", "/nonexistent"}).code, 1);
-  const std::string path = ::testing::TempDir() + "cli_bad.graph";
+  const std::string path = testutil::unique_temp_path("cli_bad", ".graph");
   {
     std::ofstream f(path);
     f << "2 5\n0 1\n";  // truncated edge list
@@ -356,7 +360,7 @@ TEST(Cli, OnlineGreedyReplayIsDeterministic) {
 
 TEST(Cli, OnlineRunsFromWorkloadFile) {
   const std::string plat = make_platform_file();
-  const std::string wl = ::testing::TempDir() + "cli_test.workload";
+  const std::string wl = testutil::unique_temp_path("cli_test", ".workload");
   {
     std::ofstream f(wl);
     f << "dls-workload 1\n"
@@ -374,7 +378,7 @@ TEST(Cli, OnlineRunsFromWorkloadFile) {
 }
 
 TEST(Cli, OnlineSavesGeneratedWorkload) {
-  const std::string wl = ::testing::TempDir() + "cli_saved.workload";
+  const std::string wl = testutil::unique_temp_path("cli_saved", ".workload");
   const CliRun r = run({"online", "--clusters", "4", "--connected",
                         "--arrivals", "20", "--seed", "3",
                         "--arrival-model", "onoff", "--save-workload", wl});
@@ -424,7 +428,7 @@ TEST(Cli, DynamicsReplayJsonIsBitIdentical) {
 
 TEST(Cli, DynamicsRunsFromEventsFile) {
   const std::string plat = make_platform_file();
-  const std::string ev = ::testing::TempDir() + "cli_test.events";
+  const std::string ev = testutil::unique_temp_path("cli_test", ".events");
   {
     std::ofstream f(ev);
     f << "dls-events 1\n"
@@ -443,7 +447,7 @@ TEST(Cli, DynamicsRunsFromEventsFile) {
 }
 
 TEST(Cli, DynamicsSavesGeneratedEventTrace) {
-  const std::string ev = ::testing::TempDir() + "cli_saved.events";
+  const std::string ev = testutil::unique_temp_path("cli_saved", ".events");
   const CliRun r = run({"dynamics", "--clusters", "4", "--connected",
                         "--arrivals", "15", "--seed", "3", "--event-rate",
                         "0.2", "--save-events", ev});

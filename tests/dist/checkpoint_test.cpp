@@ -13,6 +13,7 @@
 
 #include "campaign/runner.hpp"
 #include "support/error.hpp"
+#include "temp_path.hpp"
 
 namespace dls::dist {
 namespace {
@@ -88,7 +89,8 @@ TEST(Checkpoint, StreamRoundTripIsBitExact) {
 }
 
 TEST(Checkpoint, FileRoundTripAndFingerprintRefusal) {
-  const std::string path = ::testing::TempDir() + "dist_checkpoint_test.ckpt";
+  const std::string path =
+      testutil::unique_temp_path("dist_checkpoint", ".ckpt");
   const campaign::CampaignReport report = sample_report();
   save_checkpoint_file(
       capture_checkpoint(report, 0x1111, 80, 80, {}), path);

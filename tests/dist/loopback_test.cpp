@@ -18,6 +18,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/worker.hpp"
 #include "support/error.hpp"
+#include "temp_path.hpp"
 
 namespace dls::dist {
 namespace {
@@ -209,7 +210,8 @@ TEST(DistLoopback, TwiceFailedRangeAbortsTheCampaign) {
 TEST(DistLoopback, CheckpointResumeSkipsCompletedWorkBitIdentically) {
   const ScenarioSpec spec = mixed_spec();
   const std::string reference = single_process_json(spec);
-  const std::string path = ::testing::TempDir() + "dist_loopback_resume.ckpt";
+  const std::string path =
+      testutil::unique_temp_path("dist_loopback_resume", ".ckpt");
   std::remove(path.c_str());
 
   // Phase 1: snapshot after every range, stop after the third snapshot
@@ -253,7 +255,8 @@ TEST(DistLoopback, CheckpointResumeSkipsCompletedWorkBitIdentically) {
 
 TEST(DistLoopback, ResumeRefusesAnEditedSpec) {
   const ScenarioSpec spec = mixed_spec();
-  const std::string path = ::testing::TempDir() + "dist_loopback_refuse.ckpt";
+  const std::string path =
+      testutil::unique_temp_path("dist_loopback_refuse", ".ckpt");
   std::remove(path.c_str());
 
   CoordinatorOptions first;

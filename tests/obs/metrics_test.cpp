@@ -13,6 +13,7 @@
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "temp_path.hpp"
 
 namespace dls::obs {
 namespace {
@@ -152,7 +153,7 @@ TEST(ObsTrace, RingEvictsOldestAndCountsDrops) {
 }
 
 TEST(ObsTrace, SinkWritesJsonl) {
-  const std::string path = "obs_trace_test.jsonl";
+  const std::string path = testutil::unique_temp_path("obs_trace", ".jsonl");
   {
     TraceRing ring(8);
     ring.set_sink(path);

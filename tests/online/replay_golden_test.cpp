@@ -1,0 +1,154 @@
+// Golden pins for the online replays under platform dynamics: every
+// AppRecord field and every deterministic report counter of
+// OnlineEngine::run(workload, trace), in multi-load and in single-load
+// mode, printed as C99 `%a` hex floats, must match the committed files
+// byte for byte. The trace mixes capacity drift, link failures and
+// cluster churn, so the pins cover completions, platform events, churn
+// aborts and rejects.
+//
+// To re-record after an intended semantic change:
+//   DLS_UPDATE_GOLDEN=1 ./dls_tests --gtest_filter='*LoadGolden.*'
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "online/engine.hpp"
+#include "platform/generator.hpp"
+
+#ifndef DLS_SOURCE_DIR
+#define DLS_SOURCE_DIR "."
+#endif
+
+namespace dls::online {
+namespace {
+
+std::string hex(double x) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+/// Every non-wall-clock field of the report, one line per item.
+std::string pin(const OnlineReport& r) {
+  std::ostringstream os;
+  os << "arrivals " << r.arrivals << "\ncompleted " << r.completed
+     << "\naborted " << r.aborted << "\nrejected " << r.rejected
+     << "\nreschedules " << r.reschedules << "\nqueued_arrivals "
+     << r.queued_arrivals << "\nplatform_events " << r.platform_events
+     << "\nwarm_solves " << r.warm_solves << "\ncold_solves " << r.cold_solves
+     << "\nrepaired_solves " << r.repaired_solves << "\nmakespan "
+     << hex(r.makespan) << "\ntotal_work " << hex(r.total_work)
+     << "\npeak_active " << r.peak_active << "\npeak_queued " << r.peak_queued
+     << "\nresponse_mean " << hex(r.metrics.response.mean()) << "\nwait_mean "
+     << hex(r.metrics.wait.mean()) << "\nslowdown_mean "
+     << hex(r.metrics.slowdown.mean()) << "\nutilization_mean "
+     << hex(r.metrics.utilization.mean()) << "\nfairness_mean "
+     << hex(r.metrics.fairness.mean()) << "\nactive_apps_mean "
+     << hex(r.metrics.active_apps.mean()) << "\n";
+  for (const AppRecord& a : r.apps)
+    os << "app " << a.id << ' ' << a.cluster << ' ' << hex(a.payoff) << ' '
+       << hex(a.load) << ' ' << hex(a.arrival) << ' ' << hex(a.admit) << ' '
+       << hex(a.depart) << ' ' << hex(a.slowdown) << ' '
+       << static_cast<int>(a.outcome) << "\n";
+  return os.str();
+}
+
+struct Inputs {
+  platform::Platform plat;
+  Workload wl;
+  dynamics::EventTrace trace;
+};
+
+Inputs inputs() {
+  platform::GeneratorParams params;
+  params.num_clusters = 6;
+  params.ensure_connected = true;
+  Rng prng(5);
+  Inputs in{generate_platform(params, prng), {}, {}};
+  PoissonParams p;
+  p.count = 120;
+  p.rate = 2.0;
+  Rng wrng(17);
+  in.wl = poisson_workload(p, 6, wrng);
+  Rng trng(23);
+  dynamics::ChurnParams churn;
+  churn.horizon = 60.0;
+  churn.mean_up = 15.0;
+  churn.mean_down = 5.0;
+  churn.churn_fraction = 0.5;
+  in.trace = dynamics::EventTrace::merge(
+      dynamics::scenario_trace(0.3, 0.6, 200.0, in.plat, trng),
+      dynamics::churn_trace(in.plat, churn, trng));
+  return in;
+}
+
+std::string multi_load_pins() {
+  const Inputs in = inputs();
+  std::string out;
+  for (const core::MultiObjective objective :
+       {core::MultiObjective::WeightedSum, core::MultiObjective::MaxMin,
+        core::MultiObjective::PropFair}) {
+    OnlineOptions options;
+    options.multi_load = true;
+    options.multi.solve.objective = objective;
+    const OnlineReport report =
+        OnlineEngine(in.plat, options).run(in.wl, in.trace);
+    EXPECT_GT(report.platform_events, 0);
+    EXPECT_GT(report.aborted + report.rejected, 0);
+    out += "objective " + core::to_string(objective) + "\n" + pin(report);
+  }
+  return out;
+}
+
+/// The single-load replay (FIFO queues, one application per cluster),
+/// fluid and simulated, over the same inputs.
+std::string single_load_pins() {
+  const Inputs in = inputs();
+  std::string out;
+  for (const Method method : {Method::Greedy, Method::Lpr}) {
+    for (const RateModel model : {RateModel::Fluid, RateModel::Simulated}) {
+      OnlineOptions options;
+      options.sched.method = method;
+      options.rate_model = model;
+      const OnlineReport report =
+          OnlineEngine(in.plat, options).run(in.wl, in.trace);
+      EXPECT_GT(report.platform_events, 0);
+      EXPECT_GT(report.queued_arrivals, 0);
+      out += std::string("method ") + to_string(method) + " rate_model " +
+             (model == RateModel::Fluid ? "fluid" : "simulated") + "\n" +
+             pin(report);
+    }
+  }
+  return out;
+}
+
+/// Compares `got` with the committed file, or re-records it when
+/// DLS_UPDATE_GOLDEN is set.
+void check_golden(const std::string& name, const std::string& got) {
+  const std::string path =
+      std::string(DLS_SOURCE_DIR) + "/tests/online/data/" + name;
+  if (std::getenv("DLS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::trunc) << got;
+    GTEST_SKIP() << "re-recorded " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str());
+}
+
+TEST(MultiLoadGolden, DynamicsReplayMatchesCommittedPin) {
+  check_golden("run_multi_golden.txt", multi_load_pins());
+}
+
+TEST(SingleLoadGolden, DynamicsReplayMatchesCommittedPin) {
+  check_golden("run_single_golden.txt", single_load_pins());
+}
+
+}  // namespace
+}  // namespace dls::online

@@ -1,15 +1,19 @@
-// ServeEngine: the incremental twin of OnlineEngine::run_multi. The
-// load-bearing assertion is the cross-check — replaying a workload
-// through arrive()/advance_to() yields BIT-identical per-app records to
-// the batch engine — plus admission control and churn semantics the
-// batch engine does not have.
+// ServeEngine: the daemon's face of the multi-load event core that
+// OnlineEngine::run replays in batch. The load-bearing assertions are
+// the cross-checks — replaying a workload through the call API
+// (arrive/apply_event/advance_to) yields BIT-identical per-app records
+// and counters to the batch engine, on tie-free and on tied input — plus
+// admission control and churn semantics the batch engine does not have.
 #include "serve/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
+#include "dynamics/events.hpp"
 #include "online/engine.hpp"
 #include "online/workload.hpp"
 #include "platform/generator.hpp"
@@ -75,6 +79,96 @@ TEST(ServeEngine, MatchesRunMultiBitExactly) {
   EXPECT_EQ(engine.metrics().response.mean(), want.metrics.response.mean());
   EXPECT_EQ(engine.metrics().utilization.mean(),
             want.metrics.utilization.mean());
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Same cross-check, but on input full of ties: bursts of arrivals
+/// sharing one timestamp, and a platform trace whose capacity event,
+/// cluster leave and cluster join land on burst times. The tie order
+/// (completions, then platform events, then arrivals, then one
+/// reschedule per virtual time) must match the batch engine exactly.
+TEST(ServeEngine, MatchesRunMultiOnTiedArrivalsAndEvents) {
+  constexpr int kClusters = 6;
+  const platform::Platform plat = test_platform(kClusters, 3);
+  online::Workload wl;
+  for (int burst = 0; burst < 8; ++burst)
+    for (int j = 0; j < 3; ++j)
+      wl.arrivals.push_back({5.0 * burst, (burst + 2 * j) % kClusters,
+                             1.0 + j, 150.0 + 100.0 * j, ""});
+  dynamics::EventTrace trace;
+  {
+    dynamics::PlatformEvent ev;
+    ev.time = 10.0;
+    ev.kind = dynamics::EventKind::GatewayBandwidth;
+    ev.target = 1;
+    ev.value = 0.5 * plat.cluster(1).gateway_bw;
+    trace.events.push_back(ev);
+    ev.time = 20.0;
+    ev.kind = dynamics::EventKind::ClusterLeave;
+    ev.target = 2;
+    ev.value = 0.0;
+    trace.events.push_back(ev);
+    ev.time = 30.0;
+    ev.kind = dynamics::EventKind::ClusterJoin;
+    trace.events.push_back(ev);
+  }
+
+  online::OnlineOptions batch_options;
+  batch_options.multi_load = true;
+  const online::OnlineReport want =
+      online::OnlineEngine(plat, batch_options).run(wl, trace);
+  ASSERT_GT(want.aborted + want.rejected, 0);
+
+  // Replay through the call API in the batch tie order: each call first
+  // advances virtual time, which fires the completions due by then.
+  ServeEngine engine(plat, {});
+  std::size_t next_event = 0;
+  for (const online::AppArrival& a : wl.arrivals) {
+    while (next_event < trace.events.size() &&
+           trace.events[next_event].time <= a.time) {
+      const dynamics::PlatformEvent& ev = trace.events[next_event++];
+      (void)engine.apply_event(ev.time, ev);
+    }
+    (void)engine.arrive(a.time, a.cluster, a.payoff, a.load, a.name);
+  }
+  while (std::isfinite(engine.next_completion()))
+    engine.advance_to(engine.next_completion());
+
+  const EngineCounters& c = engine.counters();
+  EXPECT_EQ(c.arrivals, static_cast<std::uint64_t>(want.arrivals));
+  EXPECT_EQ(c.completed, static_cast<std::uint64_t>(want.completed));
+  EXPECT_EQ(c.aborted_churn, static_cast<std::uint64_t>(want.aborted));
+  EXPECT_EQ(c.rejected_absent, static_cast<std::uint64_t>(want.rejected));
+  EXPECT_EQ(c.platform_events,
+            static_cast<std::uint64_t>(want.platform_events));
+  EXPECT_EQ(c.reschedules, static_cast<std::uint64_t>(want.reschedules));
+  EXPECT_EQ(c.warm_solves, static_cast<std::uint64_t>(want.warm_solves));
+  EXPECT_EQ(c.cold_solves, static_cast<std::uint64_t>(want.cold_solves));
+  EXPECT_EQ(c.repaired_solves,
+            static_cast<std::uint64_t>(want.repaired_solves));
+  EXPECT_EQ(c.peak_active, want.peak_active);
+
+  ASSERT_EQ(engine.apps().size(), want.apps.size());
+  for (std::size_t i = 0; i < want.apps.size(); ++i) {
+    const online::AppRecord& got = engine.apps()[i];
+    const online::AppRecord& exp = want.apps[i];
+    EXPECT_EQ(got.id, exp.id) << "app " << i;
+    EXPECT_EQ(got.cluster, exp.cluster) << "app " << i;
+    EXPECT_EQ(bits(got.payoff), bits(exp.payoff)) << "app " << i;
+    EXPECT_EQ(bits(got.load), bits(exp.load)) << "app " << i;
+    EXPECT_EQ(bits(got.arrival), bits(exp.arrival)) << "app " << i;
+    EXPECT_EQ(bits(got.admit), bits(exp.admit)) << "app " << i;
+    EXPECT_EQ(bits(got.depart), bits(exp.depart)) << "app " << i;
+    EXPECT_EQ(bits(got.slowdown), bits(exp.slowdown)) << "app " << i;
+    EXPECT_EQ(got.outcome, exp.outcome) << "app " << i;
+  }
+  EXPECT_EQ(bits(engine.metrics().response.mean()),
+            bits(want.metrics.response.mean()));
+  EXPECT_EQ(bits(engine.metrics().utilization.mean()),
+            bits(want.metrics.utilization.mean()));
+  EXPECT_EQ(bits(engine.metrics().fairness.mean()),
+            bits(want.metrics.fairness.mean()));
 }
 
 TEST(ServeEngine, DeterministicAcrossRuns) {
