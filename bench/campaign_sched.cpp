@@ -1,6 +1,6 @@
-// Campaign scheduling bench: dynamic chunked parallel_for vs the old
-// static up-front partition (four contiguous blocks per worker,
-// parallel_for_static) on a skewed case mix.
+// Campaign scheduling bench: the dynamic chunked parallel_for against
+// a static up-front partition (four contiguous blocks per worker) on a
+// skewed case mix.
 //
 // The sweep's cost distribution is heavily skewed: an LPRR case is ~K^2
 // LP solves while a plain heuristic case finishes in milliseconds. With
@@ -11,19 +11,17 @@
 // front of the range — the static partition's worst (and, for a sorted
 // case list, typical) layout.
 //
-// Both schedules run the identical case list and must produce bitwise
-// identical results (asserted). Two headline numbers:
-//
-//   * measured speedup = static_seconds / dynamic_seconds — meaningful
-//     only on a multi-core machine (both schedules serialize on one
-//     hardware thread);
-//   * projected speedup = static / dynamic *critical path* for an
-//     n-worker pool, replayed from the measured per-case costs. The
-//     replay assigns work to the earliest-free worker in index order —
-//     exactly the pool's pull discipline at each schedule's granularity
-//     (blocks of ~size/(4*workers) vs single cases) — so it reports
-//     what the schedules would do with real parallelism even when the
-//     bench itself ran on one core.
+// The case list runs twice through the dynamic schedule (a warm-up pass
+// and a timed pass), and both passes must produce bitwise identical
+// results (asserted: a case's numbers may not depend on which thread or
+// arena ran it, or on what that arena solved before). The headline
+// number is the projected speedup = static / dynamic *critical path*
+// for an n-worker pool, replayed from the measured per-case costs. The
+// replay assigns work to the earliest-free worker in index order —
+// exactly a pool's pull discipline at each schedule's granularity
+// (blocks of ~size/(4*workers) vs single cases) — so it reports what
+// the schedules would do with real parallelism even when the bench
+// itself ran on one core.
 //
 // Cases run through one shared lp::BatchSolver (per-thread solve arenas
 // + shared column-structure cache), same as the campaign runner.
@@ -62,8 +60,8 @@ double replay_makespan(const std::vector<double>& costs,
 
 std::vector<std::pair<std::size_t, std::size_t>> static_blocks(
     std::size_t n, std::size_t workers) {
-  // parallel_for_static's layout: at most four contiguous blocks per
-  // worker, cut up front.
+  // The static layout: at most four contiguous blocks per worker, cut
+  // up front.
   const std::size_t blocks = std::max<std::size_t>(1, 4 * workers);
   const std::size_t chunk = std::max<std::size_t>(1, (n + blocks - 1) / blocks);
   std::vector<std::pair<std::size_t, std::size_t>> out;
@@ -110,52 +108,40 @@ int main() {
   lp::BatchSolver lps;
 
   std::vector<double> case_seconds(configs.size(), 0.0);
-  const auto run = [&](bool dynamic) {
+  const auto run = [&]() {
     std::vector<exp::CaseResult> results(configs.size());
-    const auto body = [&](std::size_t i) {
+    WallTimer timer;
+    parallel_for(pool, 0, configs.size(), [&](std::size_t i) {
       WallTimer case_timer;
       results[i] = exp::run_case(configs[i], lps);
       case_seconds[i] = case_timer.seconds();
-    };
-    WallTimer timer;
-    if (dynamic) {
-      parallel_for(pool, 0, configs.size(), body, 1);
-    } else {
-      parallel_for_static(pool, 0, configs.size(), body);
-    }
+    }, 1);
     const double seconds = timer.seconds();
     return std::pair<double, std::vector<exp::CaseResult>>(seconds,
                                                            std::move(results));
   };
 
-  // Warm-up pass so neither timed pass pays first-touch costs.
-  (void)run(true);
-  const auto [static_seconds, static_results] = run(false);
-  const auto [dynamic_seconds, dynamic_results] = run(true);
+  // Warm-up pass so the timed pass pays no first-touch costs.
+  const auto [warmup_seconds, warmup_results] = run();
+  const auto [dynamic_seconds, dynamic_results] = run();
 
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const exp::CaseResult& a = static_results[i];
+    const exp::CaseResult& a = warmup_results[i];
     const exp::CaseResult& b = dynamic_results[i];
     const auto same = [](double x, double y) {
       return (std::isnan(x) && std::isnan(y)) || x == y;
     };
     if (a.ok != b.ok || !same(a.g, b.g) || !same(a.lpr, b.lpr) ||
         !same(a.lprg, b.lprg) || !same(a.lprr, b.lprr)) {
-      std::cerr << "FATAL: dynamic schedule changed case " << i
-                << "'s results (scheduling must only move work, never "
-                   "numbers)\n";
+      std::cerr << "FATAL: rerunning case " << i
+                << " changed its results (scheduling and arena reuse must "
+                   "only move work, never numbers)\n";
       return 1;
     }
   }
 
-  const double speedup =
-      dynamic_seconds > 0.0 ? static_seconds / dynamic_seconds : 0.0;
-  std::cout << "static partition: " << static_seconds << "s; dynamic chunked: "
-            << dynamic_seconds << "s; speedup " << speedup << "x\n";
-  if (std::thread::hardware_concurrency() < 2) {
-    std::cout << "note: single hardware thread — both schedules serialize; "
-                 "the projected critical paths below carry the comparison\n";
-  }
+  std::cout << "dynamic chunked: " << dynamic_seconds << "s (warm-up "
+            << warmup_seconds << "s)\n";
 
   // Critical-path replay over the measured per-case costs (from the
   // final dynamic pass) for a canonical multi-worker pool.
@@ -181,9 +167,7 @@ int main() {
   js << "{\"bench\":\"campaign_sched\",\"heavy_cases\":" << heavy
      << ",\"light_cases\":" << light << ",\"workers\":" << pool.size()
      << ",\"hardware_threads\":" << std::thread::hardware_concurrency()
-     << ",\"static_seconds\":" << static_seconds
      << ",\"dynamic_seconds\":" << dynamic_seconds
-     << ",\"speedup\":" << speedup
      << ",\"case_cost_seconds\":" << total_cost
      << ",\"sim_workers\":" << sim_workers
      << ",\"static_critical_seconds\":" << static_cp

@@ -9,17 +9,16 @@
 //   * sparse  — SparseLu + Dantzig: the pre-overhaul sparse path (the
 //               field names below keep their PR-5 meaning so committed
 //               baselines stay comparable);
-//   * partial — SparseLu + Partial (candidate-list Dantzig);
-//   * se      — SparseLu + SteepestEdge (devex): the new default;
+//   * se      — SparseLu + SteepestEdge (devex): the default pricing;
 //   * auto    — everything defaulted (Auto factorization picks dense
-//               below the crossover, Auto pricing picks steepest edge).
+//               below the crossover, pricing is steepest edge).
 //
-// All five must agree on the LP objective (asserted, 1e-6 relative).
+// All four must agree on the LP objective (asserted, 1e-6 relative).
 // Reported per K: best-of-repeats cold seconds, simplex pivots,
 // microseconds per pivot, refactorization count, and peak eta-file
 // nonzeros; then one warm (capsule) re-solve after a departure event,
-// and a batch section solving payoff-re-priced variants through
-// lp::BatchSolver (shared column analysis + per-thread arenas) against
+// and a batch section solving payoff-re-priced variants through one
+// lp::BatchSolver arena (shared column analysis, reused buffers) against
 // a fresh-solver sequential loop, asserting bit-identical objectives.
 //
 // Platforms keep a bounded average router degree (connectivity ~ 8/K)
@@ -208,8 +207,6 @@ int main() {
                                         lp::Pricing::Dantzig, repeats);
     const PathResult sparse = cold_solve(model, lp::Factorization::SparseLu,
                                          lp::Pricing::Dantzig, repeats);
-    const PathResult partial = cold_solve(model, lp::Factorization::SparseLu,
-                                          lp::Pricing::Partial, repeats);
     const HyperSnap h0 = hyper_snap();
     const PathResult se = cold_solve(model, lp::Factorization::SparseLu,
                                      lp::Pricing::SteepestEdge, repeats);
@@ -225,9 +222,9 @@ int main() {
                 << " at K=" << k << "\n";
       return 1;
     }
-    const PathResult autop =
-        cold_solve(model, lp::Factorization::Auto, lp::Pricing::Auto, repeats);
-    for (const PathResult* r : {&sparse, &partial, &se, &autop}) {
+    const PathResult autop = cold_solve(model, lp::Factorization::Auto,
+                                        lp::SimplexOptions{}.pricing, repeats);
+    for (const PathResult* r : {&sparse, &se, &autop}) {
       if (!objectives_agree(dense.objective, r->objective)) {
         std::cerr << "lp_scaling: objectives diverge at K=" << k << ": "
                   << dense.objective << " vs " << r->objective << "\n";
@@ -303,7 +300,9 @@ int main() {
 
     // Batch section: payoff-re-priced variants of this K's model (same
     // constraint matrix, different costs — the campaign-cell shape).
-    // BatchSolver must beat, and bit-match, a fresh-solver loop.
+    // Solving them through one BatchSolver arena must beat, and
+    // bit-match, a fresh-solver loop, and build the shared column
+    // structure exactly once.
     std::vector<core::SteadyStateProblem::ReducedModel> variants;
     variants.reserve(static_cast<std::size_t>(batch_models));
     for (int v = 0; v < batch_models; ++v) {
@@ -323,13 +322,15 @@ int main() {
       plain_obj.push_back(lp::SimplexSolver(batch_opt).solve(*m).objective);
     const double plain_seconds = plain_timer.seconds();
 
-    lp::BatchSolver batch(batch_opt, exp::bench_jobs());
+    lp::BatchSolver batch;
+    const lp::SimplexSolver batch_solver(batch_opt);
+    std::vector<double> batch_obj;
     WallTimer batch_timer;
-    const std::vector<lp::Solution> batched =
-        batch.solve_all(std::span<const lp::Model* const>(batch_ptrs));
+    for (const lp::Model* m : batch_ptrs)
+      batch_obj.push_back(batch_solver.solve(*m, batch.local_arena()).objective);
     const double batch_seconds = batch_timer.seconds();
-    for (std::size_t i = 0; i < batched.size(); ++i) {
-      if (batched[i].objective != plain_obj[i]) {
+    for (std::size_t i = 0; i < batch_obj.size(); ++i) {
+      if (batch_obj[i] != plain_obj[i]) {
         std::cerr << "lp_scaling: batch solve not bit-identical at K=" << k
                   << " model " << i << "\n";
         return 1;
@@ -365,9 +366,8 @@ int main() {
               << " n=" << model.num_variables() << " nnz=" << nnz
               << "\n  cold  dense " << dense.seconds * 1e3 << " ms/"
               << dense.pivots << "p, sparse(dantzig) " << sparse.seconds * 1e3
-              << " ms/" << sparse.pivots << "p, partial "
-              << partial.seconds * 1e3 << " ms/" << partial.pivots
-              << "p, steepest " << se.seconds * 1e3 << " ms/" << se.pivots
+              << " ms/" << sparse.pivots << "p, steepest " << se.seconds * 1e3
+              << " ms/" << se.pivots
               << "p (" << se.refactors << " refac, eta peak " << se.eta_peak
               << "), auto " << autop.seconds * 1e3 << " ms/" << autop.pivots
               << "p\n  se vs dantzig: " << se_speedup << "x time, "
@@ -397,8 +397,6 @@ int main() {
        << ",\"sparse_cold_seconds\":" << sparse.seconds
        << ",\"sparse_pivots\":" << sparse.pivots
        << ",\"sparse_us_per_pivot\":" << us_per_pivot(sparse)
-       << ",\"partial_cold_seconds\":" << partial.seconds
-       << ",\"partial_pivots\":" << partial.pivots
        << ",\"se_cold_seconds\":" << se.seconds
        << ",\"se_pivots\":" << se.pivots
        << ",\"se_us_per_pivot\":" << us_per_pivot(se)

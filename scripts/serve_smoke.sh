@@ -61,7 +61,7 @@ echo "== setup: platform + recorded workload"
 echo "== phase A: replay + two scrapes, counters must be monotonic"
 rm -f "$TMP/port"
 "$DLS" serve --platform "$TMP/plat" --replay "$TMP/replay.workload" \
-  --speed 0 --exit-after-replay --drain-grace 5 --port-file "$TMP/port" \
+  --replay-speed 0 --exit-after-replay --drain-grace 5 --port-file "$TMP/port" \
   > "$TMP/a.log" 2>&1 &
 SERVE=$!
 wait_port "$TMP/port"
@@ -124,7 +124,7 @@ final_counters() {
   local log=$1 port
   rm -f "$TMP/port"
   "$DLS" serve --platform "$TMP/plat" --replay "$TMP/replay.workload" \
-    --speed 0 --exit-after-replay --drain-grace 5 --port-file "$TMP/port" \
+    --replay-speed 0 --exit-after-replay --drain-grace 5 --port-file "$TMP/port" \
     > "$log" 2>&1 &
   local pid=$!
   wait_port "$TMP/port"
@@ -212,7 +212,7 @@ echo "== phase D: tied arrivals, serve replay == dls online --loads"
   --json > "$TMP/tied.online"
 rm -f "$TMP/port"
 "$DLS" serve --platform "$TMP/plat6" --replay "$TMP/tied.workload" \
-  --speed 0 --exit-after-replay --drain-grace 5 --port-file "$TMP/port" \
+  --replay-speed 0 --exit-after-replay --drain-grace 5 --port-file "$TMP/port" \
   > "$TMP/d.log" 2>&1 &
 SERVE=$!
 wait_port "$TMP/port"

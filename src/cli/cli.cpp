@@ -52,7 +52,7 @@ void print_usage(std::ostream& os) {
         "             (failures, drift, churn) and report the degradation\n"
         "  serve      long-running scheduler daemon: HTTP /metrics, /health,\n"
         "             /stats plus a line protocol for arrive/depart/event;\n"
-        "             --replay feeds a recorded .workload at --speed x\n"
+        "             --replay feeds a recorded .workload at --replay-speed x\n"
         "  reduce     build the NP-hardness instance from a graph file\n"
         "  help       show this message\n"
         "  --version  print build type, compiler and git revision\n"
@@ -227,14 +227,6 @@ int cmd_simulate(Args& args, std::ostream& out) {
   options.window_units = args.get_double("window", options.window_units);
   const std::string policy = args.get_string("policy", "paced");
   options.policy = parse_policy(policy);
-  const std::string engine = args.get_string("sim-engine", "incremental");
-  if (engine == "incremental") {
-    options.engine = sim::EngineKind::Incremental;
-  } else if (engine == "rescan") {
-    options.engine = sim::EngineKind::Rescan;
-  } else {
-    throw Error("--sim-engine: expected incremental|rescan");
-  }
   args.reject_unknown();
 
   const auto sched = core::build_periodic_schedule(problem, solved.allocation);
@@ -248,7 +240,7 @@ int cmd_simulate(Args& args, std::ostream& out) {
   table.print(out);
   out << "worst period overrun ratio: " << TextTable::fmt(report.worst_overrun_ratio, 4)
       << "\n";
-  out << "engine " << engine << ": " << report.events << " events, "
+  out << "engine incremental: " << report.events << " events, "
       << report.rate_recomputations << " full + " << report.partial_recomputations
       << " partial rate solves\n";
   return 0;
@@ -1093,7 +1085,7 @@ int cmd_serve(Args& args, std::ostream& out) {
             "cannot open events file '" + events_path + "'");
     options.events = dynamics::read_events(in);
   }
-  options.speed = args.get_double("speed", 1.0);
+  options.replay_speed = args.get_double("replay-speed", 1.0);
   options.exit_after_replay = args.get_flag("exit-after-replay");
   options.drain_grace = args.get_double("drain-grace", 0.0);
   options.trace_file = args.get_string("trace-file", "");

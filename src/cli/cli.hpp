@@ -12,7 +12,6 @@
 //   dls simulate  --platform FILE [--method ...] [--objective ...]
 //                 [--payoffs ...] [--policy paced|maxmin|tcp|window]
 //                 [--window units] [--periods n] [--seed n]
-//                 [--sim-engine incremental|rescan]
 //   dls campaign  --spec FILE [--jobs J] [--shard i/n] [--json|--csv]
 //                 [--cases FILE]
 //                 (run a declarative .campaign scenario matrix through
@@ -51,7 +50,7 @@
 //   dls serve     --platform FILE | <generate options>
 //                 [--port P] [--port-file FILE] [--max-loads N]
 //                 [--objective sum|maxmin|pf] [--warm auto|never|always]
-//                 [--replay FILE] [--events FILE] [--speed X]
+//                 [--replay FILE] [--events FILE] [--replay-speed X]
 //                 [--exit-after-replay] [--drain-grace S]
 //                 [--trace-file FILE] [--trace-capacity N]
 //                 [--load-eps e] [--seed n]
@@ -59,9 +58,10 @@
 //                  multi-load LP: HTTP GET /metrics (Prometheus text),
 //                  /health, /stats; POST /arrive, /depart, /event; plus
 //                  a newline line protocol on the same port. --replay
-//                  feeds a recorded .workload at --speed virtual seconds
-//                  per wall second (0 = as fast as possible); SIGTERM
-//                  drains. See src/serve/)
+//                  feeds a recorded .workload at --replay-speed virtual
+//                  seconds per wall second (0 = as fast as possible);
+//                  --speed is the generated clusters' speed, as on every
+//                  command. SIGTERM drains. See src/serve/)
 //   dls reduce    --graph FILE   (edge list: "n m" then m lines "u v")
 //   dls help
 //

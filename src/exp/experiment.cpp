@@ -5,7 +5,6 @@
 #include <string>
 
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace dls::exp {
@@ -153,23 +152,6 @@ CaseResult run_case(const CaseConfig& config, const platform::Platform& plat,
           "run_case: payoff_spread must be in [0, 1)");
   Rng rng(config.seed);
   return run_case_on(config, plat, rng, &lps.local_arena());
-}
-
-std::vector<CaseResult> run_cases(const std::vector<CaseConfig>& configs, int jobs) {
-  require(jobs >= 0, "run_cases: negative job count");
-  std::vector<CaseResult> results(configs.size());
-  lp::BatchSolver batch;  // shared analysis; one arena per worker thread
-  if (configs.size() <= 1 || jobs == 1) {
-    for (std::size_t i = 0; i < configs.size(); ++i)
-      results[i] = run_case(configs[i], batch);
-    return results;
-  }
-  ThreadPool pool(static_cast<std::size_t>(jobs));
-  // Chunk size 1: cases are coarse (milliseconds to seconds each) and
-  // often cost-skewed, so per-case dynamic pull is the right grain.
-  parallel_for(pool, 0, configs.size(),
-               [&](std::size_t i) { results[i] = run_case(configs[i], batch); }, 1);
-  return results;
 }
 
 platform::GeneratorParams sample_grid_params(const platform::Table1Grid& grid,

@@ -86,16 +86,6 @@ struct CaseResult {
                                   const platform::Platform& plat,
                                   lp::BatchSolver& lps);
 
-/// Runs every config as an independent replication across a thread pool,
-/// sharing one BatchSolver (per-thread arenas + one column-structure
-/// cache) across the sweep. jobs = 0 uses all hardware threads; jobs = 1
-/// runs inline. Results are deterministic and order-stable: result i
-/// depends only on configs[i] (each case derives its randomness from its
-/// own seed), so the worker count never changes the numbers. The first
-/// exception thrown by any case is rethrown after the sweep stops.
-[[nodiscard]] std::vector<CaseResult> run_cases(const std::vector<CaseConfig>& configs,
-                                                int jobs = 0);
-
 /// Uniformly samples one cell of the Table-1 grid for the non-K
 /// dimensions (connectivity, heterogeneity, mean g / bw / maxcon).
 [[nodiscard]] platform::GeneratorParams sample_grid_params(

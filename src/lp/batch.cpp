@@ -1,14 +1,8 @@
 #include "lp/batch.hpp"
 
-#include "support/error.hpp"
-#include "support/thread_pool.hpp"
-
 namespace dls::lp {
 
-BatchSolver::BatchSolver(SimplexOptions options, int jobs)
-    : options_(options), jobs_(jobs), store_(std::make_shared<ColumnCacheStore>()) {
-  require(jobs >= 0, "BatchSolver: negative job count");
-}
+BatchSolver::BatchSolver() : store_(std::make_shared<ColumnCacheStore>()) {}
 
 BatchSolver::~BatchSolver() = default;
 
@@ -20,43 +14,8 @@ SolveArena& BatchSolver::local_arena() {
   return *slot;
 }
 
-Solution BatchSolver::solve(const Model& model) {
-  solves_.fetch_add(1, std::memory_order_relaxed);
-  return SimplexSolver(options_).solve(model, local_arena());
-}
-
-Solution BatchSolver::solve(const Model& model, WarmState* state) {
-  solves_.fetch_add(1, std::memory_order_relaxed);
-  return SimplexSolver(options_).solve(model, state, local_arena());
-}
-
-std::vector<Solution> BatchSolver::solve_all(
-    std::span<const Model* const> models) {
-  std::vector<Solution> out(models.size());
-  if (models.size() <= 1 || jobs_ == 1) {
-    for (std::size_t i = 0; i < models.size(); ++i) out[i] = solve(*models[i]);
-    return out;
-  }
-  parallel_for(ensure_pool(), 0, models.size(),
-               [&](std::size_t i) { out[i] = solve(*models[i]); }, 1);
-  return out;
-}
-
-std::vector<Solution> BatchSolver::solve_all(std::span<const Model> models) {
-  std::vector<const Model*> ptrs(models.size());
-  for (std::size_t i = 0; i < models.size(); ++i) ptrs[i] = &models[i];
-  return solve_all(std::span<const Model* const>(ptrs));
-}
-
-ThreadPool& BatchSolver::ensure_pool() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(jobs_));
-  return *pool_;
-}
-
 BatchSolver::Stats BatchSolver::stats() const {
   Stats s;
-  s.solves = solves_.load(std::memory_order_relaxed);
   s.cache_hits = store_->hits();
   s.cache_misses = store_->misses();
   std::lock_guard<std::mutex> lock(mutex_);

@@ -1,88 +1,54 @@
-// Batch LP solving with shared symbolic analysis.
+// Shared symbolic analysis and per-thread solve arenas.
 //
-// A campaign cell (and every replication sweep built on exp::run_cases)
-// solves thousands of small independent LPs whose constraint matrices
-// repeat: one reduced steady-state model shape per platform, re-priced
-// per payoff draw. BatchSolver amortizes everything those solves can
-// share — one ColumnCacheStore holds each distinct matrix's column-wise
-// structure (keyed by the constraint fingerprint, built once, read by
-// every thread), and each worker thread owns a SolveArena so repeated
-// solves allocate nothing once capacities warm up.
+// A campaign cell solves thousands of small independent LPs whose
+// constraint matrices repeat: one reduced steady-state model shape per
+// platform, re-priced per payoff draw. BatchSolver holds what those
+// solves can share — one ColumnCacheStore keeps each distinct matrix's
+// column-wise structure (keyed by the constraint fingerprint, built
+// once, read by every thread), and each calling thread owns a
+// SolveArena so repeated solves allocate nothing once capacities warm
+// up. Callers solve through SimplexSolver with local_arena().
 //
 // Determinism contract: a solve's result depends only on its model (and
-// optional warm state) — never on the thread that ran it, the arena's
-// history, or the job count — so solve_all() is bit-identical to a
-// sequential loop for any `jobs`.
+// optional warm state) — never on the thread that ran it or the arena's
+// history — so any thread count gives the numbers of a sequential loop.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "lp/simplex.hpp"
-
-namespace dls {
-class ThreadPool;
-}
 
 namespace dls::lp {
 
 class BatchSolver {
  public:
-  /// `jobs` caps solve_all()'s parallelism: 0 = all hardware threads,
-  /// 1 = solve inline on the calling thread (no pool is ever created).
-  explicit BatchSolver(SimplexOptions options = {}, int jobs = 0);
+  BatchSolver();
   ~BatchSolver();
 
   BatchSolver(const BatchSolver&) = delete;
   BatchSolver& operator=(const BatchSolver&) = delete;
 
-  /// One solve through the calling thread's arena (usable from any
-  /// thread, including pool workers of an outer parallel_for — the
-  /// campaign runner's offline kernel calls this from its case bodies).
-  [[nodiscard]] Solution solve(const Model& model);
-  [[nodiscard]] Solution solve(const Model& model, WarmState* state);
-
-  /// Solves every model across the internal pool (chunk 1: LP costs are
-  /// skewed). Results are positionally stable and bit-identical to the
-  /// sequential loop regardless of `jobs`.
-  [[nodiscard]] std::vector<Solution> solve_all(
-      std::span<const Model* const> models);
-  [[nodiscard]] std::vector<Solution> solve_all(std::span<const Model> models);
-
   /// The calling thread's arena, created on first use and bound to the
-  /// shared column-cache store. For callers that drive SimplexSolver
-  /// directly but still want the shared analysis and buffer reuse.
+  /// shared column-cache store. Usable from any thread, including pool
+  /// workers (the campaign runner's offline kernel calls this from its
+  /// case bodies).
   [[nodiscard]] SolveArena& local_arena();
 
-  [[nodiscard]] const SimplexOptions& options() const { return options_; }
-  [[nodiscard]] const std::shared_ptr<ColumnCacheStore>& store() const {
-    return store_;
-  }
-
   struct Stats {
-    std::size_t solves = 0;        ///< solves issued through this batch
     std::size_t cache_hits = 0;    ///< store lookups that found a structure
     std::size_t cache_misses = 0;  ///< store lookups that had to build one
-    std::size_t arenas = 0;        ///< distinct worker arenas materialized
+    std::size_t arenas = 0;        ///< distinct thread arenas materialized
   };
   [[nodiscard]] Stats stats() const;
 
  private:
-  ThreadPool& ensure_pool();
-
-  SimplexOptions options_;
-  int jobs_ = 0;
   std::shared_ptr<ColumnCacheStore> store_;
-  mutable std::mutex mutex_;  // guards arenas_ and pool_ creation
+  mutable std::mutex mutex_;  // guards arenas_
   std::unordered_map<std::thread::id, std::unique_ptr<SolveArena>> arenas_;
-  std::unique_ptr<ThreadPool> pool_;  // lazy: first parallel solve_all
-  std::atomic<std::size_t> solves_{0};
 };
 
 }  // namespace dls::lp

@@ -103,6 +103,30 @@ constexpr double kTieMargin = 1e-9;
 /// pricing refresh, which reinitializes every weight to 1).
 constexpr double kWeightCap = 1e7;
 
+/// Factorization::Auto crossover: bases with at most this many rows use
+/// the dense inverse (measured faster up to K~16 platforms, m <= ~100);
+/// larger bases use the sparse LU.
+constexpr int kDenseCrossoverRows = 112;
+
+/// Reach-set density cutoff of the hypersparse solves: a symbolic pass
+/// that reaches more than this fraction of the elimination steps
+/// abandons the sparse solve and falls back to the dense pass for the
+/// remaining stages (the sort/scatter bookkeeping would cost more than
+/// the straight sweep). Deliberately strict: on the bench federations
+/// the dense sweeps win from a few percent density up, so only
+/// genuinely tiny reaches stay on the sparse route.
+constexpr double kHypersparseCrossover = 0.03;
+
+/// Steepest-edge candidate cap: every pricing refresh keeps only the
+/// strongest this-many candidates (by reduced-cost magnitude, with the
+/// cutoff binade truncated in index order to land exactly on the cap),
+/// which bounds the per-pivot scan and update cost on wide models.
+/// Columns left off the list go stale until a windowed refill (a dry
+/// list triggers one before any full-width refresh) or the fresh
+/// confirmation pass that gates optimality brings them back. A flat 512
+/// beats the extra refills on every width benchmarked.
+constexpr std::size_t kCandidateCap = 512;
+
 /// Reach-fraction buckets for the hypersparse solve histograms: dense
 /// coverage of the tiny-reach regime the pivot loop lives in, with the
 /// 1.0 bucket catching crossover fallbacks (recorded as a full sweep).
@@ -185,17 +209,11 @@ public:
     total_ = n_ + 2 * m_;
     dense_ = opt.factorization == Factorization::DenseInverse ||
              (opt.factorization == Factorization::Auto &&
-              m_ <= opt.dense_crossover_rows);
+              m_ <= kDenseCrossoverRows);
     hyper_ = !dense_ && opt.hypersparse;
     if (hyper_) hs_.ensure(m_);
-    rule_ = opt.pricing == Pricing::Auto ? Pricing::SteepestEdge : opt.pricing;
-    window_ = opt.partial_window > 0 ? opt.partial_window
-                                     : std::max(64, (n_ + m_) / 16);
-    cand_cap_ = opt.se_candidate_cap > 0
-                    ? static_cast<std::size_t>(opt.se_candidate_cap)
-                : opt.se_candidate_cap == 0
-                    ? static_cast<std::size_t>(512)
-                    : static_cast<std::size_t>(n_) + static_cast<std::size_t>(m_);
+    rule_ = opt.pricing;
+    window_ = std::max(64, (n_ + m_) / 16);
     fingerprint_ = detail::matrix_fingerprint(model);
     resolve_columns();
     build_bounds_and_costs();
@@ -683,7 +701,7 @@ private:
   }
 
   /// Windowed variant of the legacy scan for the composite bound
-  /// phase 1 under the incremental rules: the virtual costs move with
+  /// phase 1 under steepest edge: the virtual costs move with
   /// every pivot, so nothing can be maintained across iterations — but a
   /// full O(nnz) sweep per pivot is overkill when any descent direction
   /// makes progress. Scans cycling windows of freshly computed reduced
@@ -727,14 +745,14 @@ private:
     phase1_cursor_ = start;
   }
 
-  /// Drops the weakest candidates until roughly cand_cap_ remain, using
+  /// Drops the weakest candidates until roughly kCandidateCap remain, using
   /// a histogram over the binary exponents of |d| instead of a selection
   /// sort: one pass counts candidates per binade, a walk from the top
-  /// binade finds the cutoff that keeps at least cand_cap_, and a final
+  /// binade finds the cutoff that keeps at least kCandidateCap, and a final
   /// pass compacts the list in place — index order (and thus the
   /// tie-breaking scan order) is preserved, and no comparator ever runs.
   /// Whole binades are kept or dropped, so heavy score ties can leave
-  /// somewhat more than cand_cap_ candidates; that only costs speed,
+  /// somewhat more than kCandidateCap candidates; that only costs speed,
   /// never correctness (off-list columns are re-found by the next
   /// refresh).
   void truncate_candidates() {
@@ -751,7 +769,7 @@ private:
     int cutoff = 0;
     for (int b = kBuckets - 1; b >= 0; --b) {
       kept += static_cast<std::size_t>(hist[b]);
-      if (kept >= cand_cap_) {
+      if (kept >= kCandidateCap) {
         cutoff = b;
         break;
       }
@@ -760,10 +778,10 @@ private:
     // the remainder in index order. The hard cap matters on the tied
     // cohorts of these route LPs: thousands of columns can share one
     // binade, and keeping them all would make every per-pivot candidate
-    // sweep O(n/16) no matter what cap the caller asked for.
+    // sweep O(n/16) whatever the cap.
     std::size_t keep = 0;
-    std::size_t cutoff_left = cand_cap_ - std::min(
-        cand_cap_, kept - static_cast<std::size_t>(hist[cutoff]));
+    std::size_t cutoff_left = kCandidateCap - std::min(
+        kCandidateCap, kept - static_cast<std::size_t>(hist[cutoff]));
     for (std::size_t s = 0; s < cand_.size(); ++s) {
       const int j = cand_[s];
       const int b = binade(j);
@@ -800,15 +818,12 @@ private:
     // order and the resulting candidate list are identical to running
     // the three passes separately; fusing just avoids streaming the
     // O(n) arrays through the cache three times per refresh.
-    const bool se = rule_ == Pricing::SteepestEdge;
-    if (se) {
-      weights_.resize(nn);
-      cand_.clear();
-      in_cand_.assign(nn, 0);
-    }
+    weights_.resize(nn);
+    cand_.clear();
+    in_cand_.assign(nn, 0);
     const detail::ColumnCache& c = *cols_;
     for (int j = 0; j < nn; ++j) {
-      if (se) weights_[j] = 1.0;
+      weights_[j] = 1.0;
       if (status_[j] == VarStatus::Basic) {
         d_[j] = 0.0;
         continue;
@@ -821,12 +836,12 @@ private:
         d -= y_[j - n_];  // slack column e_{j-n}
       }
       d_[j] = d;
-      if (se && lb_[j] != ub_[j] && attractive(j)) {
+      if (lb_[j] != ub_[j] && attractive(j)) {
         cand_.push_back(j);
         in_cand_[j] = 1;
       }
     }
-    if (se && cand_.size() > cand_cap_) truncate_candidates();
+    if (cand_.size() > kCandidateCap) truncate_candidates();
     d_fresh_ = true;
     pricing_ready_ = true;
   }
@@ -881,69 +896,36 @@ private:
       if (start >= nn) start -= nn;
     }
     refill_cursor_ = start;
-    if (cand_.size() > cand_cap_) truncate_candidates();
+    if (cand_.size() > kCandidateCap) truncate_candidates();
     if (!found && examined >= nn) d_fresh_ = true;
     return found;
   }
 
-  /// Entering-variable selection over the incrementally maintained
-  /// reduced costs. SteepestEdge scans (and compacts) the candidate
-  /// list, scoring d^2/weight; Partial scans a cycling window with
-  /// Dantzig scores, stopping at the first window holding a candidate.
+  /// Steepest-edge entering-variable selection over the incrementally
+  /// maintained reduced costs: scans (and compacts) the candidate list,
+  /// scoring d^2/weight.
   void pick_entering_incremental(int& q, bool& increase) {
     q = -1;
     increase = true;
-    if (rule_ == Pricing::SteepestEdge) {
-      double best = 0.0;
-      std::size_t keep = 0;
-      for (std::size_t s = 0; s < cand_.size(); ++s) {
-        const int j = cand_[s];
-        if (status_[j] == VarStatus::Basic || lb_[j] == ub_[j] ||
-            !attractive(j)) {
-          in_cand_[j] = 0;  // lazily dropped; re-added if it turns attractive
-          continue;
-        }
-        cand_[keep++] = j;
-        const double d = d_[j];
-        const double score = d * d / weights_[j];
-        if (score > best * (1.0 + kTieMargin)) {
-          best = score;
-          q = j;
-          increase = d < 0.0;
-        }
+    double best = 0.0;
+    std::size_t keep = 0;
+    for (std::size_t s = 0; s < cand_.size(); ++s) {
+      const int j = cand_[s];
+      if (status_[j] == VarStatus::Basic || lb_[j] == ub_[j] ||
+          !attractive(j)) {
+        in_cand_[j] = 0;  // lazily dropped; re-added if it turns attractive
+        continue;
       }
-      cand_.resize(keep);
-      return;
-    }
-    const int nn = n_ + m_;
-    int start = partial_cursor_;
-    int examined = 0;
-    double best_score = opt_.opt_tol;
-    while (examined < nn) {
-      const int count = std::min(window_, nn - examined);
-      for (int t = 0; t < count; ++t) {
-        int j = start + t;
-        if (j >= nn) j -= nn;
-        if (status_[j] == VarStatus::Basic || lb_[j] == ub_[j]) continue;
-        const double d = d_[j];
-        const double bar = best_score * (1.0 + kTieMargin);
-        if (status_[j] != VarStatus::AtUpper && -d > bar) {
-          best_score = -d;
-          q = j;
-          increase = true;
-        }
-        if (status_[j] != VarStatus::AtLower && d > bar) {
-          best_score = d;
-          q = j;
-          increase = false;
-        }
+      cand_[keep++] = j;
+      const double d = d_[j];
+      const double score = d * d / weights_[j];
+      if (score > best * (1.0 + kTieMargin)) {
+        best = score;
+        q = j;
+        increase = d < 0.0;
       }
-      examined += count;
-      start += count;
-      if (start >= nn) start -= nn;
-      if (q >= 0) break;
     }
-    partial_cursor_ = start;
+    cand_.resize(keep);
   }
 
   /// Post-pivot maintenance of the incremental pricing state: with the
@@ -956,7 +938,7 @@ private:
   void update_pricing(int q, int old_var, int leave, double pivot) {
     const int nn = n_ + m_;
     const double ratio = d_[q] / pivot;
-    const double wq = rule_ == Pricing::SteepestEdge ? weights_[q] : 0.0;
+    const double wq = weights_[q];
     const double inv_p2 = 1.0 / (pivot * pivot);
 
     // rho = (row `leave` of B^{-1})' with its nonzero support. On the
@@ -970,7 +952,7 @@ private:
         if (rv[i] != 0.0) rho_nz_.push_back(i);
     } else if (hyper_) {
       const BasisLu::SolveStats hst =
-          lu_.btran_unit_sparse(leave, a_.rho, hs_, opt_.hypersparse_crossover);
+          lu_.btran_unit_sparse(leave, a_.rho, hs_, kHypersparseCrossover);
       HyperObs& ho = hyper_obs();
       ho.btran_reach.observe(
           hst.fallback ? 1.0 : static_cast<double>(hst.reach) / m_);
@@ -1001,8 +983,7 @@ private:
     const std::size_t avg_col_nnz =
         1 + static_cast<std::size_t>(cols_->col_ptr[n_]) /
                 static_cast<std::size_t>(std::max(1, n_));
-    const bool column_wise = rule_ == Pricing::SteepestEdge &&
-                             cand_.size() * avg_col_nnz < rowwise_cost;
+    const bool column_wise = cand_.size() * avg_col_nnz < rowwise_cost;
 
     if (column_wise) {
       std::size_t keep = 0;
@@ -1044,19 +1025,17 @@ private:
         if (aj == 0.0) continue;  // duplicate entry after exact cancellation
         if (status_[j] == VarStatus::Basic || lb_[j] == ub_[j]) continue;
         d_[j] -= ratio * aj;
-        if (rule_ == Pricing::SteepestEdge) {
-          const double w_new = aj * aj * inv_p2 * wq;
-          if (w_new > weights_[j]) {
-            weights_[j] = w_new;
-            if (w_new > kWeightCap) weight_overflow_ = true;
-          }
-          // Newly attractive columns rejoin the list, but never past
-          // twice the cap — beyond that they wait for the next refresh,
-          // keeping the per-pivot scan bounded.
-          if (!in_cand_[j] && cand_.size() < 2 * cand_cap_ && attractive(j)) {
-            in_cand_[j] = 1;
-            cand_.push_back(j);
-          }
+        const double w_new = aj * aj * inv_p2 * wq;
+        if (w_new > weights_[j]) {
+          weights_[j] = w_new;
+          if (w_new > kWeightCap) weight_overflow_ = true;
+        }
+        // Newly attractive columns rejoin the list, but never past twice
+        // the cap — beyond that they wait for the next refresh, keeping
+        // the per-pivot scan bounded.
+        if (!in_cand_[j] && cand_.size() < 2 * kCandidateCap && attractive(j)) {
+          in_cand_[j] = 1;
+          cand_.push_back(j);
         }
       }
     }
@@ -1064,12 +1043,10 @@ private:
     d_[q] = 0.0;  // entered the basis
     if (old_var < nn) {  // a leaving artificial is pinned, never re-priced
       d_[old_var] = -ratio;
-      if (rule_ == Pricing::SteepestEdge) {
-        weights_[old_var] = std::max(wq * inv_p2, 1.0);
-        if (!in_cand_[old_var] && attractive(old_var)) {
-          in_cand_[old_var] = 1;
-          cand_.push_back(old_var);
-        }
+      weights_[old_var] = std::max(wq * inv_p2, 1.0);
+      if (!in_cand_[old_var] && attractive(old_var)) {
+        in_cand_[old_var] = 1;
+        cand_.push_back(old_var);
       }
     }
     d_fresh_ = false;
@@ -1102,20 +1079,26 @@ private:
 
   SolveStatus iterate(int max_iters) {
     y_.resize(m_);
-    if (hyper_)
-      a_.w.reset(m_);  // restore the invariant whatever mode used the arena last
-    else
+    if (hyper_) {
+      // Restore the SparseVector invariant whatever mode used the arena
+      // last: the dense and non-hypersparse paths write rho's pattern
+      // without keeping its values in step, so clearing only the stale
+      // pattern could leave an earlier solve's row in the next BTRAN.
+      a_.w.reset(m_);
+      a_.rho.reset(m_);
+    } else {
       w_.resize(m_);
+    }
     pricing_ready_ = false;  // every phase starts from a fresh pricing pass
     while (true) {
       if (iters_ >= max_iters) return SolveStatus::IterationLimit;
 
-      // The incremental rules assume a cost vector that is constant
-      // across pivots; the composite bound phase 1 violates that (its
-      // virtual costs follow the violations), and Bland's termination
-      // guarantee needs exact reduced-cost signs. Both fall back to the
-      // legacy recompute-every-iteration loop, as does the Dantzig
-      // oracle by definition.
+      // Steepest edge's incremental pricing assumes a cost vector that
+      // is constant across pivots; the composite bound phase 1 violates
+      // that (its virtual costs follow the violations), and Bland's
+      // termination guarantee needs exact reduced-cost signs. Both fall
+      // back to the legacy recompute-every-iteration loop, as does the
+      // Dantzig oracle by definition.
       const bool legacy =
           rule_ == Pricing::Dantzig || bound_phase1_ || use_bland_;
       int q = -1;
@@ -1130,7 +1113,7 @@ private:
       } else {
         if (!pricing_ready_) refresh_pricing();
         pick_entering_incremental(q, increase);
-        if (q < 0 && !d_fresh_ && rule_ == Pricing::SteepestEdge) {
+        if (q < 0 && !d_fresh_) {
           // Dry candidate list mid-phase: refill from cycling windows
           // of freshly recomputed reduced costs instead of paying a
           // full O(n) refresh. A fruitless full cycle sets d_fresh_ —
@@ -1155,7 +1138,7 @@ private:
           w_[row] += coef;
         });
         const BasisLu::SolveStats hst =
-            lu_.ftran_sparse(a_.w, hs_, opt_.hypersparse_crossover);
+            lu_.ftran_sparse(a_.w, hs_, kHypersparseCrossover);
         HyperObs& ho = hyper_obs();
         ho.ftran_reach.observe(
             hst.fallback ? 1.0 : static_cast<double>(hst.reach) / m_);
@@ -1296,18 +1279,15 @@ private:
     // Dense Gauss-Jordan rebuilds are O(m^3), so they are spaced out on
     // big bases. On the sparse path the fill trigger below is the
     // policy; the pivot count is only a numerical-drift backstop, scaled
-    // to the basis size. Disabling the fill trigger (refactor_fill <= 0)
-    // restores the historical fixed-interval behavior.
-    if (dense_) return std::max(opt_.refactor_interval, m_ / 4);
-    return opt_.refactor_fill > 0.0 ? std::max(opt_.refactor_interval, m_)
-                                    : opt_.refactor_interval;
+    // to the basis size.
+    return std::max(opt_.refactor_interval, dense_ ? m_ / 4 : m_);
   }
 
   /// Fill-based refactorization trigger: the eta file has outgrown
   /// refactor_fill times the base LU, so FTRAN/BTRAN now spend more time
   /// replaying etas than a rebuilt factorization would cost.
   bool eta_fill_exceeded() const {
-    if (dense_ || opt_.refactor_fill <= 0.0) return false;
+    if (dense_) return false;
     return static_cast<double>(lu_.eta_nnz()) >
            opt_.refactor_fill *
                static_cast<double>(
@@ -1537,10 +1517,8 @@ private:
   bool hyper_ = false;  ///< reach-set basis solves on the sparse path
   Pricing rule_ = Pricing::SteepestEdge;
   int n_ = 0, m_ = 0, total_ = 0;
-  int window_ = 0;           ///< partial-pricing window size
+  int window_ = 0;           ///< columns per windowed scan (phase 1, refill)
   int phase1_cursor_ = 0;    ///< cycling cursor of the phase-1 window scan
-  std::size_t cand_cap_ = 0; ///< steepest-edge candidate-list cap
-  int partial_cursor_ = 0;
   int refill_cursor_ = 0;    ///< cycling cursor of the candidate refill scan
 
   double rhs_scale_ = 1.0;

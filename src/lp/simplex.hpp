@@ -12,8 +12,7 @@
 //     the original dense explicit inverse — elementary row updates,
 //     Gauss-Jordan rebuilds — survives as Factorization::DenseInverse,
 //     the measured baseline of bench/lp_scaling.cpp, and is auto-selected
-//     for small bases where its cache behavior wins (the crossover is
-//     SimplexOptions::dense_crossover_rows);
+//     for small bases (at most 112 rows) where its cache behavior wins;
 //   * the sparse factorization is rebuilt when the eta file's accumulated
 //     fill exceeds a multiple of the base LU's nonzeros (plus a pivot
 //     cap against numerical drift), instead of on a fixed pivot count;
@@ -22,11 +21,10 @@
 //     [0,0] and phase 2 optimizes the true objective;
 //   * pricing is pluggable (SimplexOptions::pricing). Dantzig full-scan
 //     pricing — one BTRAN plus a dot product per column per iteration —
-//     is kept as the oracle rule; the fast rules (partial pricing with a
-//     cycling candidate window, and steepest-edge with Devex-style
-//     reference weights) maintain the whole reduced-cost vector
+//     is kept as the oracle rule; the default steepest-edge rule with
+//     Devex-style reference weights maintains the reduced-cost vector
 //     incrementally from the pivot row, so an iteration costs O(fill)
-//     instead of O(rows x cols). Every rule switches to Bland's rule
+//     instead of O(rows x cols). Both rules switch to Bland's rule
 //     after a long degenerate stall, which guarantees termination.
 //
 // This is the LP engine behind every rational relaxation in the paper
@@ -48,9 +46,10 @@ namespace dls::lp {
 
 /// Basis representation used by the solver.
 enum class Factorization : unsigned char {
-  /// DenseInverse below SimplexOptions::dense_crossover_rows, SparseLu
-  /// above it (default): small bases fit the dense inverse in cache and
-  /// skip the sparse bookkeeping; large bases need O(nnz) solves.
+  /// DenseInverse for bases of at most 112 rows, SparseLu above
+  /// (default): small bases fit the dense inverse in cache and skip the
+  /// sparse bookkeeping; large bases need O(nnz) solves. The crossover
+  /// was measured at K~16 platforms (m <= ~100).
   Auto,
   SparseLu,      ///< Markowitz LU + eta updates (O(nnz) solves)
   DenseInverse,  ///< explicit m x m inverse (legacy baseline; O(m^2) solves)
@@ -58,20 +57,16 @@ enum class Factorization : unsigned char {
 
 /// Entering-variable selection rule.
 enum class Pricing : unsigned char {
-  Auto,     ///< currently SteepestEdge (the measured fastest; may re-gate)
   /// Full scan with freshly computed reduced costs every iteration (one
   /// BTRAN + one dot product per column). The reference oracle: slowest,
   /// simplest, and the rule every other rule is equivalence-tested
   /// against.
   Dantzig,
-  /// Dantzig scores over an incrementally maintained reduced-cost
-  /// vector, scanned through a cycling candidate window of
-  /// `partial_window` columns per iteration.
-  Partial,
-  /// Steepest-edge with Devex reference weights: picks the entering
-  /// variable maximizing d_j^2 / w_j, with the weights updated per pivot
-  /// from the pivot row. Cuts both the per-iteration cost (incremental
-  /// reduced costs, candidate-list scan) and the pivot count.
+  /// Steepest-edge with Devex reference weights (default): picks the
+  /// entering variable maximizing d_j^2 / w_j, with the weights updated
+  /// per pivot from the pivot row. Cuts both the per-iteration cost
+  /// (incremental reduced costs, a candidate list capped at 512 columns)
+  /// and the pivot count.
   SteepestEdge,
 };
 
@@ -87,8 +82,8 @@ struct SimplexOptions {
   int refactor_interval = 100;
   /// Sparse path: refactorize when the eta file's nonzeros exceed this
   /// multiple of the base LU's nonzeros. Bounds the FTRAN/BTRAN cost per
-  /// pivot by the basis fill instead of the pivot count; <= 0 disables
-  /// the fill trigger (the pivot cap then governs alone).
+  /// pivot by the basis fill instead of the pivot count (> 0;
+  /// `refactor_interval` stays as the drift backstop).
   double refactor_fill = 2.0;
   /// Warm-capsule eta compression: when a capsule is saved with an eta
   /// file above this multiple of the base LU nnz, the basis is
@@ -100,45 +95,19 @@ struct SimplexOptions {
   /// Fill Solution::duals (one extra BTRAN). The adaptive rescheduler
   /// turns this off: its per-event solves never read duals.
   bool compute_duals = true;
-  /// Basis representation; Auto resolves per model via
-  /// `dense_crossover_rows`.
+  /// Basis representation; Auto resolves per model by basis size.
   Factorization factorization = Factorization::Auto;
-  /// Auto factorization crossover: bases with at most this many rows use
-  /// the dense inverse (measured faster up to K~16 platforms, m <= ~100);
-  /// larger bases use the sparse LU.
-  int dense_crossover_rows = 112;
   /// Hypersparse (reach-set) basis solves on the sparse path: the
   /// FTRAN of the entering column, the BTRAN of the pricing unit vector
   /// and the eta append run a Gilbert–Peierls symbolic pass first and
   /// touch only the solution's support, instead of sweeping all m rows.
   /// Pivot sequences and optima are bit-identical either way; disable
   /// only to measure the dense-pass baseline (bench/lp_scaling's
-  /// no-hypersparse arm).
+  /// no-hypersparse arm). A reach above 3% of the basis rows falls back
+  /// to the dense pass for the remaining stages.
   bool hypersparse = true;
-  /// Reach-set density cutoff: a symbolic pass that reaches more than
-  /// this fraction of the elimination steps abandons the sparse solve
-  /// and falls back to the dense pass for the remaining stages (the
-  /// sort/scatter bookkeeping would cost more than the straight sweep).
-  /// 1.0 never falls back; 0.0 always takes the dense pass. The default
-  /// is deliberately strict: on the bench federations the dense sweeps
-  /// win from a few percent density up, so only genuinely tiny reaches
-  /// should stay on the sparse route.
-  double hypersparse_crossover = 0.03;
-  /// Entering-variable rule; Auto currently resolves to SteepestEdge.
-  Pricing pricing = Pricing::Auto;
-  /// Partial pricing window (columns scanned per iteration before the
-  /// cursor cycles on). 0 = automatic: max(64, total columns / 16).
-  int partial_window = 0;
-  /// Steepest-edge candidate cap: every pricing refresh keeps only the
-  /// strongest this-many candidates (by reduced-cost magnitude, with the
-  /// cutoff binade truncated in index order to land exactly on the cap),
-  /// which bounds the per-pivot scan and update cost on wide models.
-  /// Columns left off the list go stale until a windowed refill (a dry
-  /// list triggers one before any full-width refresh) or the fresh
-  /// confirmation pass that gates optimality brings them back. 0 =
-  /// automatic (currently a flat 512 — per-pivot cost beats the extra
-  /// refills on every width we benchmark); negative = unbounded.
-  int se_candidate_cap = 0;
+  /// Entering-variable rule.
+  Pricing pricing = Pricing::SteepestEdge;
   /// Basis repair across constraint-matrix changes: when a warm capsule
   /// is rejected by the matrix fingerprint but its statuses still fit
   /// the model's shape, retry them as a statuses-only start against the
@@ -234,7 +203,7 @@ struct Solution {
   /// false). phase1_iterations > 0 with a warm kind means the composite
   /// bound phase 1 had to repair the restored basis first.
   WarmKind warm_kind = WarmKind::Cold;
-  /// What the Auto options actually resolved to, plus factorization
+  /// What the Auto factorization resolved to, plus factorization
   /// telemetry for bench/lp_scaling's per-rule columns.
   Factorization factorization_used = Factorization::SparseLu;
   Pricing pricing_used = Pricing::Dantzig;

@@ -100,39 +100,4 @@ std::string to_prometheus(const RegistrySnapshot& snap) {
   return out;
 }
 
-std::string to_json(const RegistrySnapshot& snap) {
-  std::string out = "{\"series\":[";
-  bool first = true;
-  for (const SeriesSnapshot& s : snap.series) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"" + json_escape(s.name) + "\",\"labels\":\"" +
-           json_escape(s.labels) + "\",\"type\":\"" + to_string(s.type) + "\"";
-    switch (s.type) {
-      case MetricType::Counter:
-        out += ",\"value\":" + std::to_string(s.counter);
-        break;
-      case MetricType::Gauge:
-        out += ",\"value\":" + format_double(s.gauge);
-        break;
-      case MetricType::Histogram: {
-        out += ",\"buckets\":[";
-        for (std::size_t b = 0; b < s.buckets.size(); ++b) {
-          if (b != 0) out += ',';
-          out += "[" +
-                 (b < s.bounds.size() ? format_double(s.bounds[b])
-                                      : std::string("\"+Inf\"")) +
-                 "," + std::to_string(s.buckets[b]) + "]";
-        }
-        out += "],\"sum\":" + format_double(s.sum) +
-               ",\"count\":" + std::to_string(s.count);
-        break;
-      }
-    }
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
 }  // namespace dls::obs

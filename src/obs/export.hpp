@@ -1,8 +1,8 @@
-// Exposition formats for a Registry snapshot: the Prometheus text
-// format served at `GET /metrics` and a JSON rendering for `/stats`
-// consumers and tests. Both iterate series in registration order, so
-// output is deterministic for a deterministic workload — serve_smoke
-// diffs the counter lines of two replays byte-for-byte.
+// Exposition of a Registry snapshot in the Prometheus text format
+// served at `GET /metrics`, plus the number and string helpers the JSON
+// emitters share. Series are written in registration order, so output
+// is deterministic for a deterministic workload — serve_smoke diffs the
+// counter lines of two replays byte-for-byte.
 #pragma once
 
 #include <string>
@@ -14,9 +14,6 @@ namespace dls::obs {
 /// Prometheus text exposition (# HELP / # TYPE once per family, then
 /// one line per series; histograms expand to _bucket/_sum/_count).
 [[nodiscard]] std::string to_prometheus(const RegistrySnapshot& snap);
-
-/// JSON object: {"series":[{"name":...,"labels":...,"type":...,...}]}.
-[[nodiscard]] std::string to_json(const RegistrySnapshot& snap);
 
 /// Shortest round-trippable rendering of a double ("0.25", "1e-05");
 /// shared by the exporters and the bench JSON emitters.

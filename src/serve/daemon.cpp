@@ -119,12 +119,12 @@ private:
   /// The virtual time the wall clock has paid for. Infinite at
   /// unlimited speed: every queued replay item is immediately due.
   [[nodiscard]] double vt_budget() const {
-    return options_.speed > 0.0 ? wall_elapsed() * options_.speed : kInf;
+    return options_.replay_speed > 0.0 ? wall_elapsed() * options_.replay_speed : kInf;
   }
   /// Timestamp for an external mutation: wherever the replay pace has
   /// gotten to, never behind the engine.
   [[nodiscard]] double vt_now() const {
-    const double paced = options_.speed > 0.0 ? wall_elapsed() * options_.speed
+    const double paced = options_.replay_speed > 0.0 ? wall_elapsed() * options_.replay_speed
                                               : engine_.now();
     return std::max(engine_.now(), paced);
   }
@@ -147,7 +147,7 @@ private:
     say("draining (" + why + ")");
     // A drain abandons the replay pace: skip unfed arrivals/events and
     // fast-forward the remaining fluid schedule so shutdown is prompt
-    // at any --speed.
+    // at any --replay-speed.
     replay_.skip_rest();
     for (double t = engine_.next_completion(); std::isfinite(t);
          t = engine_.next_completion())
@@ -403,7 +403,7 @@ private:
 };
 
 DaemonReport Daemon::run() {
-  require(options_.speed >= 0.0, "serve: --speed cannot be negative");
+  require(options_.replay_speed >= 0.0, "serve: --replay-speed cannot be negative");
   options_.replay.validate(engine_.plat().num_clusters());
   options_.events.validate(engine_.plat());
   if (!options_.trace_file.empty()) {
@@ -424,8 +424,8 @@ DaemonReport Daemon::run() {
   }
   say("listening on port " + std::to_string(report.port) + " (" +
       std::to_string(options_.replay.arrivals.size()) + " replay arrivals, " +
-      std::to_string(options_.events.events.size()) + " replay events, speed " +
-      (options_.speed > 0.0 ? obs::format_double(options_.speed) : "max") +
+      std::to_string(options_.events.events.size()) + " replay events, replay speed " +
+      (options_.replay_speed > 0.0 ? obs::format_double(options_.replay_speed) : "max") +
       ")");
   obs::trace("serve.start", "port=" + std::to_string(report.port));
 
@@ -460,8 +460,8 @@ DaemonReport Daemon::run() {
     int timeout_ms = options_.idle_poll_ms;
     const double due = replay_.next_time();
     if (std::isfinite(due)) {
-      if (options_.speed > 0.0) {
-        const double wall_due = due / options_.speed - wall_elapsed();
+      if (options_.replay_speed > 0.0) {
+        const double wall_due = due / options_.replay_speed - wall_elapsed();
         timeout_ms = std::clamp(static_cast<int>(wall_due * 1e3), 0,
                                 options_.idle_poll_ms);
       } else {

@@ -11,8 +11,8 @@
 // Replay: `--replay trace.workload` (plus optional `--events`) feeds a
 // recorded stream through the live engine with the batch engine's
 // ReplayCursor (online/event_core.hpp), stepped while the next item is
-// within the virtual time paid for by the wall clock (`speed` times
-// wall clock, 0 = as fast as possible). The engine only ever advances
+// within the virtual time paid for by the wall clock (`replay_speed`
+// times wall clock, 0 = as fast as possible). The engine only ever advances
 // to *exact* event times — wall jitter shifts when work happens, never
 // what happens — so two replays of the same trace end with
 // bit-identical counters, equal to `dls online --loads`. Client
@@ -43,7 +43,7 @@ struct DaemonOptions {
 
   online::Workload replay;       ///< optional recorded arrivals
   dynamics::EventTrace events;   ///< optional platform events (replay)
-  double speed = 1.0;            ///< virtual seconds per wall second; <= 0 = max
+  double replay_speed = 1.0;     ///< virtual seconds per wall second; <= 0 = max
   bool exit_after_replay = false;  ///< drain and stop once the replay is done
 
   std::string trace_file;        ///< JSONL span sink ("" = none)

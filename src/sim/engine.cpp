@@ -66,13 +66,13 @@ void SimEngine::begin_period(const std::vector<EngineItem>& items) {
   }
   if (num_live_ == 0) return;
 
-  solve_all();
+  solve_every_live();
   if (kind_ == EngineKind::Incremental)
     for (int i = 0; i < n; ++i)
       if (ents_[i].alive) push_event(i);
 }
 
-void SimEngine::solve_all() {
+void SimEngine::solve_every_live() {
   scratch_problem_.capacity = capacities_;
   scratch_problem_.entities.clear();
   comp_items_.clear();
@@ -121,7 +121,7 @@ std::optional<double> SimEngine::step_rescan() {
       ++stats_.events;
     }
   }
-  if (num_live_ > 0) solve_all();
+  if (num_live_ > 0) solve_every_live();
   return now_;
 }
 

@@ -211,7 +211,7 @@ private:
     bool operator>(const Event& o) const { return time > o.time; }
   };
 
-  void solve_all();
+  void solve_every_live();
   void push_event(int item);
   std::optional<double> step_incremental();
   std::optional<double> step_rescan();

@@ -44,26 +44,4 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void TextTable::print_csv(std::ostream& os) const {
-  auto field = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string quoted = "\"";
-    for (char ch : s) {
-      if (ch == '"') quoted += '"';
-      quoted += ch;
-    }
-    quoted += '"';
-    return quoted;
-  };
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << field(row[c]);
-      if (c + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace dls

@@ -1,8 +1,7 @@
-// Plain-text table and CSV emission for bench harness output.
+// Plain-text table emission for bench harness output.
 //
 // Every bench binary prints the same rows/series the paper reports; this
-// formatter keeps those tables aligned and optionally mirrors them to CSV
-// so plots can be regenerated outside the repo.
+// formatter keeps those tables aligned.
 #pragma once
 
 #include <iosfwd>
@@ -24,9 +23,6 @@ public:
 
   /// Renders with single-space-padded columns and a rule under the header.
   void print(std::ostream& os) const;
-
-  /// Renders as RFC-4180-ish CSV (fields containing commas are quoted).
-  void print_csv(std::ostream& os) const;
 
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
 

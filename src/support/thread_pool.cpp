@@ -91,22 +91,4 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   pool.wait();
 }
 
-void parallel_for_static(ThreadPool& pool, std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& body) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  // Exactly the partition parallel_for shipped before the dynamic
-  // cursor: four contiguous blocks per worker, assigned up front — an
-  // honest baseline, not a strawman.
-  const std::size_t blocks = std::min(n, pool.size() * 4);
-  const std::size_t chunk = (n + blocks - 1) / blocks;
-  for (std::size_t b = begin; b < end; b += chunk) {
-    const std::size_t hi = std::min(b + chunk, end);
-    pool.submit([&body, b, hi] {
-      for (std::size_t i = b; i < hi; ++i) body(i);
-    });
-  }
-  pool.wait();
-}
-
 }  // namespace dls

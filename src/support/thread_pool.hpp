@@ -65,12 +65,4 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t chunk = 0);
 
-/// The pre-campaign static partition, kept verbatim as the
-/// load-imbalance baseline for bench/campaign_sched: the range is cut
-/// into at most four contiguous blocks per worker up front, so a
-/// cluster of expensive indices in one block serializes on a single
-/// worker no matter how idle the rest of the pool is.
-void parallel_for_static(ThreadPool& pool, std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& body);
-
 }  // namespace dls

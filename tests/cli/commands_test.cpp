@@ -111,14 +111,12 @@ TEST(Cli, SimulatePolicies) {
 }
 
 TEST(Cli, SimulateEngineSelection) {
+  // The CLI always runs the incremental engine; the rescan engine is the
+  // oracle of tests/sim, not a user-facing choice.
   const std::string path = make_platform_file();
-  for (const char* engine : {"incremental", "rescan"}) {
-    const CliRun r = run({"simulate", "--platform", path, "--sim-engine", engine,
-                          "--periods", "3"});
-    EXPECT_EQ(r.code, 0) << engine << ": " << r.err;
-    EXPECT_NE(r.out.find(std::string("engine ") + engine), std::string::npos);
-  }
-  EXPECT_EQ(run({"simulate", "--platform", path, "--sim-engine", "warp"}).code, 1);
+  const CliRun r = run({"simulate", "--platform", path, "--periods", "3"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("engine incremental:"), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -467,6 +465,43 @@ TEST(Cli, DynamicsRejectsBadOptions) {
   EXPECT_EQ(run({"dynamics", "--events", "/nonexistent"}).code, 1);
   EXPECT_EQ(run({"dynamics", "--clusters", "4", "--arrivals", "5",
                  "--frobnicate", "1"}).code, 1);
+}
+
+TEST(Cli, ServeSpeedIsClusterSpeedAndReplaySpeedPacesReplay) {
+  // `--speed` is the generated clusters' speed on `dls serve` exactly as
+  // on `dls online`; the replay pace has its own flag. A generated
+  // platform at speed 250 replayed through the daemon as fast as
+  // possible must end where `dls online --loads` ends on that platform.
+  const std::string workload = testutil::unique_temp_path("cli_serve", ".workload");
+  const std::vector<std::string> platform_flags{
+      "--clusters", "4", "--connected", "--seed", "3", "--speed", "250"};
+  std::vector<std::string> online{"online", "--loads", "--arrivals", "12",
+                                  "--save-workload", workload, "--json"};
+  online.insert(online.end(), platform_flags.begin(), platform_flags.end());
+  const CliRun batch = run(online);
+  ASSERT_EQ(batch.code, 0) << batch.err;
+  const auto json_int = [&](const std::string& key) {
+    const std::size_t at = batch.out.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key;
+    return std::stoi(batch.out.substr(at + key.size() + 3));
+  };
+  const int completed = json_int("completed");
+  const int reschedules = json_int("reschedules");
+  ASSERT_GT(completed, 0);
+
+  std::vector<std::string> serve{"serve", "--replay", workload,
+                                 "--replay-speed", "0", "--exit-after-replay"};
+  serve.insert(serve.end(), platform_flags.begin(), platform_flags.end());
+  const CliRun live = run(serve);
+  ASSERT_EQ(live.code, 0) << live.err;
+  EXPECT_NE(live.out.find("replay speed max"), std::string::npos) << live.out;
+  EXPECT_NE(live.out.find(" " + std::to_string(completed) + " completed"),
+            std::string::npos)
+      << live.out;
+  EXPECT_NE(live.out.find(" " + std::to_string(reschedules) + " reschedule(s)"),
+            std::string::npos)
+      << live.out;
+  std::remove(workload.c_str());
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 //
 // The batch layer is pure plumbing: per-thread arenas plus one shared
 // column-structure cache. Its contract is that results are *bitwise*
-// identical to fresh-solver sequential solves for any job count — these
-// tests enforce exact equality, not tolerance-based closeness.
+// identical to fresh-solver sequential solves for any thread count and
+// any arena history — these tests enforce exact equality, not
+// tolerance-based closeness.
 #include "lp/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "lp/simplex.hpp"
 #include "platform/generator.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace dls::lp {
 namespace {
@@ -49,10 +51,13 @@ TEST(BatchSolver, BitIdenticalToSequentialForAnyJobCount) {
   for (const Model& m : models) plain.push_back(SimplexSolver().solve(m));
   for (const Solution& s : plain) ASSERT_EQ(s.status, SolveStatus::Optimal);
 
-  for (const int jobs : {1, 2, 4}) {
-    BatchSolver batch({}, jobs);
-    const std::vector<Solution> got = batch.solve_all(std::span(models));
-    ASSERT_EQ(got.size(), plain.size());
+  for (const std::size_t jobs : {1, 2, 4}) {
+    BatchSolver batch;
+    ThreadPool pool(jobs);
+    std::vector<Solution> got(models.size());
+    parallel_for(pool, 0, models.size(), [&](std::size_t i) {
+      got[i] = SimplexSolver().solve(models[i], batch.local_arena());
+    }, 1);
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].status, SolveStatus::Optimal);
       EXPECT_EQ(got[i].objective, plain[i].objective) << "jobs " << jobs;
@@ -65,15 +70,16 @@ TEST(BatchSolver, BitIdenticalToSequentialForAnyJobCount) {
 
 TEST(BatchSolver, SharedStructureBuiltOncePerMatrix) {
   const std::vector<Model> models = make_variants(20, 8, 4711);
-  BatchSolver batch({}, /*jobs=*/1);
-  const std::vector<Solution> got = batch.solve_all(std::span(models));
+  BatchSolver batch;
+  std::vector<Solution> got;
+  for (const Model& m : models)
+    got.push_back(SimplexSolver().solve(m, batch.local_arena()));
   for (const Solution& s : got) ASSERT_EQ(s.status, SolveStatus::Optimal);
 
   // All 8 variants share one constraint matrix: exactly one column
   // structure is ever built, and later solves reuse it (first via the
   // arena-local shortcut, hence hits can be 0 with a single worker).
   const BatchSolver::Stats stats = batch.stats();
-  EXPECT_EQ(stats.solves, 8u);
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.arenas, 1u);
   EXPECT_TRUE(got.back().column_cache_hit);
@@ -83,11 +89,12 @@ TEST(BatchSolver, SharedStructureBuiltOncePerMatrix) {
 TEST(BatchSolver, WarmCapsuleWorksThroughBatch) {
   const std::vector<Model> models = make_variants(16, 2, 12);
   BatchSolver batch;
+  const SimplexSolver solver;
   WarmState state;
-  const Solution cold = batch.solve(models[0], &state);
+  const Solution cold = solver.solve(models[0], &state, batch.local_arena());
   ASSERT_EQ(cold.status, SolveStatus::Optimal);
   EXPECT_FALSE(cold.warm_used);
-  const Solution warm = batch.solve(models[1], &state);
+  const Solution warm = solver.solve(models[1], &state, batch.local_arena());
   ASSERT_EQ(warm.status, SolveStatus::Optimal);
   EXPECT_TRUE(warm.warm_used);
   // Warm and cold agree on the optimum, though possibly via different
@@ -112,6 +119,31 @@ TEST(BatchSolver, LocalArenaReuseMatchesColdSolves) {
   }
 }
 
+TEST(BatchSolver, ArenaHistoryAcrossFactorizationsNeverLeaks) {
+  // A hypersparse solve, then a dense-inverse solve, then the first
+  // model again, all on one arena: the third solve must reproduce a
+  // fresh-arena solve bit for bit whatever the dense path left behind.
+  const Model big = make_variants(48, 1, 5).front();
+  const Model small = make_variants(12, 1, 5).front();
+  const SimplexSolver solver;
+  const Solution fresh = solver.solve(big);
+  ASSERT_EQ(fresh.status, SolveStatus::Optimal);
+  ASSERT_EQ(fresh.factorization_used, Factorization::SparseLu);
+
+  BatchSolver batch;
+  SolveArena& arena = batch.local_arena();
+  (void)solver.solve(big, arena);
+  const Solution dense = solver.solve(small, arena);
+  ASSERT_EQ(dense.status, SolveStatus::Optimal);
+  ASSERT_EQ(dense.factorization_used, Factorization::DenseInverse);
+  const Solution again = solver.solve(big, arena);
+  ASSERT_EQ(again.status, SolveStatus::Optimal);
+  EXPECT_EQ(again.iterations, fresh.iterations);
+  EXPECT_EQ(again.objective, fresh.objective);
+  EXPECT_EQ(again.x, fresh.x);
+  EXPECT_EQ(again.duals, fresh.duals);
+}
+
 TEST(BatchSolver, RunCaseThroughBatchMatchesPlainRunCase) {
   exp::CaseConfig config;
   config.params.num_clusters = 12;
@@ -131,9 +163,9 @@ TEST(BatchSolver, RunCaseThroughBatchMatchesPlainRunCase) {
   EXPECT_EQ(plain.lpr, batched.lpr);
   EXPECT_EQ(plain.lprg, batched.lprg);
   EXPECT_EQ(plain.lprr, batched.lprr);
-  // run_case threads the batch's *arena* through the heuristics (the
-  // solves don't go through BatchSolver::solve), so the footprint to
-  // check is the shared store: structures were built and one arena used.
+  // run_case threads the batch's arena through the heuristics, so the
+  // footprint to check is the shared store: structures were built and
+  // one arena used.
   EXPECT_GE(batch.stats().cache_misses, 1u);
   EXPECT_EQ(batch.stats().arenas, 1u);
 }

@@ -1,15 +1,19 @@
 // Pricing-rule and refactorization-policy equivalence tests (ISSUE 6).
 //
-// Every pricing rule (Dantzig, Partial, SteepestEdge) under every basis
+// Every pricing rule (Dantzig, SteepestEdge) under every basis
 // representation (SparseLu, DenseInverse) walks a different pivot path,
 // but they all solve the same LP: the optimal objective must agree to
 // rounding error on every model. The refactorization policy (eta-fill
 // trigger, capsule compression) only changes *when* the basis is
 // refactorized, never what it represents — so any policy setting must
-// reproduce the reference solve exactly.
+// reproduce the reference solve exactly. The hypersparse toggle changes
+// only how basis solves sweep, so both settings must agree bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -23,8 +27,7 @@ namespace {
 
 constexpr double kObjTol = 1e-6;
 
-const std::vector<Pricing> kRules{Pricing::Dantzig, Pricing::Partial,
-                                  Pricing::SteepestEdge};
+const std::vector<Pricing> kRules{Pricing::Dantzig, Pricing::SteepestEdge};
 const std::vector<Factorization> kFactorizations{Factorization::SparseLu,
                                                  Factorization::DenseInverse};
 
@@ -33,6 +36,33 @@ Solution solve_with(const Model& m, Factorization f, Pricing p,
   opt.factorization = f;
   opt.pricing = p;
   return SimplexSolver(opt).solve(m);
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double d : v) out.push_back(bits(d));
+  return out;
+}
+
+/// Hypersparse solves are bit-identical to the dense passes by contract:
+/// the same pivot path, the same refactorization points, the same bits.
+void expect_same_solve(const Solution& hyper, const Solution& dense,
+                       const std::string& where) {
+  ASSERT_EQ(hyper.status, SolveStatus::Optimal) << where;
+  ASSERT_EQ(dense.status, SolveStatus::Optimal) << where;
+  EXPECT_EQ(hyper.iterations, dense.iterations) << where;
+  EXPECT_EQ(hyper.phase1_iterations, dense.phase1_iterations) << where;
+  EXPECT_EQ(hyper.refactorizations, dense.refactorizations) << where;
+  EXPECT_EQ(hyper.warm_kind, dense.warm_kind) << where;
+  EXPECT_EQ(bits(hyper.objective), bits(dense.objective)) << where;
+  EXPECT_EQ(bits(hyper.x), bits(dense.x)) << where;
+  EXPECT_EQ(bits(hyper.duals), bits(dense.duals)) << where;
 }
 
 bool close(double a, double b) {
@@ -142,8 +172,10 @@ TEST(SimplexPricing, DegenerateTiesSolveUnderEveryRule) {
 
 TEST(SimplexPricing, FillTriggerMatchesFixedIntervalResults) {
   const Model model = make_steady_model(32, 4242);
+  // A fill trigger that never fires leaves the pivot cap alone to space
+  // the refactorizations at a fixed interval.
   SimplexOptions reference;
-  reference.refactor_fill = 0.0;  // historical fixed-interval policy
+  reference.refactor_fill = 1e12;
   const Solution ref = SimplexSolver(reference).solve(model);
   ASSERT_EQ(ref.status, SolveStatus::Optimal);
 
@@ -194,7 +226,7 @@ TEST(SimplexPricing, CapsuleCompressionPreservesWarmSolves) {
 }
 
 TEST(SimplexPricing, AutoFactorizationUsesCrossover) {
-  SimplexOptions opt;  // defaults: Factorization::Auto
+  SimplexOptions opt;  // defaults: Factorization::Auto, steepest edge
   const Model small = make_steady_model(16, 5);  // well under the crossover
   const Solution s_small = SimplexSolver(opt).solve(small);
   ASSERT_EQ(s_small.status, SolveStatus::Optimal);
@@ -204,10 +236,10 @@ TEST(SimplexPricing, AutoFactorizationUsesCrossover) {
   const Solution s_large = SimplexSolver(opt).solve(large);
   ASSERT_EQ(s_large.status, SolveStatus::Optimal);
   EXPECT_EQ(s_large.factorization_used, Factorization::SparseLu);
-  EXPECT_EQ(s_large.pricing_used, Pricing::SteepestEdge);  // Auto pricing
+  EXPECT_EQ(s_large.pricing_used, Pricing::SteepestEdge);  // default pricing
 
   SimplexOptions forced = opt;
-  forced.dense_crossover_rows = 0;
+  forced.factorization = Factorization::SparseLu;
   EXPECT_EQ(SimplexSolver(forced).solve(small).factorization_used,
             Factorization::SparseLu);
 }
@@ -221,6 +253,58 @@ TEST(SimplexPricing, SolutionCarriesKernelStats) {
   EXPECT_GT(s.iterations, 0);
   EXPECT_GE(s.refactorizations, 0);
   EXPECT_GT(s.eta_peak_nnz, 0u);
+}
+
+TEST(SimplexPricing, HypersparseToggleIsBitIdentical) {
+  for (const Pricing p : kRules) {
+    SimplexOptions hyper;
+    hyper.pricing = p;
+    SimplexOptions dense = hyper;
+    dense.hypersparse = false;
+
+    // Cold solves on steady-state models above the dense-inverse
+    // crossover (the only sizes that take the sparse LU path).
+    for (const int k : {32, 48, 64}) {
+      const Model model = make_steady_model(k, 2024 + k);
+      ASSERT_GT(model.num_constraints(), 112) << "K=" << k;
+      const Solution h = SimplexSolver(hyper).solve(model);
+      EXPECT_EQ(h.factorization_used, Factorization::SparseLu);
+      expect_same_solve(h, SimplexSolver(dense).solve(model),
+                        "cold K=" + std::to_string(k));
+    }
+
+    // A warm-capsule chain: departures re-price the model in place and
+    // each arm carries its own capsule from solve to solve.
+    platform::GeneratorParams params;
+    params.num_clusters = 40;
+    params.connectivity = 0.2;
+    params.ensure_connected = true;
+    Rng rng(515);
+    const platform::Platform plat = generate_platform(params, rng);
+    std::vector<double> payoffs(40, 0.0);
+    for (int c = 0; c < 40; c += 2)
+      payoffs[static_cast<std::size_t>(c)] = 1.0 + 0.1 * (c % 5);
+    const core::SteadyStateProblem problem(plat, payoffs, core::Objective::Sum);
+    core::SteadyStateProblem::ReducedModel reduced = problem.build_reduced();
+    ASSERT_GT(reduced.model.num_constraints(), 112);
+    WarmState hyper_state, dense_state;
+    int warm_pivots = 0;
+    for (int step = 0; step < 6; ++step) {
+      if (step > 0) {
+        payoffs[static_cast<std::size_t>(4 * step)] =
+            step % 2 == 0 ? 0.0 : 1.7;  // departures and re-weightings
+        problem.with_payoffs(payoffs).update_reduced_payoffs(reduced);
+      }
+      const Solution h = SimplexSolver(hyper).solve(reduced.model, &hyper_state);
+      const Solution d = SimplexSolver(dense).solve(reduced.model, &dense_state);
+      expect_same_solve(h, d, "warm step " + std::to_string(step));
+      if (step > 0) {
+        EXPECT_EQ(h.warm_kind, WarmKind::Capsule);
+        warm_pivots += h.iterations;
+      }
+    }
+    EXPECT_GT(warm_pivots, 0);  // the chain really moved the basis
+  }
 }
 
 }  // namespace

@@ -123,16 +123,6 @@ TEST(ObsExport, PrometheusTextShape) {
   EXPECT_EQ(text, to_prometheus(reg.snapshot()));
 }
 
-TEST(ObsExport, JsonContainsEverySeries) {
-  Registry reg;
-  reg.counter("a_total", "ha").inc(7);
-  reg.gauge("b", "hb").set(1.25);
-  const std::string json = to_json(reg.snapshot());
-  EXPECT_NE(json.find("\"name\":\"a_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"value\":7"), std::string::npos);
-  EXPECT_NE(json.find("\"value\":1.25"), std::string::npos);
-}
-
 TEST(ObsExport, FormatDoubleRoundTrips) {
   EXPECT_EQ(format_double(10.0), "10");
   EXPECT_EQ(format_double(0.1), "0.1");

@@ -36,14 +36,6 @@ TEST(TextTable, FormatsDoubles) {
   EXPECT_EQ(TextTable::fmt(2.0, 0), "2");
 }
 
-TEST(TextTable, CsvEscaping) {
-  TextTable t({"name", "value"});
-  t.add_row({"with,comma", "with\"quote"});
-  std::ostringstream oss;
-  t.print_csv(oss);
-  EXPECT_EQ(oss.str(), "name,value\n\"with,comma\",\"with\"\"quote\"\n");
-}
-
 TEST(TextTable, RowCount) {
   TextTable t({"x"});
   EXPECT_EQ(t.rows(), 0u);

@@ -118,13 +118,5 @@ TEST(ParallelFor, PropagatesBodyException) {
                Error);
 }
 
-TEST(ParallelForStatic, CoversWholeRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(997);
-  parallel_for_static(pool, 0, hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  parallel_for_static(pool, 5, 5, [](std::size_t) { FAIL(); });
-}
-
 }  // namespace
 }  // namespace dls
