@@ -13,6 +13,7 @@
 
 #include "campaign/exec.hpp"
 #include "campaign/plan.hpp"
+#include "obs/export.hpp"
 #include "support/error.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -178,16 +179,6 @@ std::string fmt17(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// A metric statistic, or `null` for the aggregate of nothing.
 std::string json_stat(const MetricAggregate& m, double value) {
   if (m.acc.count() == 0) return "null";
@@ -210,7 +201,7 @@ std::string csv_field(const std::string& s) {
 }  // namespace
 
 void write_report_json(const CampaignReport& report, std::ostream& os) {
-  os << "{\"command\":\"campaign\",\"name\":\"" << json_escape(report.name)
+  os << "{\"command\":\"campaign\",\"name\":\"" << obs::json_escape(report.name)
      << "\",\"shard\":\"" << report.shard_index << "/" << report.shard_count
      << "\",\"cases\":" << report.total_cases
      << ",\"executed\":" << report.executed_cases
@@ -218,8 +209,8 @@ void write_report_json(const CampaignReport& report, std::ostream& os) {
   for (std::size_t g = 0; g < report.groups.size(); ++g) {
     const GroupAggregate& group = report.groups[g];
     if (g > 0) os << ',';
-    os << "{\"platform\":\"" << json_escape(group.platform)
-       << "\",\"scenario\":\"" << json_escape(group.scenario)
+    os << "{\"platform\":\"" << obs::json_escape(group.platform)
+       << "\",\"scenario\":\"" << obs::json_escape(group.scenario)
        << "\",\"objective\":\"" << group.objective
        << "\",\"method\":\"" << group.method
        << "\",\"warm\":\"" << group.warm
@@ -309,8 +300,8 @@ void write_case_json(const CampaignReport& report, const CaseRecord& record,
                      std::ostream& os) {
   const GroupAggregate& group = report.groups[record.group];
   os << "{\"case\":" << record.index << ",\"platform\":\""
-     << json_escape(group.platform) << "\",\"scenario\":\""
-     << json_escape(group.scenario) << "\",\"objective\":\"" << group.objective
+     << obs::json_escape(group.platform) << "\",\"scenario\":\""
+     << obs::json_escape(group.scenario) << "\",\"objective\":\"" << group.objective
      << "\",\"method\":\"" << group.method << "\",\"warm\":\"" << group.warm
      << "\",\"exhaust\":\"" << group.exhaust << "\",\"rep\":" << record.rep
      << ",\"metrics\":{";

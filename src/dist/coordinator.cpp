@@ -1,12 +1,9 @@
 #include "dist/coordinator.hpp"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -17,7 +14,7 @@
 #include "dist/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
-#include "support/socket.hpp"
+#include "support/event_loop.hpp"
 #include "support/timer.hpp"
 
 namespace dls::dist {
@@ -26,6 +23,12 @@ namespace {
 
 using campaign::CaseDef;
 using campaign::CaseRecord;
+
+/// FAILed-range re-queue budget: once, then the campaign aborts.
+constexpr int kMaxFailRequeues = 1;
+/// Per-range worker-death budget (guards against a case that kills
+/// every worker that touches it).
+constexpr int kMaxDeathRequeues = 5;
 
 // Fleet telemetry: lease churn, worker lifecycle, and how close the
 // quietest worker is to its heartbeat budget (a rising lag gauge with
@@ -56,10 +59,9 @@ struct Range {
   std::size_t hi = 0;  ///< exclusive
 };
 
+/// Per-connection lease state, keyed by the EventLoop fd (created when
+/// the connection first sends).
 struct Client {
-  Socket sock;
-  FrameReader reader;
-  std::uint64_t last_seen_ns = 0;  ///< support now_ns() of the last byte
   std::size_t worker_no = 0;
   bool ready = false;
   std::optional<Range> lease;
@@ -167,27 +169,21 @@ CoordinatorResult serve_campaign(const campaign::ScenarioSpec& spec,
   std::map<std::size_t, int> death_requeues;  // range id -> owners lost
 
   // ---- listener ----------------------------------------------------------
-  Socket listener = tcp_listen(options.port);
-  set_nonblocking(listener, true);
-  const std::uint16_t port = local_port(listener);
-  if (!options.port_file.empty()) {
-    std::ofstream pf(options.port_file, std::ios::trunc);
-    require(static_cast<bool>(pf),
-            "coordinator: cannot write port file '" + options.port_file + "'");
-    pf << port << "\n";
-  }
+  EventLoop loop(options.port, options.port_file, options.on_listen);
   say("serving campaign '" + spec.name + "' (" + std::to_string(defs.size()) +
       " cases, " + std::to_string(queue.size()) + " range(s)) on port " +
-      std::to_string(port));
-  if (options.on_listen) options.on_listen(port);
+      std::to_string(loop.port()));
 
   std::map<int, Client> clients;  // fd -> state
   std::size_t ranges_since_snapshot = 0;
   bool stop_requested = false;
 
-  const auto send_frame = [&](Client& client, const std::string& payload) {
+  const auto send_frame = [&](int fd, const std::string& payload) {
     const std::string frame = encode_frame(payload);
-    return send_all(client.sock, frame.data(), frame.size());
+    return send_all(loop.conn(fd).sock, frame.data(), frame.size());
+  };
+  const auto broadcast = [&](const std::string& payload) {
+    for (const auto& [fd, conn] : loop.conns()) (void)send_frame(fd, payload);
   };
 
   const auto snapshot = [&] {
@@ -222,50 +218,45 @@ CoordinatorResult serve_campaign(const campaign::ScenarioSpec& spec,
     }
   };
 
-  /// Puts a lost lease back at the queue front (frontier progress first)
-  /// and enforces the per-range budget. Throws through abort_all on
-  /// exhaustion.
   const auto abort_all = [&](const std::string& message) {
-    for (auto& [fd, client] : clients)
-      (void)send_frame(client, "ABORT " + message);
+    broadcast("ABORT " + message);
     clients.clear();
     throw Error("coordinator: " + message);
   };
 
-  const auto requeue_for_death = [&](Client& client) {
-    if (!client.lease) return;
-    const Range range = *client.lease;
-    client.lease.reset();
-    client.staged.clear();
-    const int losses = ++death_requeues[range.id];
-    if (losses > options.max_death_requeues)
-      abort_all("range [" + std::to_string(range.lo) + "," +
-                std::to_string(range.hi) + ") lost " + std::to_string(losses) +
-                " workers — giving up on it");
-    queue.push_front(range);
-    ++result.ranges_requeued;
-    dist_obs().requeues.inc();
-    say("requeued range [" + std::to_string(range.lo) + "," +
-        std::to_string(range.hi) + ") after worker#" +
-        std::to_string(client.worker_no) + " died");
-  };
-
-  const auto drop_client = [&](int fd, bool death) {
-    auto it = clients.find(fd);
-    if (it == clients.end()) return;
-    if (death) {
-      if (it->second.ready) {
+  /// Closes a connection. A lost lease goes back at the queue front
+  /// (frontier progress first) within its per-range budget; throws
+  /// through abort_all on exhaustion.
+  const auto drop_client = [&](int fd) {
+    if (const auto it = clients.find(fd); it != clients.end()) {
+      const Client& client = it->second;
+      if (client.ready) {
         ++result.worker_deaths;
         dist_obs().deaths.inc();
       }
-      requeue_for_death(it->second);
+      if (client.lease) {
+        const Range range = *client.lease;
+        const int losses = ++death_requeues[range.id];
+        if (losses > kMaxDeathRequeues)
+          abort_all("range [" + std::to_string(range.lo) + "," +
+                    std::to_string(range.hi) + ") lost " +
+                    std::to_string(losses) + " workers — giving up on it");
+        queue.push_front(range);
+        ++result.ranges_requeued;
+        dist_obs().requeues.inc();
+        say("requeued range [" + std::to_string(range.lo) + "," +
+            std::to_string(range.hi) + ") after worker#" +
+            std::to_string(client.worker_no) + " died");
+      }
+      clients.erase(it);
     }
-    clients.erase(it);
+    loop.close(fd);
   };
 
   // Returns false when the client must be dropped (protocol violation —
   // its lease is re-queued by the caller).
-  const auto handle_payload = [&](Client& client, const std::string& payload) {
+  const auto handle_payload = [&](int fd, Client& client,
+                                  const std::string& payload) {
     std::istringstream lines(payload);
     std::string first;
     std::getline(lines, first);
@@ -276,17 +267,15 @@ CoordinatorResult serve_campaign(const campaign::ScenarioSpec& spec,
     if (kind == "HELLO") {
       if (tokens.size() != 2 ||
           tokens[1] != std::to_string(kProtocolVersion)) {
-        (void)send_frame(client, "ABORT protocol version mismatch (coordinator "
-                                 "speaks " + std::to_string(kProtocolVersion) +
-                                 ")");
+        (void)send_frame(fd, "ABORT protocol version mismatch (coordinator "
+                             "speaks " + std::to_string(kProtocolVersion) + ")");
         return false;
       }
-      return send_frame(client,
-                        "SPEC " + encode_hex64(fingerprint) + "\n" + spec_text);
+      return send_frame(fd, "SPEC " + encode_hex64(fingerprint) + "\n" + spec_text);
     }
     if (kind == "READY") {
       if (tokens.size() != 2 || decode_hex64(tokens[1]) != fingerprint) {
-        (void)send_frame(client, "ABORT spec fingerprint mismatch");
+        (void)send_frame(fd, "ABORT spec fingerprint mismatch");
         return false;
       }
       client.ready = true;
@@ -296,10 +285,10 @@ CoordinatorResult serve_campaign(const campaign::ScenarioSpec& spec,
       return true;
     }
     if (kind == "PING") {
-      // last_seen is already refreshed by the read loop. A timestamped
+      // The loop already refreshed last_read_ns. A timestamped
       // PING gets its timestamp echoed back so the worker can measure
       // the round trip; legacy bare PINGs expect (and get) no reply.
-      if (tokens.size() >= 2) return send_frame(client, "PONG " + tokens[1]);
+      if (tokens.size() >= 2) return send_frame(fd, "PONG " + tokens[1]);
       return true;
     }
     if (kind == "BYE") return false;  // orderly goodbye: close without requeue
@@ -362,7 +351,7 @@ CoordinatorResult serve_campaign(const campaign::ScenarioSpec& spec,
       client.lease.reset();
       const std::string message = tail_of(tokens, 2);
       const int fails = ++fail_requeues[range.id];
-      if (fails > options.max_fail_requeues)
+      if (fails > kMaxFailRequeues)
         abort_all("range [" + std::to_string(range.lo) + "," +
                   std::to_string(range.hi) + ") failed " +
                   std::to_string(fails) + " time(s): " + message);
@@ -377,8 +366,7 @@ CoordinatorResult serve_campaign(const campaign::ScenarioSpec& spec,
     return false;  // unknown message
   };
 
-  // ---- poll loop ---------------------------------------------------------
-  char buf[65536];
+  // ---- event loop --------------------------------------------------------
   while (!stop_requested) {
     // Completion: nothing queued, nothing leased, everything folded.
     if (frontier == defs.size()) {
@@ -392,71 +380,44 @@ CoordinatorResult serve_campaign(const campaign::ScenarioSpec& spec,
       if (!client.ready || client.lease || queue.empty()) continue;
       const Range range = queue.front();
       queue.pop_front();
-      if (!send_frame(client, "RANGE " + std::to_string(range.id) + " " +
-                                  std::to_string(range.lo) + " " +
-                                  std::to_string(range.hi))) {
-        client.lease = range;  // requeue_for_death puts it back
+      client.lease = range;  // on a failed send drop_client puts it back
+      client.staged.clear();
+      if (!send_frame(fd, "RANGE " + std::to_string(range.id) + " " +
+                              std::to_string(range.lo) + " " +
+                              std::to_string(range.hi))) {
         to_drop.push_back(fd);
         continue;
       }
-      client.lease = range;
-      client.staged.clear();
       dist_obs().leases.inc();
     }
-    for (const int fd : to_drop) drop_client(fd, /*death=*/true);
+    for (const int fd : to_drop) drop_client(fd);
     to_drop.clear();
 
-    std::vector<::pollfd> fds;
-    fds.push_back({listener.fd(), POLLIN, 0});
-    for (const auto& [fd, client] : clients) fds.push_back({fd, POLLIN, 0});
-    (void)poll_sockets(fds, 250);
-
-    if (fds[0].revents & POLLIN) {
-      for (;;) {
-        Socket conn = tcp_accept(listener);
-        if (!conn.valid()) break;
-        set_nonblocking(conn, true);
-        const int fd = conn.fd();
-        Client client;
-        client.sock = std::move(conn);
-        client.last_seen_ns = now_ns();
-        clients.emplace(fd, std::move(client));
-      }
-    }
-
-    for (std::size_t i = 1; i < fds.size(); ++i) {
-      if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      auto it = clients.find(fds[i].fd);
-      if (it == clients.end()) continue;
-      Client& client = it->second;
-      bool dead = false;
+    (void)loop.poll(250);
+    for (const int fd : loop.ready()) {
+      Client& client = clients[fd];
+      EventLoop::Conn& conn = loop.conn(fd);
+      bool dead = conn.eof;  // frames that arrived before the EOF still count
       try {
-        for (;;) {
-          const long got = recv_some(client.sock, buf, sizeof buf);
-          if (got < 0) break;  // drained
-          if (got == 0) {      // EOF
-            dead = true;
-            break;
-          }
-          client.last_seen_ns = now_ns();
-          client.reader.feed(buf, static_cast<std::size_t>(got));
-        }
         // Stop folding the moment the exit hook fires: the returned
         // fold state must match the snapshot just written, as a killed
         // process's would.
+        std::size_t used = 0;
         while (!stop_requested) {
-          const auto payload = client.reader.next();
-          if (!payload) break;
-          if (!handle_payload(client, *payload)) {
+          const Frame frame = parse_frame(std::string_view(conn.in).substr(used));
+          if (frame.consumed == 0) break;
+          used += frame.consumed;
+          if (!handle_payload(fd, client, frame.payload)) {
             dead = true;
             break;
           }
         }
+        conn.in.erase(0, used);
       } catch (const Error&) {
-        if (!clients.count(fds[i].fd)) throw;  // abort_all already cleaned up
+        if (!clients.count(fd)) throw;  // abort_all already cleaned up
         dead = true;  // malformed frame: treat as a dead peer
       }
-      if (dead) drop_client(fds[i].fd, /*death=*/true);
+      if (dead) drop_client(fd);
       if (stop_requested) break;
     }
 
@@ -465,17 +426,17 @@ CoordinatorResult serve_campaign(const campaign::ScenarioSpec& spec,
     if (!stop_requested && options.heartbeat_timeout > 0) {
       const std::uint64_t now = now_ns();
       double worst_silence = 0.0;
-      for (const auto& [fd, client] : clients) {
+      for (const auto& [fd, conn] : loop.conns()) {
         const double silent =
-            static_cast<double>(now - client.last_seen_ns) * 1e-9;
+            static_cast<double>(now - conn.last_read_ns) * 1e-9;
         worst_silence = std::max(worst_silence, silent);
         if (silent > options.heartbeat_timeout) to_drop.push_back(fd);
       }
       dist_obs().heartbeat_lag.set(worst_silence);
       for (const int fd : to_drop) {
-        say("worker#" + std::to_string(clients.at(fd).worker_no) +
+        say("worker#" + std::to_string(clients[fd].worker_no) +
             " heartbeat timeout");
-        drop_client(fd, /*death=*/true);
+        drop_client(fd);
       }
       to_drop.clear();
     }
@@ -512,7 +473,7 @@ CoordinatorResult serve_campaign(const campaign::ScenarioSpec& spec,
       }
     }
     snapshot();  // final frontier == total snapshot (idempotent resume)
-    for (auto& [fd, client] : clients) (void)send_frame(client, "FIN");
+    broadcast("FIN");
     say("campaign complete: " + std::to_string(frontier) + " case(s), " +
         std::to_string(result.workers_seen) + " worker(s), " +
         std::to_string(result.ranges_requeued) + " requeue(s)");

@@ -1,7 +1,9 @@
-// The campaign coordinator: a single-threaded poll loop (the ytsaurus
-// tcp_server pattern scaled to one file) that owns the deterministic
-// case expansion of one ScenarioSpec and drives a fleet of worker
-// processes through it.
+// The campaign coordinator: owns the deterministic case expansion of
+// one ScenarioSpec and drives a fleet of worker processes through it,
+// on the single-threaded support::EventLoop `dls serve` also runs.
+// Each iteration hands out leases, runs one loop round (250 ms at
+// most), folds the frames in each ready buffer (parse_frame), then
+// sweeps heartbeat deadlines. Leases live in a per-fd Client table.
 //
 //   * hands out contiguous case-index ranges as leases (`RANGE`),
 //   * collects streamed per-case records and folds them into the group
@@ -13,8 +15,9 @@
 //     via support::Accumulator::merge as an integrity cross-check of
 //     the exact fold (count drift or a lost/double-counted range is a
 //     hard error, not a silently wrong report),
-//   * re-queues ranges lost to worker death (EOF or heartbeat timeout)
-//     and re-queues a FAILed range once before reporting the failure,
+//   * re-queues ranges lost to worker death (EOF or heartbeat timeout;
+//     at most 5 times per range) and re-queues a FAILed range once
+//     before reporting the failure,
 //   * snapshots {spec fingerprint, fold frontier, aggregate states,
 //     pending records} to a checkpoint file every `snapshot_every`
 //     completed ranges, so a restarted coordinator resumes instead of
@@ -37,11 +40,6 @@ struct CoordinatorOptions {
   double heartbeat_timeout = 15.0;  ///< seconds of silence before a worker
                                     ///< is declared dead and its lease
                                     ///< re-queued
-  int max_fail_requeues = 1;   ///< FAILed-range re-queue budget ("once,
-                               ///< then reported")
-  int max_death_requeues = 5;  ///< per-range worker-death budget (guards
-                               ///< against a case that kills every
-                               ///< worker that touches it)
 
   std::string checkpoint_path;     ///< empty = no snapshots
   std::size_t snapshot_every = 8;  ///< completed ranges between snapshots

@@ -17,32 +17,20 @@ std::string encode_frame(std::string_view payload) {
   return frame;
 }
 
-void FrameReader::feed(const char* data, std::size_t size) {
-  // Compact lazily: only when the dead prefix dominates the buffer.
-  if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
+Frame parse_frame(std::string_view input) {
+  const std::size_t newline = input.find('\n');
+  if (newline == std::string_view::npos) {
+    require(input.size() <= 32, "protocol: length prefix missing its newline");
+    return {};
   }
-  buffer_.append(data, size);
-}
-
-std::optional<std::string> FrameReader::next() {
-  const std::size_t newline = buffer_.find('\n', consumed_);
-  if (newline == std::string::npos) {
-    require(buffer_.size() - consumed_ <= 32,
-            "protocol: length prefix missing its newline");
-    return std::nullopt;
-  }
-  const std::string_view header(buffer_.data() + consumed_, newline - consumed_);
+  const std::string_view header = input.substr(0, newline);
   require(!header.empty() && header.size() <= 20 &&
               header.find_first_not_of("0123456789") == std::string_view::npos,
           "protocol: malformed frame length prefix");
   const std::size_t length = std::strtoull(std::string(header).c_str(), nullptr, 10);
   require(length <= kMaxFrameBytes, "protocol: frame length exceeds the cap");
-  if (buffer_.size() - newline - 1 < length) return std::nullopt;
-  std::string payload = buffer_.substr(newline + 1, length);
-  consumed_ = newline + 1 + length;
-  return payload;
+  if (input.size() - newline - 1 < length) return {};
+  return {std::string(input.substr(newline + 1, length)), newline + 1 + length};
 }
 
 std::string encode_double(double value) {

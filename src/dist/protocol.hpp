@@ -42,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,21 +58,18 @@ constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 26;  // 64 MiB
 /// Length prefix + payload, ready for send_all.
 [[nodiscard]] std::string encode_frame(std::string_view payload);
 
-/// Incremental frame decoder: feed() arbitrary byte chunks (TCP segment
-/// boundaries are meaningless), next() pops complete payloads in order.
-/// Throws dls::Error on a malformed or oversized length prefix.
-class FrameReader {
-public:
-  void feed(const char* data, std::size_t size);
-  [[nodiscard]] std::optional<std::string> next();
-
-  /// Bytes buffered but not yet returned (diagnostics).
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size() - consumed_; }
-
-private:
-  std::string buffer_;
-  std::size_t consumed_ = 0;
+/// One decoded frame: its payload and the bytes of input it used.
+struct Frame {
+  std::string payload;
+  std::size_t consumed = 0;  ///< 0 = incomplete, nothing consumed
 };
+
+/// Decodes the first complete frame in `input` (the unconsumed bytes of
+/// a connection buffer; TCP segment boundaries are meaningless), the
+/// same shape as serve::parse_request. Throws dls::Error on a malformed
+/// or oversized length prefix, or a prefix longer than 32 bytes still
+/// missing its newline.
+[[nodiscard]] Frame parse_frame(std::string_view input);
 
 /// Bit-exact double <-> text: C99 hex-float for finite values ("%a"),
 /// "nan"/"inf"/"-inf" otherwise. decode throws dls::Error on garbage.

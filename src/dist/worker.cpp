@@ -70,14 +70,17 @@ WorkerResult run_worker(const WorkerOptions& options) {
     return send_all(sock, frame.data(), frame.size());
   };
 
-  FrameReader reader;
+  std::string in;
   char buf[65536];
   const auto next_frame = [&]() -> std::optional<std::string> {
     for (;;) {
-      if (auto payload = reader.next()) return payload;
+      if (Frame frame = parse_frame(in); frame.consumed > 0) {
+        in.erase(0, frame.consumed);
+        return std::move(frame.payload);
+      }
       const long got = recv_some(sock, buf, sizeof buf);
       if (got == 0) return std::nullopt;  // coordinator gone
-      if (got > 0) reader.feed(buf, static_cast<std::size_t>(got));
+      if (got > 0) in.append(buf, static_cast<std::size_t>(got));
     }
   };
 

@@ -72,6 +72,16 @@ const char* to_string(EventKind kind) {
   return "?";
 }
 
+bool from_string(const std::string& token, EventKind& kind) {
+  for (const EventKind candidate : kEventKinds) {
+    if (token == to_string(candidate)) {
+      kind = candidate;
+      return true;
+    }
+  }
+  return false;
+}
+
 bool has_value(EventKind kind) {
   return kind == EventKind::LinkBandwidth || kind == EventKind::LinkMaxConnect ||
          kind == EventKind::GatewayBandwidth;
@@ -293,17 +303,6 @@ void write_events(const EventTrace& trace, std::ostream& os) {
 
 namespace {
 
-EventKind parse_kind(const std::string& token, int line) {
-  for (EventKind kind :
-       {EventKind::LinkBandwidth, EventKind::LinkMaxConnect, EventKind::LinkDown,
-        EventKind::LinkUp, EventKind::GatewayBandwidth, EventKind::ClusterLeave,
-        EventKind::ClusterJoin, EventKind::RouterDown, EventKind::RouterUp}) {
-    if (token == to_string(kind)) return kind;
-  }
-  throw Error("read_events: line " + std::to_string(line) +
-              ": unknown event kind '" + token + "'");
-}
-
 double parse_double(std::istringstream& iss, const char* what, int line) {
   double v = 0.0;
   if (!(iss >> v)) {
@@ -363,7 +362,10 @@ EventTrace read_events(std::istream& is) {
       throw Error("read_events: line " + std::to_string(line_no) +
                   ": truncated or malformed line (expected an event kind)");
     }
-    e.kind = parse_kind(kind_token, line_no);
+    if (!from_string(kind_token, e.kind)) {
+      throw Error("read_events: line " + std::to_string(line_no) +
+                  ": unknown event kind '" + kind_token + "'");
+    }
     const double target = parse_double(iss, "a target id", line_no);
     if (target != std::floor(target) || target < 0.0 || target > 1e9) {
       throw Error("read_events: line " + std::to_string(line_no) +

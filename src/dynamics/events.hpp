@@ -41,8 +41,17 @@ enum class EventKind : unsigned char {
   RouterUp,         ///< router repaired: the links *it* took down come back
 };
 
+/// Every kind, in declaration order.
+inline constexpr EventKind kEventKinds[] = {
+    EventKind::LinkBandwidth, EventKind::LinkMaxConnect, EventKind::LinkDown,
+    EventKind::LinkUp,        EventKind::GatewayBandwidth, EventKind::ClusterLeave,
+    EventKind::ClusterJoin,   EventKind::RouterDown,     EventKind::RouterUp};
+
 /// The `.events` keyword of a kind ("link-bw", "cluster-leave", ...).
 [[nodiscard]] const char* to_string(EventKind kind);
+
+/// The kind whose keyword is `token`; false when there is none.
+[[nodiscard]] bool from_string(const std::string& token, EventKind& kind);
 
 /// True for kinds that carry a value operand.
 [[nodiscard]] bool has_value(EventKind kind);

@@ -1,11 +1,8 @@
 #include "serve/daemon.hpp"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -17,7 +14,7 @@
 #include "obs/trace.hpp"
 #include "serve/http.hpp"
 #include "support/error.hpp"
-#include "support/socket.hpp"
+#include "support/event_loop.hpp"
 #include "support/timer.hpp"
 
 namespace dls::serve {
@@ -25,6 +22,8 @@ namespace dls::serve {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Longest poll round: how often an idle daemon checks for a drain.
+constexpr int kIdlePollMs = 200;
 
 struct DaemonObs {
   obs::Counter req_metrics, req_health, req_stats, req_mutate, req_other;
@@ -52,29 +51,6 @@ DaemonObs& daemon_obs() {
   return handles;
 }
 
-struct Conn {
-  Socket sock;
-  std::string in;
-};
-
-const dynamics::EventKind kAllKinds[] = {
-    dynamics::EventKind::LinkBandwidth, dynamics::EventKind::LinkMaxConnect,
-    dynamics::EventKind::LinkDown,      dynamics::EventKind::LinkUp,
-    dynamics::EventKind::GatewayBandwidth, dynamics::EventKind::ClusterLeave,
-    dynamics::EventKind::ClusterJoin,   dynamics::EventKind::RouterDown,
-    dynamics::EventKind::RouterUp,
-};
-
-bool parse_event_kind(const std::string& token, dynamics::EventKind& out) {
-  for (const dynamics::EventKind kind : kAllKinds) {
-    if (token == dynamics::to_string(kind)) {
-      out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<std::string> split_words(const std::string& line) {
   std::vector<std::string> out;
   std::istringstream is(line);
@@ -99,8 +75,8 @@ bool parse_int_arg(const std::string& s, int& out) {
 
 }  // namespace
 
-// The daemon proper: owns the engine, the replay cursor, and the
-// connection table. run_daemon() constructs one and runs its loop.
+// The daemon proper: owns the engine and the replay cursor; run()
+// drives them and an EventLoop. run_daemon() constructs one.
 class Daemon {
 public:
   Daemon(platform::Platform plat, const DaemonOptions& options)
@@ -207,7 +183,7 @@ private:
       first = false;
       out += "{\"id\":" + std::to_string(id);
       const std::string& name = engine_.app_name(id);
-      if (!name.empty()) out += ",\"name\":\"" + name + "\"";
+      if (!name.empty()) out += ",\"name\":\"" + obs::json_escape(name) + "\"";
       out += ",\"cluster\":" + std::to_string(rec.cluster);
       out += ",\"payoff\":" + obs::format_double(rec.payoff);
       out += ",\"age\":" + obs::format_double(engine_.now() - rec.arrival);
@@ -282,9 +258,9 @@ private:
       if (words.size() < 3 || words.size() > 4)
         return "err usage: event <kind> <target> [value]";
       dynamics::PlatformEvent ev;
-      if (!parse_event_kind(words[1], ev.kind)) {
+      if (!dynamics::from_string(words[1], ev.kind)) {
         std::string reply = "err unknown event kind; one of:";
-        for (const dynamics::EventKind kind : kAllKinds)
+        for (const dynamics::EventKind kind : dynamics::kEventKinds)
           reply += std::string(" ") + dynamics::to_string(kind);
         return reply;
       }
@@ -362,9 +338,9 @@ private:
 
   /// Parses and serves everything complete in the connection's buffer.
   /// False when the connection must close.
-  bool service(Conn& conn, DaemonReport& report) {
+  bool service(EventLoop::Conn& conn, DaemonReport& report) {
     for (;;) {
-      const Request req = parse_request(conn.in, options_.max_request);
+      const Request req = parse_request(conn.in);
       if (req.kind == Request::Kind::Incomplete) return true;
       if (req.kind == Request::Kind::Error) {
         ++report.bad_requests;
@@ -399,7 +375,6 @@ private:
   online::ReplayCursor replay_;
   std::uint64_t start_ns_ = 0;
   std::uint64_t drain_started_ns_ = 0;
-  std::map<int, Conn> conns_;
 };
 
 DaemonReport Daemon::run() {
@@ -412,16 +387,9 @@ DaemonReport Daemon::run() {
   }
   daemon_obs().draining.set(0.0);
 
-  Socket listener = tcp_listen(options_.port);
-  set_nonblocking(listener, true);
+  EventLoop loop(options_.port, options_.port_file);
   DaemonReport report;
-  report.port = local_port(listener);
-  if (!options_.port_file.empty()) {
-    std::ofstream pf(options_.port_file, std::ios::trunc);
-    require(pf.good(), "serve: cannot write port file '" + options_.port_file +
-                           "'");
-    pf << report.port << "\n";
-  }
+  report.port = loop.port();
   say("listening on port " + std::to_string(report.port) + " (" +
       std::to_string(options_.replay.arrivals.size()) + " replay arrivals, " +
       std::to_string(options_.events.events.size()) + " replay events, replay speed " +
@@ -431,7 +399,6 @@ DaemonReport Daemon::run() {
 
   start_ns_ = now_ns();
   std::string exit_reason;
-  char buf[65536];
 
   while (true) {
     if (options_.stop_requested && options_.stop_requested())
@@ -457,25 +424,21 @@ DaemonReport Daemon::run() {
 
     // Sleep until the next replay item is due (wall time), the idle
     // tick, or socket activity — whichever first.
-    int timeout_ms = options_.idle_poll_ms;
+    int timeout_ms = kIdlePollMs;
     const double due = replay_.next_time();
     if (std::isfinite(due)) {
       if (options_.replay_speed > 0.0) {
         const double wall_due = due / options_.replay_speed - wall_elapsed();
         timeout_ms = std::clamp(static_cast<int>(wall_due * 1e3), 0,
-                                options_.idle_poll_ms);
+                                kIdlePollMs);
       } else {
         timeout_ms = 0;  // unlimited speed: keep pumping
       }
     }
 
-    std::vector<::pollfd> fds;
-    fds.push_back({listener.fd(), POLLIN, 0});
-    for (const auto& [fd, conn] : conns_) fds.push_back({fd, POLLIN, 0});
     const std::uint64_t deadline_ns =
         now_ns() + static_cast<std::uint64_t>(timeout_ms) * 1'000'000ull;
-    const int ready = poll_sockets(fds, timeout_ms);
-    if (ready == 0) {
+    if (!loop.poll(timeout_ms)) {
       // Timer-driven wakeup: how late past the deadline did we wake?
       const std::uint64_t woke = now_ns();
       if (woke > deadline_ns)
@@ -483,42 +446,17 @@ DaemonReport Daemon::run() {
                                       1e-9);
     }
 
-    if (fds[0].revents & POLLIN) {
-      for (;;) {
-        Socket accepted = tcp_accept(listener);
-        if (!accepted.valid()) break;
-        set_nonblocking(accepted, true);
-        const int fd = accepted.fd();
-        Conn conn;
-        conn.sock = std::move(accepted);
-        conns_.emplace(fd, std::move(conn));
-      }
-    }
-
-    std::vector<int> to_close;
-    for (std::size_t i = 1; i < fds.size(); ++i) {
-      if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      const auto it = conns_.find(fds[i].fd);
-      if (it == conns_.end()) continue;
-      Conn& conn = it->second;
-      bool open = true;
+    for (const int fd : loop.ready()) {
+      EventLoop::Conn& conn = loop.conn(fd);
+      if (conn.eof) continue;  // the peer left: its last bytes go unserved
+      bool open = false;
       try {
-        for (;;) {
-          const long got = recv_some(conn.sock, buf, sizeof buf);
-          if (got < 0) break;  // drained
-          if (got == 0) {      // EOF
-            open = false;
-            break;
-          }
-          conn.in.append(buf, static_cast<std::size_t>(got));
-        }
-        if (open) open = service(conn, report);
+        open = service(conn, report);
       } catch (const Error&) {
-        open = false;
+        // A send that failed hard: drop the connection, keep serving.
       }
-      if (!open) to_close.push_back(fds[i].fd);
+      if (!open) loop.close(fd);
     }
-    for (const int fd : to_close) conns_.erase(fd);
   }
 
   report.counters = engine_.counters();

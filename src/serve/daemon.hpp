@@ -1,12 +1,12 @@
-// The `dls serve` daemon: a poll-loop TCP server wrapping ServeEngine.
-//
-// One listening socket, non-blocking accepted connections, one
-// poll_sockets() round per iteration — the same single-threaded event
-// loop shape as the dist coordinator, so nothing in the engine needs
-// locking. Each connection speaks HTTP (GET /metrics, /health, /stats;
-// POST /arrive, /depart, /event) or the newline line protocol
-// (http.hpp decides per request), and HTTP responses close the
-// connection while line connections stay open for pipelining.
+// The `dls serve` daemon: ServeEngine behind the support::EventLoop
+// the dist coordinator also runs, so nothing in the engine needs
+// locking. Each iteration steps the replay, checks the drain, then
+// runs one loop round that sleeps until the next replay item is due
+// (200 ms at most). Each request in a connection's buffer
+// (parse_request, kMaxRequestBytes) is HTTP (GET /metrics, /health,
+// /stats, /loads; POST /arrive, /depart, /event, /shutdown) or a line
+// command. HTTP responses send `Connection: close` and close; line
+// connections stay open for pipelining.
 //
 // Replay: `--replay trace.workload` (plus optional `--events`) feeds a
 // recorded stream through the live engine with the batch engine's
@@ -48,8 +48,6 @@ struct DaemonOptions {
 
   std::string trace_file;        ///< JSONL span sink ("" = none)
   std::size_t trace_capacity = 1024;
-  std::size_t max_request = 8192;  ///< per-request byte bound (http.hpp)
-  int idle_poll_ms = 200;
   double drain_grace = 0.0;  ///< min wall seconds to keep serving while draining
 
   /// Polled once per loop; true requests a drain (the CLI wires this to

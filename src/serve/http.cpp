@@ -1,5 +1,7 @@
 #include "serve/http.hpp"
 
+#include <utility>
+
 namespace dls::serve {
 
 namespace {
@@ -29,25 +31,27 @@ std::string_view trim(std::string_view s) {
 }  // namespace
 
 Request parse_request(std::string_view input, std::size_t max_request) {
+  // Every path returns `req` itself, so the copy is elided on the hot path.
   Request req;
+  const auto fail = [&req](std::string why) {
+    req.kind = Request::Kind::Error;
+    req.error = std::move(why);
+  };
+  const auto too_long = [&](const char* what) {
+    fail(what + std::to_string(max_request) + " bytes");
+  };
   if (input.empty()) return req;
 
   const std::size_t eol = input.find('\n');
-  if (eol == std::string_view::npos) {
-    if (input.size() > max_request) {
-      req.kind = Request::Kind::Error;
-      req.error = "request line exceeds " + std::to_string(max_request) +
-                  " bytes";
-    }
-    return req;  // truncated request line: wait for the rest
+  if (eol == std::string_view::npos) {  // truncated request line: wait for the rest
+    if (input.size() > max_request) too_long("request line exceeds ");
+    return req;
   }
 
   const std::string_view line = trim(input.substr(0, eol));
   if (!is_http_method(first_token(line))) {
     if (eol + 1 > max_request) {
-      req.kind = Request::Kind::Error;
-      req.error = "command line exceeds " + std::to_string(max_request) +
-                  " bytes";
+      too_long("command line exceeds ");
       return req;
     }
     req.kind = Request::Kind::Line;
@@ -66,18 +70,9 @@ Request parse_request(std::string_view input, std::size_t max_request) {
       lf != std::string_view::npos &&
       (head_end == std::string_view::npos || lf + 2 < head_end))
     head_end = lf + 2;
-  if (head_end == std::string_view::npos) {
-    if (input.size() > max_request) {
-      req.kind = Request::Kind::Error;
-      req.error = "request headers exceed " + std::to_string(max_request) +
-                  " bytes";
-    }
-    return req;  // headers still arriving
-  }
-  if (head_end > max_request) {
-    req.kind = Request::Kind::Error;
-    req.error = "request headers exceed " + std::to_string(max_request) +
-                " bytes";
+  if (head_end == std::string_view::npos || head_end > max_request) {
+    // Headers still arriving, or too long already.
+    if (input.size() > max_request) too_long("request headers exceed ");
     return req;
   }
 
@@ -88,18 +83,14 @@ Request parse_request(std::string_view input, std::size_t max_request) {
                               : line.find(' ', sp1 + 1);
   if (sp2 == std::string_view::npos ||
       line.substr(sp2 + 1).substr(0, 5) != "HTTP/") {
-    req.kind = Request::Kind::Error;
-    req.error = "malformed HTTP request line";
+    fail("malformed HTTP request line");
     return req;
   }
   req.kind = Request::Kind::Http;
   req.method.assign(line.substr(0, sp1));
   req.target.assign(trim(line.substr(sp1 + 1, sp2 - sp1 - 1)));
   req.consumed = head_end;
-  if (req.target.empty()) {
-    req.kind = Request::Kind::Error;
-    req.error = "empty request target";
-  }
+  if (req.target.empty()) fail("empty request target");
   return req;
 }
 

@@ -34,12 +34,15 @@ struct Request {
   std::size_t consumed = 0;  ///< bytes of input this request used
 };
 
-/// Parses the first complete request out of `input`. `max_request`
-/// bounds how many bytes one request may span (request line + headers
-/// for HTTP, one line for the line protocol); exceeding it yields
-/// Kind::Error rather than unbounded buffering.
+/// How many bytes one request may span (request line + headers for
+/// HTTP, one line for the line protocol).
+constexpr std::size_t kMaxRequestBytes = 8192;
+
+/// Parses the first complete request out of `input`. A request longer
+/// than `max_request` yields Kind::Error rather than unbounded
+/// buffering.
 [[nodiscard]] Request parse_request(std::string_view input,
-                                    std::size_t max_request = 8192);
+                                    std::size_t max_request = kMaxRequestBytes);
 
 /// Splits the query part of a target ("/arrive?cluster=2&load=4e3")
 /// into the path and a key→value map. No percent-decoding beyond '+'

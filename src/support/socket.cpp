@@ -67,22 +67,6 @@ std::uint16_t local_port(const Socket& socket) {
   return ntohs(addr.sin_port);
 }
 
-Socket tcp_accept(const Socket& listener) {
-  for (;;) {
-    const int fd = ::accept(listener.fd(), nullptr, nullptr);
-    if (fd >= 0) {
-      Socket sock(fd);
-      const int one = 1;
-      (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      return sock;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNABORTED)
-      return Socket();
-    fail("accept()");
-  }
-}
-
 Socket tcp_connect(const std::string& host, std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

@@ -1,11 +1,12 @@
-// Thin RAII wrappers over POSIX TCP sockets and poll(2), shared by the
-// distributed-campaign coordinator and worker (`src/dist/`).
+// Thin RAII wrappers over POSIX TCP sockets and poll(2).
 //
 // Deliberately minimal: blocking or non-blocking stream sockets over
 // IPv4, loopback-friendly, no TLS, no name resolution beyond dotted
-// quads and "localhost". The coordinator is a single-threaded poll
-// loop (the ytsaurus tcp_server pattern scaled down); workers use one
-// blocking socket guarded by a write mutex for the heartbeat thread.
+// quads and "localhost". The servers (`dls serve` and the campaign
+// coordinator) run them through support::EventLoop; clients (dist
+// workers, the benchmark's load generator) use them directly — a
+// worker keeps one blocking socket guarded by a write mutex for its
+// heartbeat thread.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +43,6 @@ private:
 
 /// The locally bound port (resolves port 0 after tcp_listen).
 [[nodiscard]] std::uint16_t local_port(const Socket& socket);
-
-/// Accepts one pending connection; invalid Socket when none is pending
-/// (the listener must be non-blocking for that; otherwise it blocks).
-[[nodiscard]] Socket tcp_accept(const Socket& listener);
 
 /// Connects to host:port ("127.0.0.1", "localhost", or a dotted quad).
 /// Throws dls::Error when the connection is refused or times out.

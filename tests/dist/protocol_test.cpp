@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/error.hpp"
@@ -23,52 +24,59 @@ TEST(Frames, RoundTripIncludingEmbeddedNewlines) {
   std::string stream;
   for (const std::string& p : payloads) stream += encode_frame(p);
 
-  FrameReader reader;
-  reader.feed(stream.data(), stream.size());
+  std::string_view rest = stream;
   for (const std::string& expected : payloads) {
-    const auto got = reader.next();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, expected);
+    const Frame frame = parse_frame(rest);
+    ASSERT_GT(frame.consumed, 0u);
+    EXPECT_EQ(frame.payload, expected);
+    rest.remove_prefix(frame.consumed);
   }
-  EXPECT_FALSE(reader.next().has_value());
-  EXPECT_EQ(reader.buffered(), 0u);
+  EXPECT_TRUE(rest.empty());
+  EXPECT_EQ(parse_frame(rest).consumed, 0u);
 }
 
 TEST(Frames, ChunkBoundariesAreInvisible) {
-  // Feed the same stream one byte at a time — TCP segmentation must
-  // never change what next() yields.
+  // Grow the buffer one byte at a time — TCP segmentation must never
+  // change what parse_frame yields, and an incomplete frame consumes
+  // nothing.
   const std::vector<std::string> payloads = {"RANGE 0 0 8", "PING",
                                              "CASE 0 3 2 0x1p-1 nan"};
   std::string stream;
   for (const std::string& p : payloads) stream += encode_frame(p);
 
-  FrameReader reader;
+  std::string buffer;
   std::vector<std::string> decoded;
   for (const char c : stream) {
-    reader.feed(&c, 1);
-    while (auto payload = reader.next()) decoded.push_back(*payload);
+    buffer.push_back(c);
+    for (Frame f = parse_frame(buffer); f.consumed > 0; f = parse_frame(buffer)) {
+      decoded.push_back(f.payload);
+      buffer.erase(0, f.consumed);
+    }
   }
   EXPECT_EQ(decoded, payloads);
+  EXPECT_TRUE(buffer.empty());
 }
 
 TEST(Frames, MalformedLengthPrefixThrows) {
-  FrameReader reader;
-  const std::string junk = "not-a-number\nrest";
-  reader.feed(junk.data(), junk.size());
-  EXPECT_THROW((void)reader.next(), Error);
-
-  FrameReader oversized;
-  const std::string huge = "999999999999\n";
-  oversized.feed(huge.data(), huge.size());
-  EXPECT_THROW((void)oversized.next(), Error);
+  EXPECT_THROW((void)parse_frame("not-a-number\nrest"), Error);
+  EXPECT_THROW((void)parse_frame("999999999999\n"), Error);
 }
 
 TEST(Frames, HeaderWithoutNewlineIsBounded) {
-  // A peer that never sends a newline must not grow the buffer forever.
-  FrameReader reader;
-  const std::string digits(100, '7');
-  reader.feed(digits.data(), digits.size());
-  EXPECT_THROW((void)reader.next(), Error);
+  // A peer that never sends a newline must not grow the buffer forever:
+  // up to 32 bytes is a prefix still arriving, more is an error.
+  EXPECT_EQ(parse_frame(std::string(32, '7')).consumed, 0u);
+  EXPECT_THROW((void)parse_frame(std::string(33, '7')), Error);
+  EXPECT_THROW((void)parse_frame(std::string(100, '7')), Error);
+}
+
+TEST(Frames, LengthCapIs64MiB) {
+  // At the cap the frame is merely incomplete; one byte over is refused
+  // before any payload is buffered.
+  EXPECT_EQ(kMaxFrameBytes, std::size_t{64} << 20);
+  EXPECT_EQ(parse_frame(std::to_string(kMaxFrameBytes) + "\n").consumed, 0u);
+  EXPECT_THROW((void)parse_frame(std::to_string(kMaxFrameBytes + 1) + "\n"),
+               Error);
 }
 
 TEST(Doubles, RoundTripBitExact) {

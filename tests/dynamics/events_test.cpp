@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <vector>
 
 #include "platform/generator.hpp"
 
@@ -18,12 +20,21 @@ platform::Platform grid_platform(int k, std::uint64_t seed) {
 }
 
 TEST(Events, KindNamesRoundTrip) {
-  for (EventKind kind :
-       {EventKind::LinkBandwidth, EventKind::LinkMaxConnect, EventKind::LinkDown,
-        EventKind::LinkUp, EventKind::GatewayBandwidth, EventKind::ClusterLeave,
-        EventKind::ClusterJoin, EventKind::RouterDown, EventKind::RouterUp}) {
+  const std::vector<EventKind> all = {
+      EventKind::LinkBandwidth, EventKind::LinkMaxConnect, EventKind::LinkDown,
+      EventKind::LinkUp, EventKind::GatewayBandwidth, EventKind::ClusterLeave,
+      EventKind::ClusterJoin, EventKind::RouterDown, EventKind::RouterUp};
+  EXPECT_EQ(std::vector<EventKind>(std::begin(kEventKinds), std::end(kEventKinds)),
+            all);
+  for (EventKind kind : all) {
     EXPECT_STRNE(to_string(kind), "?");
+    EventKind back = kind == EventKind::LinkUp ? EventKind::LinkDown : EventKind::LinkUp;
+    EXPECT_TRUE(from_string(to_string(kind), back));
+    EXPECT_EQ(back, kind);
   }
+  EventKind untouched = EventKind::RouterUp;
+  EXPECT_FALSE(from_string("link-bandwidth", untouched));
+  EXPECT_EQ(untouched, EventKind::RouterUp);
   EXPECT_TRUE(has_value(EventKind::LinkBandwidth));
   EXPECT_TRUE(has_value(EventKind::LinkMaxConnect));
   EXPECT_TRUE(has_value(EventKind::GatewayBandwidth));
