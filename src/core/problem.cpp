@@ -10,17 +10,6 @@ namespace dls::core {
 
 namespace {
 constexpr double kEps = 1e-9;
-
-std::string pair_name(const char* prefix, int k, int l) {
-  return std::string(prefix) + "_" + std::to_string(k) + "_" + std::to_string(l);
-}
-
-// Variable/row names for non-canonical load sets carry the load index
-// (the source cluster is implied by the load). Canonical sets keep the
-// original "a_k_l" names so the emitted model is byte-identical.
-std::string load_name(const char* prefix, int load, int l) {
-  return std::string(prefix) + std::to_string(load) + "_" + std::to_string(l);
-}
 }  // namespace
 
 std::string to_string(Objective o) {
@@ -189,21 +178,19 @@ SteadyStateProblem::ReducedModel SteadyStateProblem::build_reduced(
       // (7e) with beta pinned: data_ratio * alpha <= beta * pbw.
       ub = fixed[r] * route.pbw / load.data_ratio;
     }
-    out.alpha_var[r] = m.add_variable(
-        0.0, ub, 0.0,
-        canonical_ ? pair_name("a", route.k, route.l)
-                   : load_name("a", lroutes[r].load, route.l));
+    out.alpha_var[r] = m.add_variable(0.0, ub, 0.0);
   }
 
   // (7b) compute capacity of each cluster, summed over every load.
+  out.speed_row.resize(n);
   for (int l = 0; l < n; ++l) {
     std::vector<lp::Term> terms;
     for (int j = 0; j < num_loads(); ++j) {
       const int r = load_route_id(j, l);
       if (r >= 0) terms.push_back({out.alpha_var[r], 1.0});
     }
-    m.add_constraint(std::move(terms), lp::Relation::LessEqual,
-                     plat_->cluster(l).speed, "speed_" + std::to_string(l));
+    out.speed_row[l] = m.add_constraint(std::move(terms), lp::Relation::LessEqual,
+                                        plat_->cluster(l).speed);
   }
 
   // (7c) gateway capacity. A cluster with no remote routes (single-
@@ -211,6 +198,7 @@ SteadyStateProblem::ReducedModel SteadyStateProblem::build_reduced(
   // no gateway traffic at all: emitting its row would add a degenerate
   // 0 <= g_k constraint (and a slack column) per isolated cluster.
   // Each unit of load j ships data_ratio_j bytes through both gateways.
+  out.gateway_row.assign(n, -1);
   for (int k = 0; k < n; ++k) {
     std::vector<lp::Term> terms;
     for (int l = 0; l < n; ++l) {
@@ -223,12 +211,13 @@ SteadyStateProblem::ReducedModel SteadyStateProblem::build_reduced(
           terms.push_back({out.alpha_var[in_r], loads_.loads[j].data_ratio});
     }
     if (terms.empty()) continue;
-    m.add_constraint(std::move(terms), lp::Relation::LessEqual,
-                     plat_->cluster(k).gateway_bw, "gateway_" + std::to_string(k));
+    out.gateway_row[k] = m.add_constraint(std::move(terms), lp::Relation::LessEqual,
+                                          plat_->cluster(k).gateway_bw);
   }
 
   // (7d) with beta substituted: sum data_ratio * alpha / pbw over free
   // load-routes through the link, against the budget left by the fixed.
+  out.maxcon_row.assign(plat_->num_links(), -1);
   for (platform::LinkId li = 0; li < plat_->num_links(); ++li) {
     if (ltable_->link_lroutes[li].empty()) continue;
     std::vector<lp::Term> terms;
@@ -244,8 +233,8 @@ SteadyStateProblem::ReducedModel SteadyStateProblem::build_reduced(
     }
     require(budget >= -kEps, "build_reduced: beta fixings exceed a link budget");
     if (terms.empty()) continue;
-    m.add_constraint(std::move(terms), lp::Relation::LessEqual,
-                     std::max(budget, 0.0), "maxcon_" + std::to_string(li));
+    out.maxcon_row[li] = m.add_constraint(std::move(terms), lp::Relation::LessEqual,
+                                          std::max(budget, 0.0));
   }
 
   // Amdahl-like per-load caps: sum_l alpha_{j,l} <= cap_j. Absent for
@@ -258,8 +247,7 @@ SteadyStateProblem::ReducedModel SteadyStateProblem::build_reduced(
       if (r >= 0) terms.push_back({out.alpha_var[r], 1.0});
     }
     if (terms.empty()) continue;
-    m.add_constraint(std::move(terms), lp::Relation::LessEqual,
-                     loads_.loads[j].cap, "cap_" + std::to_string(j));
+    m.add_constraint(std::move(terms), lp::Relation::LessEqual, loads_.loads[j].cap);
   }
 
   // Objective.
@@ -267,7 +255,7 @@ SteadyStateProblem::ReducedModel SteadyStateProblem::build_reduced(
     for (std::size_t r = 0; r < lroutes.size(); ++r)
       m.set_objective_coef(out.alpha_var[r], loads_.loads[lroutes[r].load].weight);
   } else {
-    out.t_var = m.add_variable(0.0, lp::kInf, 1.0, "t");
+    out.t_var = m.add_variable(0.0, lp::kInf, 1.0);
     for (int j = 0; j < num_loads(); ++j) {
       const double w = loads_.loads[j].weight;
       if (w <= 0.0) continue;
@@ -276,8 +264,7 @@ SteadyStateProblem::ReducedModel SteadyStateProblem::build_reduced(
         const int r = load_route_id(j, l);
         if (r >= 0) terms.push_back({out.alpha_var[r], -w});
       }
-      m.add_constraint(std::move(terms), lp::Relation::LessEqual, 0.0,
-                       "fair_" + std::to_string(j));
+      m.add_constraint(std::move(terms), lp::Relation::LessEqual, 0.0);
     }
   }
   return out;
@@ -301,6 +288,54 @@ void SteadyStateProblem::update_reduced_payoffs(ReducedModel& reduced) const {
   }
 }
 
+bool SteadyStateProblem::refresh_route_bandwidths() {
+  const std::vector<Route>& routes = table_->routes;
+  std::size_t first = 0;
+  while (first < routes.size() &&
+         plat_->route_bottleneck_bw(routes[first].k, routes[first].l) ==
+             routes[first].pbw)
+    ++first;
+  if (first == routes.size()) return false;
+  auto table = std::make_shared<RouteTable>(*table_);
+  for (std::size_t r = first; r < routes.size(); ++r)
+    table->routes[r].pbw = plat_->route_bottleneck_bw(routes[r].k, routes[r].l);
+  table_ = std::move(table);
+  return true;
+}
+
+void SteadyStateProblem::update_reduced_capacities(ReducedModel& reduced,
+                                                   bool pbw_changed) const {
+  const int n = num_clusters();
+  require(!reduced.has_fixings,
+          "update_reduced_capacities: model was built with beta fixings, "
+          "whose link budgets this would overwrite");
+  require(reduced.alpha_var.size() == ltable_->lroutes.size() &&
+              static_cast<int>(reduced.speed_row.size()) == n &&
+              static_cast<int>(reduced.gateway_row.size()) == n &&
+              static_cast<int>(reduced.maxcon_row.size()) == plat_->num_links(),
+          "update_reduced_capacities: model does not match this problem");
+  lp::Model& m = reduced.model;
+  for (int l = 0; l < n; ++l) m.set_rhs(reduced.speed_row[l], plat_->cluster(l).speed);
+  for (int k = 0; k < n; ++k)
+    if (reduced.gateway_row[k] >= 0)
+      m.set_rhs(reduced.gateway_row[k], plat_->cluster(k).gateway_bw);
+  std::vector<lp::Term> terms;
+  for (platform::LinkId li = 0; li < plat_->num_links(); ++li) {
+    const int row = reduced.maxcon_row[li];
+    if (row < 0) continue;
+    // Same budget expression as build_reduced without fixings.
+    const double budget = plat_->link(li).max_connections;
+    m.set_rhs(row, std::max(budget, 0.0));
+    if (!pbw_changed) continue;
+    terms.clear();
+    for (int r : ltable_->link_lroutes[li])
+      terms.push_back({reduced.alpha_var[r],
+                       loads_.loads[ltable_->lroutes[r].load].data_ratio /
+                           table_->routes[ltable_->lroutes[r].route].pbw});
+    m.set_row(row, terms);
+  }
+}
+
 SteadyStateProblem::FullModel SteadyStateProblem::build_full(bool integer_betas) const {
   const int n = num_clusters();
   const auto& lroutes = ltable_->lroutes;
@@ -315,15 +350,9 @@ SteadyStateProblem::FullModel SteadyStateProblem::build_full(bool integer_betas)
     const LoadSpec& load = loads_.loads[lroutes[r].load];
     const Route& route = table_->routes[lroutes[r].route];
     const double ub = load.weight == 0.0 ? 0.0 : lp::kInf;
-    out.alpha_var[r] = m.add_variable(
-        0.0, ub, 0.0,
-        canonical_ ? pair_name("a", route.k, route.l)
-                   : load_name("a", lroutes[r].load, route.l));
+    out.alpha_var[r] = m.add_variable(0.0, ub, 0.0);
     if (route.needs_beta) {
-      out.beta_var[r] = m.add_variable(
-          0.0, lp::kInf, 0.0,
-          canonical_ ? pair_name("b", route.k, route.l)
-                     : load_name("b", lroutes[r].load, route.l));
+      out.beta_var[r] = m.add_variable(0.0, lp::kInf, 0.0);
       if (integer_betas) m.set_integer(out.beta_var[r]);
     }
   }
@@ -335,7 +364,7 @@ SteadyStateProblem::FullModel SteadyStateProblem::build_full(bool integer_betas)
       if (r >= 0) terms.push_back({out.alpha_var[r], 1.0});
     }
     m.add_constraint(std::move(terms), lp::Relation::LessEqual,
-                     plat_->cluster(l).speed, "speed_" + std::to_string(l));
+                     plat_->cluster(l).speed);
   }
   for (int k = 0; k < n; ++k) {  // (7c); isolated clusters skip their row
     std::vector<lp::Term> terms;
@@ -350,7 +379,7 @@ SteadyStateProblem::FullModel SteadyStateProblem::build_full(bool integer_betas)
     }
     if (terms.empty()) continue;
     m.add_constraint(std::move(terms), lp::Relation::LessEqual,
-                     plat_->cluster(k).gateway_bw, "gateway_" + std::to_string(k));
+                     plat_->cluster(k).gateway_bw);
   }
   for (platform::LinkId li = 0; li < plat_->num_links(); ++li) {  // (7d)
     if (ltable_->link_lroutes[li].empty()) continue;
@@ -358,16 +387,14 @@ SteadyStateProblem::FullModel SteadyStateProblem::build_full(bool integer_betas)
     for (int r : ltable_->link_lroutes[li])
       terms.push_back({out.beta_var[r], 1.0});
     m.add_constraint(std::move(terms), lp::Relation::LessEqual,
-                     plat_->link(li).max_connections, "maxcon_" + std::to_string(li));
+                     plat_->link(li).max_connections);
   }
   for (std::size_t r = 0; r < lroutes.size(); ++r) {  // (7e)
     const Route& route = table_->routes[lroutes[r].route];
     if (!route.needs_beta) continue;
     m.add_constraint({{out.alpha_var[r], loads_.loads[lroutes[r].load].data_ratio},
                       {out.beta_var[r], -route.pbw}},
-                     lp::Relation::LessEqual, 0.0,
-                     canonical_ ? pair_name("bw", route.k, route.l)
-                                : load_name("bw", lroutes[r].load, route.l));
+                     lp::Relation::LessEqual, 0.0);
   }
   for (int j = 0; j < num_loads(); ++j) {  // Amdahl-like caps
     if (!std::isfinite(loads_.loads[j].cap)) continue;
@@ -377,15 +404,14 @@ SteadyStateProblem::FullModel SteadyStateProblem::build_full(bool integer_betas)
       if (r >= 0) terms.push_back({out.alpha_var[r], 1.0});
     }
     if (terms.empty()) continue;
-    m.add_constraint(std::move(terms), lp::Relation::LessEqual,
-                     loads_.loads[j].cap, "cap_" + std::to_string(j));
+    m.add_constraint(std::move(terms), lp::Relation::LessEqual, loads_.loads[j].cap);
   }
 
   if (objective_ == Objective::Sum) {
     for (std::size_t r = 0; r < lroutes.size(); ++r)
       m.set_objective_coef(out.alpha_var[r], loads_.loads[lroutes[r].load].weight);
   } else {
-    out.t_var = m.add_variable(0.0, lp::kInf, 1.0, "t");
+    out.t_var = m.add_variable(0.0, lp::kInf, 1.0);
     for (int j = 0; j < num_loads(); ++j) {
       const double w = loads_.loads[j].weight;
       if (w <= 0.0) continue;
@@ -394,8 +420,7 @@ SteadyStateProblem::FullModel SteadyStateProblem::build_full(bool integer_betas)
         const int r = load_route_id(j, l);
         if (r >= 0) terms.push_back({out.alpha_var[r], -w});
       }
-      m.add_constraint(std::move(terms), lp::Relation::LessEqual, 0.0,
-                       "fair_" + std::to_string(j));
+      m.add_constraint(std::move(terms), lp::Relation::LessEqual, 0.0);
     }
   }
   return out;
@@ -483,6 +508,10 @@ ValidationReport validate_allocation(const SteadyStateProblem& problem,
     report.ok = false;
     report.violations.push_back(std::move(msg));
   };
+  // Names a violating (k, l) entry, e.g. "a_0_3"; built only on failure.
+  auto entry = [](const char* prefix, int k, int l) {
+    return std::string(prefix) + "_" + std::to_string(k) + "_" + std::to_string(l);
+  };
 
   const platform::Platform& plat = problem.plat();
   const int n = plat.num_clusters();
@@ -495,23 +524,23 @@ ValidationReport validate_allocation(const SteadyStateProblem& problem,
     for (int l = 0; l < n; ++l) {
       const double a = alloc.alpha(k, l);
       const double b = alloc.beta(k, l);
-      if (a < -eps) fail("(7f) alpha negative at " + pair_name("a", k, l));
-      if (b < -eps) fail("beta negative at " + pair_name("b", k, l));
+      if (a < -eps) fail("(7f) alpha negative at " + entry("a", k, l));
+      if (b < -eps) fail("beta negative at " + entry("b", k, l));
       const int r = problem.route_id(k, l);
       if (r < 0) {
-        if (a > eps) fail("alpha on missing route " + pair_name("a", k, l));
-        if (b > eps) fail("beta on missing route " + pair_name("b", k, l));
+        if (a > eps) fail("alpha on missing route " + entry("a", k, l));
+        if (b > eps) fail("beta on missing route " + entry("b", k, l));
         continue;
       }
       if (problem.payoffs()[k] == 0.0 && a > eps)
-        fail("alpha from payoff-0 cluster " + pair_name("a", k, l));
+        fail("alpha from payoff-0 cluster " + entry("a", k, l));
       const auto& route = problem.routes()[r];
       if (!route.needs_beta && b > eps)
-        fail("beta on local/linkless route " + pair_name("b", k, l));
+        fail("beta on local/linkless route " + entry("b", k, l));
       if (route.needs_beta && a > b * route.pbw + eps)
-        fail("(7e) bandwidth exceeded on route " + pair_name("a", k, l));
+        fail("(7e) bandwidth exceeded on route " + entry("a", k, l));
       if (require_integer_betas && std::fabs(b - std::round(b)) > eps)
-        fail("(7g) beta not integral at " + pair_name("b", k, l));
+        fail("(7g) beta not integral at " + entry("b", k, l));
     }
   }
 

@@ -33,9 +33,9 @@
 // per-load throughput row. The paper's original formulation is the
 // *canonical* load set (one load per cluster, ratio 1, no caps, see
 // loads.hpp): for it the generalized builder enumerates variables and
-// rows in exactly the original order with the original names and
-// coefficients, so the emitted LP is byte-identical to the single-load
-// builder and the existing pivot-sequence oracles keep passing.
+// rows in exactly the original order with the original coefficients, so
+// the emitted LP is identical to the single-load builder and the
+// existing pivot-sequence oracles keep passing.
 #pragma once
 
 #include <memory>
@@ -145,6 +145,10 @@ public:
     /// True when beta fixings shaped this model (alpha bounds carry the
     /// pinned (7e) caps); such a model cannot be re-payoffed in place.
     bool has_fixings = false;
+    /// Row index of each capacity constraint, for in-place re-pricing
+    /// (update_reduced_capacities): (7b) per cluster, (7c) per cluster
+    /// and (7d) per link, -1 where the builder emitted no row.
+    std::vector<int> speed_row, gateway_row, maxcon_row;
   };
   [[nodiscard]] ReducedModel build_reduced(
       const std::vector<BetaFixing>& fixings = {}) const;
@@ -159,6 +163,22 @@ public:
   /// instead of paying build_reduced's allocations thousands of times.
   /// Works for any load set (weights enter the same way payoffs do).
   void update_reduced_payoffs(ReducedModel& reduced) const;
+
+  /// Re-reads every route's per-connection bottleneck bandwidth from the
+  /// platform after a capacity event (link bandwidth, max-connect,
+  /// gateway or speed moved; the route set did not). The route table is
+  /// copied, never mutated, and only when a value moved, so problems
+  /// sharing it are unaffected. Returns whether any pbw changed.
+  bool refresh_route_bandwidths();
+
+  /// Re-prices a fixing-free reduced model in place after a capacity
+  /// event, instead of rebuilding it: the (7b), (7c) and (7d) right-hand
+  /// sides are re-read from the platform, and when `pbw_changed` every
+  /// (7d) row's data_ratio / pbw terms are rewritten through
+  /// lp::Model::set_row. Call refresh_route_bandwidths() first. The
+  /// result equals build_reduced() of a fresh problem over the changed
+  /// platform bit for bit, so the simplex sees the same model either way.
+  void update_reduced_capacities(ReducedModel& reduced, bool pbw_changed) const;
 
   struct FullModel {
     lp::Model model;

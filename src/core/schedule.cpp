@@ -27,9 +27,10 @@ PeriodicSchedule build_periodic_schedule(const SteadyStateProblem& problem,
   // connection counts come from the rationalized rates below.
   const ValidationReport report = validate_allocation(
       problem, alloc, 1e-6, /*require_integer_betas=*/false);
-  require(report.ok, "build_periodic_schedule: allocation is not valid: " +
-                         (report.violations.empty() ? std::string("?")
-                                                    : report.violations.front()));
+  if (!report.ok)
+    throw Error("build_periodic_schedule: allocation is not valid: " +
+                (report.violations.empty() ? std::string("?")
+                                           : report.violations.front()));
 
   const int n = problem.num_clusters();
 

@@ -91,45 +91,48 @@ void EventTrace::validate(const platform::Platform& plat) const {
   double prev = 0.0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const PlatformEvent& e = events[i];
-    const std::string at = " at event " + std::to_string(i);
-    require(std::isfinite(e.time) && e.time >= 0.0,
-            "event trace: bad event time" + at);
-    require(e.time >= prev, "event trace: times must be non-decreasing" + at);
+    // The event index joins the message only when a check fails.
+    const auto check = [i](bool ok, const char* what) {
+      if (!ok) throw Error(std::string(what) + " at event " + std::to_string(i));
+    };
+    check(std::isfinite(e.time) && e.time >= 0.0,
+          "event trace: bad event time");
+    check(e.time >= prev, "event trace: times must be non-decreasing");
     prev = e.time;
     switch (e.kind) {
       case EventKind::LinkBandwidth:
-        require(e.target >= 0 && e.target < plat.num_links(),
-                "event trace: link id out of range" + at);
-        require(std::isfinite(e.value) && e.value > 0.0,
-                "event trace: bandwidth must be positive" + at);
+        check(e.target >= 0 && e.target < plat.num_links(),
+              "event trace: link id out of range");
+        check(std::isfinite(e.value) && e.value > 0.0,
+              "event trace: bandwidth must be positive");
         break;
       case EventKind::LinkMaxConnect:
-        require(e.target >= 0 && e.target < plat.num_links(),
-                "event trace: link id out of range" + at);
-        require(std::isfinite(e.value) && e.value >= 0.0 &&
-                    e.value == std::floor(e.value),
-                "event trace: max-connect must be a non-negative integer" + at);
+        check(e.target >= 0 && e.target < plat.num_links(),
+              "event trace: link id out of range");
+        check(std::isfinite(e.value) && e.value >= 0.0 &&
+                  e.value == std::floor(e.value),
+              "event trace: max-connect must be a non-negative integer");
         break;
       case EventKind::LinkDown:
       case EventKind::LinkUp:
-        require(e.target >= 0 && e.target < plat.num_links(),
-                "event trace: link id out of range" + at);
+        check(e.target >= 0 && e.target < plat.num_links(),
+              "event trace: link id out of range");
         break;
       case EventKind::GatewayBandwidth:
-        require(e.target >= 0 && e.target < plat.num_clusters(),
-                "event trace: cluster id out of range" + at);
-        require(std::isfinite(e.value) && e.value > 0.0,
-                "event trace: bandwidth must be positive" + at);
+        check(e.target >= 0 && e.target < plat.num_clusters(),
+              "event trace: cluster id out of range");
+        check(std::isfinite(e.value) && e.value > 0.0,
+              "event trace: bandwidth must be positive");
         break;
       case EventKind::ClusterLeave:
       case EventKind::ClusterJoin:
-        require(e.target >= 0 && e.target < plat.num_clusters(),
-                "event trace: cluster id out of range" + at);
+        check(e.target >= 0 && e.target < plat.num_clusters(),
+              "event trace: cluster id out of range");
         break;
       case EventKind::RouterDown:
       case EventKind::RouterUp:
-        require(e.target >= 0 && e.target < plat.num_routers(),
-                "event trace: router id out of range" + at);
+        check(e.target >= 0 && e.target < plat.num_routers(),
+              "event trace: router id out of range");
         break;
     }
   }

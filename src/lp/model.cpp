@@ -8,7 +8,7 @@
 
 namespace dls::lp {
 
-int Model::add_variable(double lb, double ub, double obj, std::string name) {
+int Model::add_variable(double lb, double ub, double obj) {
   require(!(lb > ub), "Model::add_variable: lb > ub");
   require(!std::isnan(lb) && !std::isnan(ub) && std::isfinite(obj),
           "Model::add_variable: invalid bound or objective");
@@ -16,19 +16,14 @@ int Model::add_variable(double lb, double ub, double obj, std::string name) {
   ub_.push_back(ub);
   obj_.push_back(obj);
   integer_.push_back(false);
-  var_name_.push_back(std::move(name));
   fingerprint_.v.store(0, std::memory_order_relaxed);
   return num_variables() - 1;
 }
 
-int Model::add_constraint(std::vector<Term> terms, Relation rel, double rhs,
-                          std::string name) {
-  require(std::isfinite(rhs), "Model::add_constraint: non-finite rhs");
-  for (const Term& t : terms) {
-    check_var(t.var);
-    require(std::isfinite(t.coef), "Model::add_constraint: non-finite coefficient");
-  }
-  // Merge duplicate variable mentions and drop exact zeros.
+namespace {
+// Sorts terms by variable, merges duplicate mentions and drops exact
+// zeros: the one normal form every stored row is in.
+std::vector<Term> normalized(std::vector<Term> terms) {
   std::sort(terms.begin(), terms.end(),
             [](const Term& a, const Term& b) { return a.var < b.var; });
   std::vector<Term> merged;
@@ -41,11 +36,19 @@ int Model::add_constraint(std::vector<Term> terms, Relation rel, double rhs,
     }
   }
   std::erase_if(merged, [](const Term& t) { return t.coef == 0.0; });
+  return merged;
+}
+}  // namespace
 
-  rows_.push_back(std::move(merged));
+int Model::add_constraint(std::vector<Term> terms, Relation rel, double rhs) {
+  require(std::isfinite(rhs), "Model::add_constraint: non-finite rhs");
+  for (const Term& t : terms) {
+    check_var(t.var);
+    require(std::isfinite(t.coef), "Model::add_constraint: non-finite coefficient");
+  }
+  rows_.push_back(normalized(std::move(terms)));
   rel_.push_back(rel);
   rhs_.push_back(rhs);
-  row_name_.push_back(std::move(name));
   fingerprint_.v.store(0, std::memory_order_relaxed);
   return num_constraints() - 1;
 }
@@ -56,19 +59,7 @@ void Model::set_row(int c, std::vector<Term> terms) {
     check_var(t.var);
     require(std::isfinite(t.coef), "Model::set_row: non-finite coefficient");
   }
-  std::sort(terms.begin(), terms.end(),
-            [](const Term& a, const Term& b) { return a.var < b.var; });
-  std::vector<Term> merged;
-  merged.reserve(terms.size());
-  for (const Term& t : terms) {
-    if (!merged.empty() && merged.back().var == t.var) {
-      merged.back().coef += t.coef;
-    } else {
-      merged.push_back(t);
-    }
-  }
-  std::erase_if(merged, [](const Term& t) { return t.coef == 0.0; });
-  rows_[c] = std::move(merged);
+  rows_[c] = normalized(std::move(terms));
   fingerprint_.v.store(0, std::memory_order_relaxed);
 }
 

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "lp/types.hpp"
@@ -20,20 +19,18 @@ class Model {
 public:
   /// Adds a variable with bounds [lb, ub] (use -kInf/kInf for free sides)
   /// and objective coefficient `obj`. Returns its index.
-  int add_variable(double lb, double ub, double obj, std::string name = "");
+  int add_variable(double lb, double ub, double obj);
 
   /// Adds a constraint Σ terms {<=,=,>=} rhs. Duplicate variable mentions
   /// within one row are merged. Returns the row index.
-  int add_constraint(std::vector<Term> terms, Relation rel, double rhs,
-                     std::string name = "");
+  int add_constraint(std::vector<Term> terms, Relation rel, double rhs);
 
   void set_sense(Sense sense) { sense_ = sense; }
   /// Replaces one row's terms in place (duplicates merged, zeros dropped
-  /// like add_constraint); relation and rhs keep their values. Currently
-  /// exercised by the warm-repair tests (a capacity event re-pricing one
-  /// row); the dynamics rescheduler itself still rebuilds its reduced
-  /// model per platform event — patching it row-wise through this is the
-  /// designed next optimization.
+  /// exactly like add_constraint, so a patched row is bit-identical to a
+  /// freshly added one); relation and rhs keep their values. The online
+  /// reschedulers re-price their cached reduced model's max-connect rows
+  /// through this when a capacity event moves a route's bandwidth.
   void set_row(int c, std::vector<Term> terms);
   /// Replaces one row's right-hand side (a pure capacity rescale).
   void set_rhs(int c, double rhs);
@@ -54,12 +51,10 @@ public:
   [[nodiscard]] double upper_bound(int var) const { return ub_[var]; }
   [[nodiscard]] double objective_coef(int var) const { return obj_[var]; }
   [[nodiscard]] bool is_integer(int var) const { return integer_[var]; }
-  [[nodiscard]] const std::string& variable_name(int var) const { return var_name_[var]; }
 
   [[nodiscard]] std::span<const Term> row(int c) const { return rows_[c]; }
   [[nodiscard]] Relation relation(int c) const { return rel_[c]; }
   [[nodiscard]] double rhs(int c) const { return rhs_[c]; }
-  [[nodiscard]] const std::string& constraint_name(int c) const { return row_name_[c]; }
 
   /// Objective value of a full assignment (includes the constant).
   [[nodiscard]] double objective_value(std::span<const double> x) const;
@@ -101,11 +96,9 @@ private:
   double obj_constant_ = 0.0;
   std::vector<double> lb_, ub_, obj_;
   std::vector<bool> integer_;
-  std::vector<std::string> var_name_;
   std::vector<std::vector<Term>> rows_;
   std::vector<Relation> rel_;
   std::vector<double> rhs_;
-  std::vector<std::string> row_name_;
   mutable CachedHash fingerprint_;
 };
 

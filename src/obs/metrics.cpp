@@ -74,15 +74,15 @@ const Registry::Meta& Registry::register_series(MetricType type,
   auto key = std::make_pair(name, labels);
   if (auto it = by_key_.find(key); it != by_key_.end()) {
     const Meta& meta = metas_[it->second];
-    require(meta.type == type, "obs: metric '" + name +
-                                   "' re-registered with a different type");
+    if (meta.type != type)
+      throw Error("obs: metric '" + name + "' re-registered with a different type");
     return meta;
   }
   // Same family name, different labels: the type must agree or the
   // exporter would emit conflicting TYPE headers.
   for (const Meta& meta : metas_) {
-    require(meta.name != name || meta.type == type,
-            "obs: metric family '" + name + "' mixes types");
+    if (meta.name == name && meta.type != type)
+      throw Error("obs: metric family '" + name + "' mixes types");
   }
   Meta meta;
   meta.name = name;

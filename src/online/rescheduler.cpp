@@ -88,10 +88,14 @@ void AdaptiveRescheduler::reset() {
 }
 
 void AdaptiveRescheduler::platform_capacity_changed() {
-  // The route table snapshot caches per-route pbw and the reduced model
-  // caches capacities in bounds/rhs/coefficients: both are stale.
-  base_problem_.reset();
-  reduced_cache_.reset();
+  // The route table caches per-route pbw and the reduced model caches
+  // capacities in rhs and max-connect coefficients: refresh both in
+  // place instead of rebuilding them (the route set is unchanged).
+  if (base_problem_) {
+    const bool pbw_changed = base_problem_->refresh_route_bandwidths();
+    if (reduced_cache_)
+      base_problem_->update_reduced_capacities(*reduced_cache_, pbw_changed);
+  }
   // Keep warm_state_ (capsule reuse or repair) and prev_payoffs_ (the
   // support-change rule is about payoffs, which did not move). The
   // greedy seed allocation may violate the new capacities; drop it.
@@ -160,9 +164,9 @@ Reschedule AdaptiveRescheduler::reschedule(const std::vector<double>& payoffs) {
           options_.method == Method::Lpr
               ? core::run_lpr(problem, options_.lp, &warm)
               : core::run_lprg(problem, options_.lp, options_.greedy, &warm);
-      require(r.status == lp::SolveStatus::Optimal,
-              std::string("reschedule: method ") + to_string(options_.method) +
-                  " failed");
+      if (r.status != lp::SolveStatus::Optimal)
+        throw Error(std::string("reschedule: method ") + to_string(options_.method) +
+                    " failed");
       out.allocation = std::move(r.allocation);
       out.objective = r.objective;
       out.lp_iterations = r.lp_iterations;
@@ -208,11 +212,14 @@ void MultiLoadRescheduler::reset() {
 
 void MultiLoadRescheduler::platform_capacity_changed() {
   // Cached problems bake per-route pbw, and the reduced model bakes
-  // capacities into bounds/rhs/coefficients: both are stale. The capsule
-  // survives for a whole (rhs-only) or repaired (re-priced) warm start.
-  problem_.reset();
-  maxmin_problem_.reset();
-  reduced_cache_.reset();
+  // capacities into rhs and max-connect coefficients: patch both in
+  // place (bit-identical to a rebuild). The capsule survives for a whole
+  // (rhs-only) or repaired (re-priced) warm start.
+  if (problem_) {
+    const bool pbw_changed = problem_->refresh_route_bandwidths();
+    if (reduced_cache_) problem_->update_reduced_capacities(*reduced_cache_, pbw_changed);
+  }
+  if (maxmin_problem_) maxmin_problem_->refresh_route_bandwidths();
 }
 
 void MultiLoadRescheduler::platform_topology_changed() {
@@ -244,9 +251,10 @@ void MultiLoadRescheduler::rebuild_slots(const std::vector<int>& needed) {
   slot_app_.assign(total_slots_, -1);
   slot_of_.clear();
   // The model reshapes: a capsule saved against the old slot universe
-  // cannot fit and rejecting it eagerly keeps the stats honest.
+  // cannot fit and rejecting it eagerly keeps the stats honest. The slot
+  // problem keeps its route table; solve_shared re-derives it with
+  // with_loads and rebuilds the reduced model.
   warm_state_.invalidate();
-  problem_.reset();
   reduced_cache_.reset();
   resched_obs().slot_grow.inc();
   resched_obs().slots.set(static_cast<double>(total_slots_));
@@ -295,7 +303,9 @@ MultiReschedule MultiLoadRescheduler::solve_shared(
   std::vector<double> weights(total_slots_, 0.0);
   for (const ActiveLoad& load : loads) weights[slot_of_[load.id]] = load.weight;
 
-  if (!problem_) {
+  if (!reduced_cache_) {
+    // New slot universe: re-derive the slot problem, sharing the route
+    // table when one exists (only a topology reset drops it).
     core::LoadSet slots;
     slots.loads.reserve(total_slots_);
     for (int c = 0; c < n; ++c)
@@ -305,7 +315,11 @@ MultiReschedule MultiLoadRescheduler::solve_shared(
         spec.weight = weights[slot_base_[c] + s];
         slots.loads.push_back(std::move(spec));
       }
-    problem_.emplace(*plat_, std::move(slots), core::Objective::Sum);
+    if (problem_) {
+      problem_ = problem_->with_loads(std::move(slots));
+    } else {
+      problem_.emplace(*plat_, std::move(slots), core::Objective::Sum);
+    }
   } else {
     problem_ = problem_->with_load_weights(weights);
   }

@@ -103,8 +103,9 @@ public:
 
   /// Tells the rescheduler the platform's capacities changed under it
   /// (bandwidth/max-connect/gateway/speed rescale — the route set is
-  /// intact). Cached models are rebuilt on the next reschedule; the
-  /// simplex capsule is kept so the solve can warm-start whole (pure
+  /// intact). The cached problem and reduced model are patched in place
+  /// (SteadyStateProblem::update_reduced_capacities); the simplex
+  /// capsule is kept so the solve can warm-start whole (pure
   /// rhs/bound moves keep the matrix fingerprint) or repair the carried
   /// basis against the re-priced matrix (lp::SimplexOptions::warm_repair,
   /// enabled here). The previous greedy allocation is dropped: reseeding
@@ -213,8 +214,9 @@ public:
   /// Drops warm state and slot assignments; the next call solves cold.
   void reset();
 
-  /// Capacity rescale under the model: cached problems/models rebuild on
-  /// the next call, the capsule is kept for a whole or repaired start.
+  /// Capacity rescale under the model: the cached problems and reduced
+  /// model are patched in place, bit-identical to a rebuild; the capsule
+  /// is kept for a whole or repaired start.
   void platform_capacity_changed();
 
   /// Topology change: everything (including the slot universe) resets.
@@ -240,7 +242,8 @@ private:
   std::unordered_map<int, int> slot_of_;  // load id -> global slot index
   std::vector<int> slot_app_;             // global slot -> load id or -1
   /// Slot problem (Objective::Sum), re-weighted per event with
-  /// with_load_weights; MaxMin keeps its own per-event problem to share
+  /// with_load_weights and re-derived with with_loads when the slot
+  /// universe grows; MaxMin keeps its own per-event problem to share
   /// the route table across with_loads calls.
   std::optional<core::SteadyStateProblem> problem_;
   std::optional<core::SteadyStateProblem> maxmin_problem_;

@@ -49,16 +49,19 @@ void Workload::validate(int num_clusters) const {
   double prev = 0.0;
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const AppArrival& a = arrivals[i];
-    const std::string at = " at arrival " + std::to_string(i);
-    require(std::isfinite(a.time) && a.time >= 0.0,
-            "workload: bad arrival time" + at);
-    require(a.time >= prev, "workload: arrival times must be non-decreasing" + at);
-    require(a.cluster >= 0 && a.cluster < num_clusters,
-            "workload: cluster out of range" + at);
-    require(std::isfinite(a.payoff) && a.payoff > 0.0,
-            "workload: payoff must be positive" + at);
-    require(std::isfinite(a.load) && a.load > 0.0,
-            "workload: load must be positive" + at);
+    // The arrival index joins the message only when a check fails.
+    const auto check = [i](bool ok, const char* what) {
+      if (!ok) throw Error(std::string(what) + " at arrival " + std::to_string(i));
+    };
+    check(std::isfinite(a.time) && a.time >= 0.0,
+          "workload: bad arrival time");
+    check(a.time >= prev, "workload: arrival times must be non-decreasing");
+    check(a.cluster >= 0 && a.cluster < num_clusters,
+          "workload: cluster out of range");
+    check(std::isfinite(a.payoff) && a.payoff > 0.0,
+          "workload: payoff must be positive");
+    check(std::isfinite(a.load) && a.load > 0.0,
+          "workload: load must be positive");
     prev = a.time;
   }
 }

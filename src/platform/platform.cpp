@@ -106,7 +106,7 @@ void Platform::set_route(ClusterId k, ClusterId l, std::vector<LinkId> links) {
   for (LinkId li : links) {
     check_link(li);
     const BackboneLink& bl = links_[li];
-    require(bl.up, "set_route: link " + std::to_string(li) + " is down");
+    if (!bl.up) throw Error("set_route: link " + std::to_string(li) + " is down");
     if (bl.a == at) {
       at = bl.b;
     } else if (bl.b == at) {

@@ -12,12 +12,11 @@ namespace {
 TEST(Model, AddVariableReturnsSequentialIndices) {
   Model m;
   EXPECT_EQ(m.add_variable(0, 1, 2.0), 0);
-  EXPECT_EQ(m.add_variable(0, kInf, -1.0, "y"), 1);
+  EXPECT_EQ(m.add_variable(0, kInf, -1.0), 1);
   EXPECT_EQ(m.num_variables(), 2);
   EXPECT_EQ(m.lower_bound(1), 0.0);
   EXPECT_EQ(m.upper_bound(0), 1.0);
   EXPECT_EQ(m.objective_coef(0), 2.0);
-  EXPECT_EQ(m.variable_name(1), "y");
 }
 
 TEST(Model, RejectsInvalidVariable) {

@@ -17,8 +17,8 @@ TEST(Simplex, TextbookMaximize) {
   // max 3x + 5y  s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0.
   // Optimum (2, 6) -> 36 (Dantzig's classic).
   Model m;
-  const int x = m.add_variable(0, kInf, 3.0, "x");
-  const int y = m.add_variable(0, kInf, 5.0, "y");
+  const int x = m.add_variable(0, kInf, 3.0);
+  const int y = m.add_variable(0, kInf, 5.0);
   m.set_sense(Sense::Maximize);
   m.add_constraint({{x, 1.0}}, Relation::LessEqual, 4.0);
   m.add_constraint({{y, 2.0}}, Relation::LessEqual, 12.0);

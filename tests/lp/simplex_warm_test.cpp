@@ -484,8 +484,8 @@ TEST(SimplexWarmRepair, SingularizedBasisFallsBackCold) {
     // refactorization of the carried basic set must fail cleanly.
     Model m;
     m.set_sense(Sense::Maximize);
-    m.add_variable(0.0, kInf, 3.0, "x");
-    m.add_variable(0.0, kInf, 2.0, "y");
+    m.add_variable(0.0, kInf, 3.0);
+    m.add_variable(0.0, kInf, 2.0);
     m.add_constraint({{0, 1.0}, {1, 2.0}}, Relation::LessEqual, 10.0);
     m.add_constraint({{0, 2.0}, {1, 1.0}}, Relation::LessEqual, 10.0);
     const SimplexSolver solver(repair_options(f));

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "core/heuristics.hpp"
 #include "dynamics/dynamic_platform.hpp"
 #include "dynamics/events.hpp"
 #include "platform/generator.hpp"
@@ -211,6 +215,136 @@ TEST(MultiRescheduler, WarmPatchesTrackColdUnderPlatformEventTrace) {
   }
   EXPECT_GT(events_checked, 10);
   EXPECT_GT(warm_used, 0);
+}
+
+/// The rebuild-everything capacity path, an oracle for the in-place
+/// patch: every capacity event drops the slot problem and the reduced
+/// model and rebuilds both from the platform, keeping the warm capsule
+/// and otherwise solving the way MultiLoadRescheduler does. With at
+/// most one load per cluster the rescheduler's slot universe is one
+/// slot per cluster, slot index = cluster, which this mirrors.
+class RebuildingReference {
+public:
+  explicit RebuildingReference(const platform::Platform& plat) : plat_(&plat) {
+    options_.lp.compute_duals = false;
+    options_.lp.warm_repair = true;
+  }
+
+  void capacity_changed() {
+    problem_.reset();
+    reduced_.reset();
+  }
+
+  core::MultiLoadSolution solve(const std::vector<ActiveLoad>& loads) {
+    std::vector<double> weights(plat_->num_clusters(), 0.0);
+    for (const ActiveLoad& load : loads) weights[load.cluster] = load.weight;
+    if (!problem_) {
+      core::LoadSet slots;
+      for (int c = 0; c < plat_->num_clusters(); ++c) {
+        core::LoadSpec spec;
+        spec.source = c;
+        spec.weight = weights[c];
+        slots.loads.push_back(spec);
+      }
+      problem_.emplace(*plat_, std::move(slots), core::Objective::Sum);
+    } else {
+      problem_ = problem_->with_load_weights(weights);
+    }
+    if (!reduced_) {
+      reduced_ = problem_->build_reduced();
+    } else {
+      problem_->update_reduced_payoffs(*reduced_);
+    }
+    core::LpWarmStart warm;
+    warm.state = &state_;
+    warm.arena = &arena_;
+    warm.reduced = &*reduced_;
+    return core::solve_loads(*problem_, options_, &warm);
+  }
+
+private:
+  const platform::Platform* plat_;
+  core::MultiLoadSolveOptions options_;
+  std::optional<core::SteadyStateProblem> problem_;
+  std::optional<core::SteadyStateProblem::ReducedModel> reduced_;
+  lp::WarmState state_;
+  lp::SolveArena arena_;
+};
+
+/// Capacity events patch the cached slot problem and reduced model in
+/// place. Under link and gateway drift plus max-connect changes the
+/// rescheduler must return the rebuild oracle's rates and objective bit
+/// for bit, with the same warm, cold and repaired starts.
+TEST(MultiRescheduler, CapacityPatchesMatchFullRebuildsBitForBit) {
+  const platform::Platform base = test_platform(10, 61);
+  Rng trace_rng(17);
+  dynamics::DriftParams dparams;
+  dparams.horizon = 300.0;
+  dparams.sample_fraction = 0.3;
+  dparams.gateways = true;
+  dynamics::EventTrace trace = dynamics::drift_trace(base, dparams, trace_rng);
+  // Max-connect moves on the routed links, interleaved with the drift.
+  for (int i = 0; i < 12; ++i) {
+    platform::LinkId li = static_cast<platform::LinkId>(i % base.num_links());
+    while (base.num_routes_through(li) == 0) li = (li + 1) % base.num_links();
+    trace.events.push_back({25.0 * i + 3.0, dynamics::EventKind::LinkMaxConnect,
+                            li, static_cast<double>(1 + (i * 7) % 11)});
+  }
+  std::stable_sort(trace.events.begin(), trace.events.end(),
+                   [](const dynamics::PlatformEvent& a,
+                      const dynamics::PlatformEvent& b) { return a.time < b.time; });
+
+  dynamics::DynamicPlatform dyn(base);
+  MultiLoadRescheduler sched(dyn.plat(), {});
+  RebuildingReference ref(dyn.plat());
+
+  // One load per cluster at most; arrivals and departures flip clusters
+  // between events so weight patches and re-pricing interleave.
+  Rng churn_rng(8);
+  std::vector<ActiveLoad> loads = {{0, 1, 1.0}, {1, 4, 0.6}, {2, 7, 1.4}};
+  int next_id = 3, capacity_events = 0;
+  int ref_warm = 0, ref_cold = 0, ref_repaired = 0;
+  for (const dynamics::PlatformEvent& event : trace.events) {
+    const dynamics::ChangeScope scope = dyn.apply(event);
+    ASSERT_NE(scope, dynamics::ChangeScope::Topology);
+    if (scope == dynamics::ChangeScope::Capacity) {
+      sched.platform_capacity_changed();
+      ref.capacity_changed();
+      ++capacity_events;
+    }
+    if (churn_rng.uniform01() < 0.4) {
+      std::vector<char> busy(static_cast<std::size_t>(base.num_clusters()), 0);
+      for (const ActiveLoad& load : loads) busy[load.cluster] = 1;
+      const int c = static_cast<int>(churn_rng.uniform_int(0, base.num_clusters() - 1));
+      if (busy[c] == 0) {
+        loads.push_back({next_id++, c, churn_rng.uniform(0.5, 1.5)});
+      } else if (loads.size() > 1) {
+        std::erase_if(loads, [c](const ActiveLoad& load) { return load.cluster == c; });
+      }
+    }
+    const MultiReschedule got = sched.reschedule(loads);
+    const core::MultiLoadSolution want = ref.solve(loads);
+    ASSERT_EQ(want.status, lp::SolveStatus::Optimal);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.objective),
+              std::bit_cast<std::uint64_t>(want.objective));
+    ASSERT_EQ(got.rate.size(), loads.size());
+    for (std::size_t i = 0; i < loads.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.rate[i]),
+                std::bit_cast<std::uint64_t>(want.throughput[loads[i].cluster]))
+          << "load " << loads[i].id;
+    EXPECT_EQ(got.warm, want.warm);
+    EXPECT_EQ(got.repaired, want.repaired);
+    EXPECT_EQ(got.lp_iterations, want.lp_iterations);
+    ref_warm += want.warm;
+    ref_cold += !want.warm;
+    ref_repaired += want.repaired;
+  }
+  EXPECT_GT(capacity_events, 20);
+  EXPECT_EQ(sched.stats().warm_solves, ref_warm);
+  EXPECT_EQ(sched.stats().cold_solves, ref_cold);
+  EXPECT_EQ(sched.stats().repaired_solves, ref_repaired);
+  EXPECT_GT(ref_repaired, 0);  // link drift re-priced the matrix under the capsule
+  EXPECT_EQ(sched.slot_count(), base.num_clusters());
 }
 
 }  // namespace
