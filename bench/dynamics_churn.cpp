@@ -11,7 +11,8 @@
 //      expected >> 1 from K = 64 up (gated in CI).
 //
 //   2. Churn-aware warm re-solves: after each capacity event the
-//      adaptive rescheduler re-solves the steady state. The warm
+//      rescheduler (single-load mode, LP bound, one load per cluster)
+//      re-solves the steady state. The warm
 //      replica carries its simplex capsule across the event — restored
 //      whole when only rhs/bounds moved, basis-repaired when the event
 //      re-priced matrix coefficients (lp::SimplexOptions::warm_repair)
@@ -140,7 +141,9 @@ int main() {
     // ---- 2. warm/repaired vs cold re-solves under capacity churn ----
     const int resolve_events = exp::scaled(k >= 256 ? 8 : (k >= 64 ? 24 : 48));
     const std::vector<BwEvent> churn = make_bw_events(base, resolve_events, rng);
-    const std::vector<double> payoffs(k, 1.0);
+    // One unit-weight load per cluster: the canonical problem.
+    std::vector<online::ActiveLoad> loads;
+    for (int c = 0; c < k; ++c) loads.push_back({c, c, 1.0});
 
     online::ReschedulerOptions opt;
     opt.method = online::Method::LpBound;
@@ -149,23 +152,23 @@ int main() {
     cold_opt.warm = online::WarmPolicy::Never;
 
     dynamics::DynamicPlatform dyn(base);
-    online::AdaptiveRescheduler warm_sched(dyn.plat(), opt);
-    online::AdaptiveRescheduler cold_sched(dyn.plat(), cold_opt);
+    online::MultiLoadRescheduler warm_sched(dyn.plat(), opt);
+    online::MultiLoadRescheduler cold_sched(dyn.plat(), cold_opt);
     // Prime both replicas. The warm side's priming solve lands in its
     // *cold* stats bucket (first solve has no capsule) so its warm mean
     // is per-event by construction; the cold side's priming solve is
     // snapshot here and subtracted so its mean is per-event too.
-    (void)warm_sched.reschedule(payoffs);
-    (void)cold_sched.reschedule(payoffs);
-    const online::AdaptiveRescheduler::Stats cold_prime = cold_sched.stats();
+    (void)warm_sched.reschedule(loads);
+    (void)cold_sched.reschedule(loads);
+    const online::MultiLoadRescheduler::Stats cold_prime = cold_sched.stats();
 
     double objective_gap = 0.0;
     for (const BwEvent& e : churn) {
       dyn.apply({0.0, dynamics::EventKind::LinkBandwidth, e.link, e.bw});
       warm_sched.platform_capacity_changed();
       cold_sched.platform_capacity_changed();
-      const online::Reschedule w = warm_sched.reschedule(payoffs);
-      const online::Reschedule c = cold_sched.reschedule(payoffs);
+      const online::MultiReschedule w = warm_sched.reschedule(loads);
+      const online::MultiReschedule c = cold_sched.reschedule(loads);
       objective_gap = std::max(
           objective_gap, std::fabs(w.objective - c.objective) /
                              std::max(1.0, std::fabs(c.objective)));

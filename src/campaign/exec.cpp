@@ -241,7 +241,6 @@ std::vector<double> run_stream_case(const ScenarioSpec& spec, const CaseDef& def
   options.sched.method = to_online(spec.methods[def.method]);
   options.sched.objective = spec.objectives[def.objective];
   options.sched.warm = spec.warm[def.warm];
-  options.sched.max_support_change = spec.max_support_change;
   options.sched.greedy.local_exhaust = spec.exhaust.front();
   options.rate_model = spec.rate_model;
   options.sim_policy = spec.sim_policy;

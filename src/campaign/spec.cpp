@@ -265,8 +265,6 @@ void ScenarioSpec::validate() const {
   require(!exhaust.empty(), "campaign spec: empty exhaust axis");
   require(payoff_spread >= 0.0 && payoff_spread < 1.0,
           "campaign spec: payoff-spread out of [0, 1)");
-  require(max_support_change >= 0,
-          "campaign spec: max-support-change must be >= 0");
   require(sim_window_units > 0.0 && std::isfinite(sim_window_units),
           "campaign spec: window must be positive");
   const bool has_stream =
@@ -332,7 +330,6 @@ void write_campaign(const ScenarioSpec& spec, std::ostream& os) {
   os << "seed " << spec.seed << '\n';
   os << "replications " << spec.replications << '\n';
   os << "payoff-spread " << format_double(spec.payoff_spread) << '\n';
-  os << "max-support-change " << spec.max_support_change << '\n';
   os << "rate-model " << to_string(spec.rate_model) << '\n';
   os << "policy " << to_string(spec.sim_policy) << '\n';
   os << "window " << format_double(spec.sim_window_units) << '\n';
@@ -506,12 +503,6 @@ ScenarioSpec read_campaign(std::istream& is) {
       if (!(iss >> spec.payoff_spread) || spec.payoff_spread < 0.0 ||
           spec.payoff_spread >= 1.0) {
         fail(line_no, "expected a payoff spread in [0, 1)");
-      }
-      expect_line_end(iss, line_no);
-    } else if (keyword == "max-support-change") {
-      singleton(keyword, line_no);
-      if (!(iss >> spec.max_support_change) || spec.max_support_change < 0) {
-        fail(line_no, "expected a max-support-change >= 0");
       }
       expect_line_end(iss, line_no);
     } else if (keyword == "rate-model") {

@@ -164,7 +164,6 @@ struct ScenarioSpec {
       core::LocalExhaustPolicy::TakeRemaining};
 
   double payoff_spread = 0.5;         ///< offline cases (exp::CaseConfig)
-  int max_support_change = 4;         ///< online rescheduler invalidation
   online::RateModel rate_model = online::RateModel::Fluid;
   sim::SharingPolicy sim_policy = sim::SharingPolicy::MaxMin;
   /// Per-connection window units for SharingPolicy::BoundedWindow under

@@ -684,8 +684,6 @@ online::OnlineOptions online_options_from_args(Args& args, std::string* warm_nam
   }
   options.sched.objective = resolve_objective(args);
   options.sched.warm = warm_policy;
-  options.sched.max_support_change =
-      args.get_int("max-support-change", options.sched.max_support_change);
   const std::string rate_model = args.get_string("rate-model", "fluid");
   if (rate_model == "fluid") {
     options.rate_model = online::RateModel::Fluid;
@@ -759,7 +757,6 @@ int run_replicated(Args& args, std::ostream& out, std::uint64_t seed, int reps,
   spec.methods = {to_campaign(options.sched.method)};
   spec.objectives = {options.sched.objective};
   spec.warm = {options.sched.warm};
-  spec.max_support_change = options.sched.max_support_change;
   spec.rate_model = options.rate_model;
   spec.sim_policy = options.sim_policy;
   spec.sim_window_units = options.sim_window_units;

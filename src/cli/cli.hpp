@@ -28,7 +28,7 @@
 //                  --arrival-model poisson|onoff --mean-load L
 //                  --load-spread s --payoff-spread s]
 //                 [--method g|lpr|lprg|lp] [--objective maxmin|sum]
-//                 [--warm auto|never|always] [--max-support-change N]
+//                 [--warm auto|never|always]
 //                 [--rate-model fluid|sim] [--policy ...] [--seed n]
 //                 [--save-workload FILE] [--json]
 //                 [--reps N --jobs J]

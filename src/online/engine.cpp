@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <optional>
 
 #include "core/schedule.hpp"
 #include "online/multi_core.hpp"
@@ -13,17 +12,15 @@ namespace {
 
 // Single-load mode: a cluster runs at most one application, later
 // arrivals for a busy cluster wait in its FIFO queue, and rates come
-// from the adaptive rescheduler — verbatim (Fluid) or as the achieved
-// throughputs of a simulated schedule segment (Simulated). The active
-// set is kept in cluster order.
+// from the rescheduler over the canonical LP — verbatim (Fluid) or as
+// the achieved throughputs of a simulated schedule segment (Simulated).
+// The active set is kept in cluster order.
 class SingleLoadCore final : public EventCore {
 public:
   SingleLoadCore(const platform::Platform& plat, const OnlineOptions& options)
-      : EventCore(plat, options.load_eps),
+      : EventCore(plat, options.load_eps, options.sched),
         options_(&options),
-        scheduler_(dyn_.plat(), options.sched),
-        queue_(static_cast<std::size_t>(plat.num_clusters())),
-        payoffs_(static_cast<std::size_t>(plat.num_clusters()), 0.0) {
+        queue_(static_cast<std::size_t>(plat.num_clusters())) {
     sim_options_.policy = options.sim_policy;
     sim_options_.periods = options.sim_periods;
     sim_options_.window_units = options.sim_window_units;
@@ -54,35 +51,15 @@ public:
   int peak_queued = 0;      ///< largest single-cluster queue length
 
 private:
-  void solve() override {
-    if (active_ids_.empty()) return;
-    std::fill(payoffs_.begin(), payoffs_.end(), 0.0);
-    for (int app : active_ids_) payoffs_[apps_[app].cluster] = apps_[app].payoff;
-    const Reschedule r = scheduler_.reschedule(payoffs_);
-    count_solve(r.warm, r.repaired, r.seconds);
-    if (options_->rate_model == RateModel::Fluid) {
-      for (int app : active_ids_)
-        rate_[app] = r.allocation.total_alpha(apps_[app].cluster);
-      return;
-    }
-    // The route table is payoff-independent: build it once, re-payoff
-    // it per event (with_payoffs is O(K); a fresh problem is O(K^2 +
-    // links)).
-    if (!sim_base_)
-      sim_base_.emplace(plat(), payoffs_, options_->sched.objective);
-    const core::SteadyStateProblem problem = sim_base_->with_payoffs(payoffs_);
-    const auto schedule = core::build_periodic_schedule(problem, r.allocation);
+  void on_settled(const MultiReschedule* r) override {
+    if (r == nullptr || options_->rate_model == RateModel::Fluid) return;
+    // Simulated: drain at the achieved throughputs of the periodic
+    // schedule the rescheduler's problem and allocation describe.
+    const core::SteadyStateProblem& problem = scheduler_.problem();
+    const auto schedule =
+        core::build_periodic_schedule(problem, scheduler_.allocation());
     const auto sim = sim::simulate_schedule(problem, schedule, sim_options_);
     for (int app : active_ids_) rate_[app] = sim.throughput[apps_[app].cluster];
-  }
-
-  void platform_changed(dynamics::ChangeScope scope) override {
-    if (scope == dynamics::ChangeScope::Capacity) {
-      scheduler_.platform_capacity_changed();
-    } else {
-      scheduler_.platform_topology_changed();
-    }
-    sim_base_.reset();  // its cached route table is stale
   }
 
   int successor(int app) override {
@@ -99,10 +76,7 @@ private:
   }
 
   const OnlineOptions* options_;
-  AdaptiveRescheduler scheduler_;
   std::vector<std::deque<int>> queue_;  ///< waiting app ids per cluster
-  std::vector<double> payoffs_;         ///< scratch: payoff per cluster
-  std::optional<core::SteadyStateProblem> sim_base_;
   sim::SimOptions sim_options_;
 };
 

@@ -10,9 +10,9 @@
 // Two modes pick the core:
 //   * single-load (default) — each cluster hosts at most one active
 //     application, later arrivals for a busy cluster wait in its FIFO
-//     queue, and rates come from the adaptive rescheduler
-//     (rescheduler.hpp). An arrival that only joins a queue triggers no
-//     reschedule. Fluid trusts the allocation (rate = total_alpha of the
+//     queue, and rates come from the rescheduler (rescheduler.hpp) in
+//     single-load mode, over the canonical problem. An arrival that only
+//     joins a queue triggers no reschedule. Fluid trusts the allocation (rate = total_alpha of the
 //     home cluster); Simulated plays a reconstructed periodic-schedule
 //     segment on the flow simulator and drains at the *achieved*
 //     throughputs, so bandwidth-sharing overruns stretch response times;
@@ -61,9 +61,9 @@ struct OnlineOptions {
   /// Remaining load at or below this is treated as drained (absolute;
   /// loads are O(100) so this absorbs accumulated drain rounding).
   double load_eps = 1e-6;
-  /// Multi-load mode (ISSUE 8): every arrival is admitted immediately as
-  /// a load in ONE shared LP (MultiLoadRescheduler) — clusters host any
-  /// number of concurrent applications and no FIFO queues form
+  /// Multi-load mode: every arrival is admitted immediately as a load
+  /// in ONE shared LP (the rescheduler's multi-load mode) — clusters
+  /// host any number of concurrent applications and no FIFO queues form
   /// (queued_arrivals/peak_queued stay 0). Arrival payoffs become the
   /// loads' objective weights and must be positive. Requires
   /// RateModel::Fluid; `sched` is ignored in favour of `multi`.

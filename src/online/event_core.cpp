@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "support/error.hpp"
 
@@ -12,12 +11,6 @@ namespace dls::online {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
-
-EventCore::EventCore(platform::Platform base, double load_eps)
-    : dyn_(std::move(base)), load_eps_(load_eps) {
-  require(load_eps_ > 0.0, "load_eps must be positive");
-  refresh_total_speed();
-}
 
 void EventCore::refresh_total_speed() {
   total_speed_ = 0.0;
@@ -31,16 +24,27 @@ void EventCore::settle() {
   solve();
 }
 
-void EventCore::count_solve(bool warm, bool repaired, double seconds) {
+void EventCore::solve() {
+  if (active_ids_.empty()) {
+    on_settled(nullptr);
+    return;
+  }
+  loads_.clear();
+  for (int app : active_ids_)
+    loads_.push_back({app, apps_[app].cluster, apps_[app].payoff});
+  const MultiReschedule r = scheduler_.reschedule(loads_);
   ++counters_.reschedules;
-  if (warm) {
+  if (r.warm) {
     ++counters_.warm_solves;
-    counters_.repaired_solves += repaired;
-    counters_.warm_seconds += seconds;
+    counters_.repaired_solves += r.repaired;
+    counters_.warm_seconds += r.seconds;
   } else {
     ++counters_.cold_solves;
-    counters_.cold_seconds += seconds;
+    counters_.cold_seconds += r.seconds;
   }
+  for (std::size_t i = 0; i < active_ids_.size(); ++i)
+    rate_[active_ids_[i]] = r.rate[i];
+  on_settled(&r);
 }
 
 double EventCore::next_completion() {
@@ -163,7 +167,11 @@ dynamics::ChangeScope EventCore::apply_event(double vt,
     cluster_left(ev.target);
   }
   if (scope != dynamics::ChangeScope::None) {
-    platform_changed(scope);
+    if (scope == dynamics::ChangeScope::Capacity) {
+      scheduler_.platform_capacity_changed();
+    } else {
+      scheduler_.platform_topology_changed();
+    }
     refresh_total_speed();
     dirty_ = true;
   }

@@ -3,13 +3,15 @@
 // EventCore is the incremental lifecycle state machine every online
 // engine shares: a private DynamicPlatform copy, one AppRecord per
 // arrival, the active set with its fluid drain rates, completions at
-// exact virtual times, churn aborts and the lifecycle counters. Its two
-// subclasses differ only in admission and rate computation:
+// exact virtual times, churn aborts, the lifecycle counters and the one
+// rescheduler (rescheduler.hpp) that prices the active set. Its two
+// subclasses differ in admission and in the rescheduler's problem shape:
 //   * MultiLoadCore (multi_core.hpp) — every active application is a
 //     load in one shared LP; behind `dls online --loads` and, as
 //     serve::ServeEngine, behind `dls serve`;
 //   * the single-load core in engine.cpp — one application per cluster,
-//     FIFO queues, AdaptiveRescheduler rates; behind `dls online`.
+//     FIFO queues, the canonical LP (and optionally simulated rates);
+//     behind `dls online`.
 //
 // Virtual time is the core's only clock. advance_to(vt) drains the
 // active loads to vt and fires every completion due by then; mutations
@@ -32,10 +34,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dynamics/dynamic_platform.hpp"
 #include "online/metrics.hpp"
+#include "online/rescheduler.hpp"
 #include "online/workload.hpp"
 #include "platform/platform.hpp"
 
@@ -65,7 +69,15 @@ struct CoreCounters {
 
 class EventCore {
 public:
-  EventCore(platform::Platform base, double load_eps);
+  /// `sched` picks the rescheduler's problem shape: ReschedulerOptions
+  /// for one application per cluster, MultiReschedulerOptions for the
+  /// shared multi-load LP.
+  template <class SchedOptions>
+  EventCore(platform::Platform base, double load_eps, const SchedOptions& sched)
+      : dyn_(std::move(base)), load_eps_(load_eps), scheduler_(dyn_.plat(), sched) {
+    require(load_eps_ > 0.0, "load_eps must be positive");
+    refresh_total_speed();
+  }
   virtual ~EventCore() = default;
   EventCore(const EventCore&) = delete;
   EventCore& operator=(const EventCore&) = delete;
@@ -111,11 +123,10 @@ public:
   [[nodiscard]] const platform::Platform& plat() const { return dyn_.plat(); }
 
 protected:
-  /// Recomputes rate_ for every active application (called by settle()
-  /// with the schedule dirty, also when nothing is active).
-  virtual void solve() = 0;
-  /// The platform changed under the schedule (scope != None).
-  virtual void platform_changed(dynamics::ChangeScope scope) = 0;
+  /// Called after every settle with the solve whose rates rate_ now
+  /// holds (a subclass may refine them), or null when no application is
+  /// active (nothing to solve).
+  virtual void on_settled(const MultiReschedule* /*r*/) {}
   /// The application that takes completed `app`'s place (FIFO
   /// hand-over), or -1.
   virtual int successor(int /*app*/) { return -1; }
@@ -134,11 +145,10 @@ protected:
   /// Ends `app`'s lifecycle at now() with `outcome` (the caller removes
   /// it from the active set and marks the schedule dirty).
   void retire(int app, AppOutcome outcome);
-  /// Counts one solve.
-  void count_solve(bool warm, bool repaired, double seconds);
 
   dynamics::DynamicPlatform dyn_;
   double load_eps_;
+  MultiLoadRescheduler scheduler_;  ///< watches dyn_'s platform
   double now_ = 0.0;
   bool dirty_ = false;  ///< active set or platform changed since the last solve
   std::vector<AppRecord> apps_;
@@ -148,6 +158,8 @@ protected:
   CoreCounters counters_;
 
 private:
+  /// Reschedules the active set and refreshes rate_.
+  void solve();
   void drain_to(double vt);
   void complete_due();
   void refresh_total_speed();
@@ -155,6 +167,7 @@ private:
   double total_speed_ = 0.0;
   OnlineMetrics metrics_;
   std::vector<double> weighted_rates_;  ///< scratch for the fairness metric
+  std::vector<ActiveLoad> loads_;       ///< scratch for reschedule calls
 };
 
 /// The one replay driver: a cursor over a recorded (Workload,

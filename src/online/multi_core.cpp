@@ -18,33 +18,9 @@ const char* to_string(Admit a) {
 }
 
 MultiLoadCore::MultiLoadCore(platform::Platform base, CoreOptions options)
-    : EventCore(std::move(base), options.load_eps),
-      options_(std::move(options)),
-      scheduler_(dyn_.plat(), options_.sched) {
+    : EventCore(std::move(base), options.load_eps, options.sched),
+      options_(std::move(options)) {
   require(options_.max_loads >= 0, "max_loads cannot be negative");
-}
-
-void MultiLoadCore::solve() {
-  if (active_ids_.empty()) {
-    on_settled(nullptr);
-    return;
-  }
-  loads_.clear();
-  for (int app : active_ids_)
-    loads_.push_back({app, apps_[app].cluster, apps_[app].payoff});
-  const MultiReschedule r = scheduler_.reschedule(loads_);
-  count_solve(r.warm, r.repaired, r.seconds);
-  for (std::size_t i = 0; i < active_ids_.size(); ++i)
-    rate_[active_ids_[i]] = r.rate[i];
-  on_settled(&r);
-}
-
-void MultiLoadCore::platform_changed(dynamics::ChangeScope scope) {
-  if (scope == dynamics::ChangeScope::Capacity) {
-    scheduler_.platform_capacity_changed();
-  } else {
-    scheduler_.platform_topology_changed();
-  }
 }
 
 MultiLoadCore::ArriveResult MultiLoadCore::arrive(double vt, int cluster,

@@ -71,20 +71,13 @@ public:
   }
 
 protected:
-  /// Observation hooks for the daemon. on_settled gets the solve, or
-  /// null when no load is active (nothing to solve).
+  /// Observation hook for the daemon.
   virtual void on_arrival(const AppRecord& /*rec*/, Admit /*admit*/) {}
-  virtual void on_settled(const MultiReschedule* /*r*/) {}
 
 private:
-  void solve() override;
-  void platform_changed(dynamics::ChangeScope scope) override;
-
   CoreOptions options_;
-  MultiLoadRescheduler scheduler_;
   bool draining_ = false;
   std::vector<std::string> names_;
-  std::vector<ActiveLoad> loads_;  ///< scratch for reschedule calls
 };
 
 }  // namespace dls::online

@@ -10,33 +10,25 @@ namespace dls::online {
 
 namespace {
 
-int support_change(const std::vector<double>& a, const std::vector<double>& b) {
-  int changed = 0;
-  for (std::size_t k = 0; k < a.size(); ++k)
-    changed += (a[k] > 0.0) != (b[k] > 0.0);
-  return changed;
-}
-
 // Rescheduler-level series: solves by (mode, start kind), the slot
 // universe's churn (seat/unseat patches, geometric growth), and queue
 // depth. The lp layer separately counts the underlying simplex work.
 struct ReschedObs {
-  obs::Counter single_cold, single_warm, single_repaired;
-  obs::Counter multi_cold, multi_warm, multi_repaired;
+  /// Indexed by mode: 0 = single, 1 = multi.
+  obs::Counter cold[2], warm[2], repaired[2];
   obs::Counter seats, unseats, slot_grow;
   obs::Gauge slots, active_loads;
   ReschedObs() {
     auto& reg = obs::registry();
     const std::string solves = "dls_resched_solves_total";
     const std::string help = "Rescheduler solves by mode and start kind";
-    single_cold = reg.counter(solves, help, "mode=\"single\",start=\"cold\"");
-    single_warm = reg.counter(solves, help, "mode=\"single\",start=\"warm\"");
-    single_repaired =
-        reg.counter(solves, help, "mode=\"single\",start=\"repaired\"");
-    multi_cold = reg.counter(solves, help, "mode=\"multi\",start=\"cold\"");
-    multi_warm = reg.counter(solves, help, "mode=\"multi\",start=\"warm\"");
-    multi_repaired =
-        reg.counter(solves, help, "mode=\"multi\",start=\"repaired\"");
+    const char* modes[2] = {"single", "multi"};
+    for (int m = 0; m < 2; ++m) {
+      const std::string mode = std::string("mode=\"") + modes[m] + "\",start=";
+      cold[m] = reg.counter(solves, help, mode + "\"cold\"");
+      warm[m] = reg.counter(solves, help, mode + "\"warm\"");
+      repaired[m] = reg.counter(solves, help, mode + "\"repaired\"");
+    }
     seats = reg.counter("dls_resched_seats_total",
                         "Loads seated onto shared-LP slots");
     unseats = reg.counter("dls_resched_unseats_total",
@@ -66,165 +58,67 @@ const char* to_string(Method method) {
   return "?";
 }
 
-AdaptiveRescheduler::AdaptiveRescheduler(const platform::Platform& plat,
-                                         ReschedulerOptions options)
+MultiLoadRescheduler::MultiLoadRescheduler(const platform::Platform& plat,
+                                           MultiReschedulerOptions options)
     : plat_(&plat), options_(options) {
-  require(options_.max_support_change >= 0,
-          "AdaptiveRescheduler: max_support_change cannot be negative");
   // Per-event solves never read shadow prices; skip their extraction.
-  options_.lp.compute_duals = false;
+  options_.solve.lp.compute_duals = false;
   // Successive models here are always small perturbations of one
   // another, the setting basis repair is designed for. With a static
   // platform the matrix fingerprint always matches and the flag is
   // inert; after a capacity event it turns the forced cold solve into a
   // statuses-only repair.
-  options_.lp.warm_repair = true;
+  options_.solve.lp.warm_repair = true;
 }
 
-void AdaptiveRescheduler::reset() {
-  warm_state_.invalidate();
-  prev_allocation_.reset();
-  prev_payoffs_.clear();
-}
-
-void AdaptiveRescheduler::platform_capacity_changed() {
-  // The route table caches per-route pbw and the reduced model caches
-  // capacities in rhs and max-connect coefficients: refresh both in
-  // place instead of rebuilding them (the route set is unchanged).
-  if (base_problem_) {
-    const bool pbw_changed = base_problem_->refresh_route_bandwidths();
-    if (reduced_cache_)
-      base_problem_->update_reduced_capacities(*reduced_cache_, pbw_changed);
-  }
-  // Keep warm_state_ (capsule reuse or repair) and prev_payoffs_ (the
-  // support-change rule is about payoffs, which did not move). The
-  // greedy seed allocation may violate the new capacities; drop it.
-  prev_allocation_.reset();
-}
-
-void AdaptiveRescheduler::platform_topology_changed() {
-  base_problem_.reset();
-  reduced_cache_.reset();
-  reset();
-}
-
-Reschedule AdaptiveRescheduler::reschedule(const std::vector<double>& payoffs) {
-  if (!base_problem_) {
-    base_problem_.emplace(*plat_, payoffs, options_.objective);
-  }
-  const core::SteadyStateProblem problem = base_problem_->with_payoffs(payoffs);
-
-  // Invalidation rule 1; rules 2 (model shape) and 3 (primal feasibility)
-  // live inside the simplex, which rejects a basis that fails them.
-  const bool have_prev = !prev_payoffs_.empty();
-  const bool small_change =
-      have_prev &&
-      support_change(prev_payoffs_, payoffs) <= options_.max_support_change;
-  const bool try_warm = options_.warm != WarmPolicy::Never &&
-                        (options_.warm == WarmPolicy::Always ? have_prev
-                                                             : small_change);
-
-  WallTimer timer;
-  Reschedule out{core::Allocation(problem.num_clusters())};
-  if (options_.method == Method::Greedy) {
-    // Auto keeps greedy cold: it solves no LP, so there is no phase-1
-    // work to skip, and the seeded variant changes the objective.
-    const bool seed = options_.warm == WarmPolicy::Always && try_warm &&
-                      prev_allocation_.has_value();
-    core::HeuristicResult r =
-        seed ? core::run_greedy_warm(problem, *prev_allocation_, options_.greedy)
-             : core::run_greedy(problem, options_.greedy);
-    require(r.status == lp::SolveStatus::Optimal, "reschedule: greedy failed");
-    out.allocation = std::move(r.allocation);
-    out.objective = r.objective;
-    out.warm = seed;
-  } else {
-    // The solve refreshes the capsule either way; invalidating first is
-    // how rule 1 forces a cold start without losing the refresh.
-    if (!try_warm) warm_state_.invalidate();
-    core::LpWarmStart warm;
-    warm.state = &warm_state_;
-    warm.arena = &arena_;
-    if (options_.objective == core::Objective::Sum) {
-      if (!reduced_cache_) {
-        reduced_cache_ = problem.build_reduced();
-      } else {
-        problem.update_reduced_payoffs(*reduced_cache_);
-      }
-      warm.reduced = &*reduced_cache_;
-    }
-    if (options_.method == Method::LpBound) {
-      core::LpBoundResult r = core::lp_upper_bound(problem, options_.lp, &warm);
-      require(r.status == lp::SolveStatus::Optimal, "reschedule: LP bound failed");
-      out.allocation = std::move(r.allocation);
-      out.objective = r.objective;
-      out.lp_iterations = r.iterations;
-    } else {
-      core::HeuristicResult r =
-          options_.method == Method::Lpr
-              ? core::run_lpr(problem, options_.lp, &warm)
-              : core::run_lprg(problem, options_.lp, options_.greedy, &warm);
-      if (r.status != lp::SolveStatus::Optimal)
-        throw Error(std::string("reschedule: method ") + to_string(options_.method) +
-                    " failed");
-      out.allocation = std::move(r.allocation);
-      out.objective = r.objective;
-      out.lp_iterations = r.lp_iterations;
-    }
-    out.warm = warm.used;
-    out.repaired = warm.kind == lp::WarmKind::Basis;
-  }
-  out.seconds = timer.seconds();
-
-  if (out.warm) {
-    ++stats_.warm_solves;
-    stats_.repaired_solves += out.repaired;
-    stats_.warm_seconds += out.seconds;
-    stats_.warm_iterations += out.lp_iterations;
-    (out.repaired ? resched_obs().single_repaired : resched_obs().single_warm)
-        .inc();
-  } else {
-    ++stats_.cold_solves;
-    stats_.cold_seconds += out.seconds;
-    stats_.cold_iterations += out.lp_iterations;
-    resched_obs().single_cold.inc();
-  }
-  prev_payoffs_ = payoffs;
-  prev_allocation_ = out.allocation;
+namespace {
+MultiReschedulerOptions single_load_posture(const ReschedulerOptions& options) {
+  MultiReschedulerOptions out;
+  out.solve.lp = options.lp;
+  out.warm = options.warm;
   return out;
 }
+}  // namespace
 
 MultiLoadRescheduler::MultiLoadRescheduler(const platform::Platform& plat,
-                                           MultiReschedulerOptions options)
-    : plat_(&plat), options_(options) {
-  // Same solver posture as the single-load rescheduler: per-event solves
-  // never read duals, and successive models are small perturbations of
-  // one another, so basis repair is always worth attempting.
-  options_.solve.lp.compute_duals = false;
-  options_.solve.lp.warm_repair = true;
+                                           const ReschedulerOptions& options)
+    : MultiLoadRescheduler(plat, single_load_posture(options)) {
+  single_ = options;
+}
+
+const core::SteadyStateProblem& MultiLoadRescheduler::problem() const {
+  require(problem_.has_value(), "MultiLoadRescheduler: no problem solved yet");
+  return *problem_;
+}
+
+const core::Allocation& MultiLoadRescheduler::allocation() const {
+  require(allocation_.has_value(),
+          "MultiLoadRescheduler: no single-load allocation to read");
+  return *allocation_;
 }
 
 void MultiLoadRescheduler::reset() {
   warm_state_.invalidate();
   slot_of_.clear();
   std::fill(slot_app_.begin(), slot_app_.end(), -1);
+  allocation_.reset();
 }
 
 void MultiLoadRescheduler::platform_capacity_changed() {
-  // Cached problems bake per-route pbw, and the reduced model bakes
+  // The cached problem bakes per-route pbw, and the reduced model bakes
   // capacities into rhs and max-connect coefficients: patch both in
   // place (bit-identical to a rebuild). The capsule survives for a whole
-  // (rhs-only) or repaired (re-priced) warm start.
+  // (rhs-only) or repaired (re-priced) warm start. The greedy seed may
+  // violate the new capacities; drop it.
   if (problem_) {
     const bool pbw_changed = problem_->refresh_route_bandwidths();
     if (reduced_cache_) problem_->update_reduced_capacities(*reduced_cache_, pbw_changed);
   }
-  if (maxmin_problem_) maxmin_problem_->refresh_route_bandwidths();
+  allocation_.reset();
 }
 
 void MultiLoadRescheduler::platform_topology_changed() {
   problem_.reset();
-  maxmin_problem_.reset();
   reduced_cache_.reset();
   slots_per_cluster_.clear();
   slot_base_.clear();
@@ -252,19 +146,24 @@ void MultiLoadRescheduler::rebuild_slots(const std::vector<int>& needed) {
   slot_of_.clear();
   // The model reshapes: a capsule saved against the old slot universe
   // cannot fit and rejecting it eagerly keeps the stats honest. The slot
-  // problem keeps its route table; solve_shared re-derives it with
-  // with_loads and rebuilds the reduced model.
+  // problem keeps its route table; seat() re-derives it with with_loads
+  // and the reduced model is rebuilt.
   warm_state_.invalidate();
   reduced_cache_.reset();
   resched_obs().slot_grow.inc();
   resched_obs().slots.set(static_cast<double>(total_slots_));
 }
 
-MultiReschedule MultiLoadRescheduler::solve_shared(
-    const std::vector<ActiveLoad>& loads) {
+void MultiLoadRescheduler::seat(const std::vector<ActiveLoad>& loads) {
   const int n = plat_->num_clusters();
   std::vector<int> needed(n, 0);
   for (const ActiveLoad& load : loads) ++needed[load.cluster];
+  if (single_) {
+    for (int c = 0; c < n; ++c)
+      require(needed[c] <= 1,
+              "MultiLoadRescheduler: single-load mode holds at most one load "
+              "per cluster");
+  }
 
   bool grown = static_cast<int>(slots_per_cluster_.size()) != n;
   for (int c = 0; !grown && c < n; ++c) grown = needed[c] > slots_per_cluster_[c];
@@ -303,9 +202,11 @@ MultiReschedule MultiLoadRescheduler::solve_shared(
   std::vector<double> weights(total_slots_, 0.0);
   for (const ActiveLoad& load : loads) weights[slot_of_[load.id]] = load.weight;
 
-  if (!reduced_cache_) {
-    // New slot universe: re-derive the slot problem, sharing the route
-    // table when one exists (only a topology reset drops it).
+  // A new slot universe (the problem's load count no longer matches)
+  // re-derives the slot problem, sharing the route table when one
+  // exists (only a topology reset drops it). With one slot per cluster
+  // the slot set is the canonical one.
+  if (!problem_ || problem_->num_loads() != total_slots_) {
     core::LoadSet slots;
     slots.loads.reserve(total_slots_);
     for (int c = 0; c < n; ++c)
@@ -318,32 +219,74 @@ MultiReschedule MultiLoadRescheduler::solve_shared(
     if (problem_) {
       problem_ = problem_->with_loads(std::move(slots));
     } else {
-      problem_.emplace(*plat_, std::move(slots), core::Objective::Sum);
+      problem_.emplace(*plat_, std::move(slots),
+                       single_ ? single_->objective : core::Objective::Sum);
     }
   } else {
     problem_ = problem_->with_load_weights(weights);
   }
-  if (!reduced_cache_) {
-    reduced_cache_ = problem_->build_reduced();
+}
+
+MultiReschedule MultiLoadRescheduler::solve_single(
+    const std::vector<ActiveLoad>& loads, core::LpWarmStart& warm) {
+  const ReschedulerOptions& single = *single_;
+  const core::SteadyStateProblem& problem = *problem_;
+  const lp::SimplexOptions& lp_options = options_.solve.lp;
+  MultiReschedule out;
+  if (single.method == Method::Greedy) {
+    // Auto keeps greedy cold: it solves no LP, so there is no phase-1
+    // work to skip, and the seeded variant changes the objective.
+    const bool seed = options_.warm == WarmPolicy::Always && allocation_.has_value();
+    core::HeuristicResult r =
+        seed ? core::run_greedy_warm(problem, *allocation_, single.greedy)
+             : core::run_greedy(problem, single.greedy);
+    require(r.status == lp::SolveStatus::Optimal, "reschedule: greedy failed");
+    allocation_ = std::move(r.allocation);
+    out.objective = r.objective;
+    out.warm = seed;
+  } else if (single.method == Method::LpBound) {
+    core::LpBoundResult r = core::lp_upper_bound(problem, lp_options, &warm);
+    require(r.status == lp::SolveStatus::Optimal, "reschedule: LP bound failed");
+    allocation_ = std::move(r.allocation);
+    out.objective = r.objective;
+    out.lp_iterations = r.iterations;
+    out.lp_solves = 1;
   } else {
-    problem_->update_reduced_payoffs(*reduced_cache_);
+    core::HeuristicResult r =
+        single.method == Method::Lpr
+            ? core::run_lpr(problem, lp_options, &warm)
+            : core::run_lprg(problem, lp_options, single.greedy, &warm);
+    if (r.status != lp::SolveStatus::Optimal)
+      throw Error(std::string("reschedule: method ") + to_string(single.method) +
+                  " failed");
+    allocation_ = std::move(r.allocation);
+    out.objective = r.objective;
+    out.lp_iterations = r.lp_iterations;
+    out.lp_solves = r.lp_solves;
   }
+  if (single.method != Method::Greedy) {
+    out.warm = warm.used;
+    out.repaired = warm.kind == lp::WarmKind::Basis;
+  }
+  out.rate.resize(loads.size());
+  for (std::size_t i = 0; i < loads.size(); ++i)
+    out.rate[i] = allocation_->total_alpha(loads[i].cluster);
+  return out;
+}
 
-  if (options_.warm == WarmPolicy::Never) warm_state_.invalidate();
-  core::LpWarmStart warm;
-  warm.state = &warm_state_;
-  warm.arena = &arena_;
-  warm.reduced = &*reduced_cache_;
-
+MultiReschedule MultiLoadRescheduler::solve_multi(
+    const std::vector<ActiveLoad>& loads, core::LpWarmStart& warm) {
   const core::MultiLoadSolution sol =
       core::solve_loads(*problem_, options_.solve, &warm);
   require(sol.status == lp::SolveStatus::Optimal,
           "MultiLoadRescheduler: shared LP solve failed");
-
+  // A MaxMin problem's loads are the active set in call order; any
+  // other problem's are the slots.
+  const bool active_set = problem_->objective() == core::Objective::MaxMin;
   MultiReschedule out;
   out.rate.resize(loads.size());
   for (std::size_t i = 0; i < loads.size(); ++i)
-    out.rate[i] = sol.throughput[slot_of_[loads[i].id]];
+    out.rate[i] = sol.throughput[active_set ? i : slot_of_[loads[i].id]];
   out.objective = sol.objective;
   out.warm = sol.warm;
   out.repaired = sol.repaired;
@@ -352,7 +295,7 @@ MultiReschedule MultiLoadRescheduler::solve_shared(
   return out;
 }
 
-MultiReschedule MultiLoadRescheduler::solve_maxmin(
+void MultiLoadRescheduler::derive_active_problem(
     const std::vector<ActiveLoad>& loads) {
   core::LoadSet set;
   set.loads.reserve(loads.size());
@@ -362,29 +305,9 @@ MultiReschedule MultiLoadRescheduler::solve_maxmin(
     spec.weight = load.weight;
     set.loads.push_back(std::move(spec));
   }
-  maxmin_problem_ = maxmin_problem_
-                        ? maxmin_problem_->with_loads(std::move(set))
-                        : core::SteadyStateProblem(*plat_, std::move(set),
-                                                   core::Objective::MaxMin);
-
-  if (options_.warm == WarmPolicy::Never) warm_state_.invalidate();
-  core::LpWarmStart warm;
-  warm.state = &warm_state_;
-  warm.arena = &arena_;
-
-  const core::MultiLoadSolution sol =
-      core::solve_loads(*maxmin_problem_, options_.solve, &warm);
-  require(sol.status == lp::SolveStatus::Optimal,
-          "MultiLoadRescheduler: max-min solve failed");
-
-  MultiReschedule out;
-  out.rate = sol.throughput;
-  out.objective = sol.objective;
-  out.warm = sol.warm;
-  out.repaired = sol.repaired;
-  out.lp_iterations = sol.lp_iterations;
-  out.lp_solves = sol.lp_solves;
-  return out;
+  problem_ = problem_ ? problem_->with_loads(std::move(set))
+                      : core::SteadyStateProblem(*plat_, std::move(set),
+                                                 core::Objective::MaxMin);
 }
 
 MultiReschedule MultiLoadRescheduler::reschedule(
@@ -404,26 +327,47 @@ MultiReschedule MultiLoadRescheduler::reschedule(
           "MultiLoadRescheduler: duplicate load id");
 
   WallTimer timer;
-  MultiReschedule out =
-      options_.solve.objective == core::MultiObjective::MaxMin
-          ? solve_maxmin(loads)
-          : solve_shared(loads);
+  // Multi-load MaxMin spans the active set alone; every other shape is
+  // the slot problem.
+  if (!single_ && options_.solve.objective == core::MultiObjective::MaxMin) {
+    derive_active_problem(loads);
+  } else {
+    seat(loads);
+  }
+  // A Sum model keeps its rows across events, so one cached reduced
+  // model is patched per event; a MaxMin solve builds its own (one
+  // fairness row per active load), and greedy solves no LP.
+  const bool solves_lp = !single_ || single_->method != Method::Greedy;
+  if (solves_lp && problem_->objective() == core::Objective::Sum) {
+    if (!reduced_cache_) {
+      reduced_cache_ = problem_->build_reduced();
+    } else {
+      problem_->update_reduced_payoffs(*reduced_cache_);
+    }
+  }
+  if (options_.warm == WarmPolicy::Never) warm_state_.invalidate();
+  core::LpWarmStart warm;
+  warm.state = &warm_state_;
+  warm.arena = &arena_;
+  if (reduced_cache_) warm.reduced = &*reduced_cache_;
+  MultiReschedule out = single_ ? solve_single(loads, warm) : solve_multi(loads, warm);
   out.seconds = timer.seconds();
 
+  ReschedObs& obs = resched_obs();
+  const int mode = single_ ? 0 : 1;
   if (out.warm) {
     ++stats_.warm_solves;
     stats_.repaired_solves += out.repaired;
     stats_.warm_seconds += out.seconds;
     stats_.warm_iterations += out.lp_iterations;
-    (out.repaired ? resched_obs().multi_repaired : resched_obs().multi_warm)
-        .inc();
+    (out.repaired ? obs.repaired : obs.warm)[mode].inc();
   } else {
     ++stats_.cold_solves;
     stats_.cold_seconds += out.seconds;
     stats_.cold_iterations += out.lp_iterations;
-    resched_obs().multi_cold.inc();
+    obs.cold[mode].inc();
   }
-  resched_obs().active_loads.set(static_cast<double>(loads.size()));
+  obs.active_loads.set(static_cast<double>(loads.size()));
   return out;
 }
 

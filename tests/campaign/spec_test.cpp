@@ -17,7 +17,6 @@ const char* kFullSpec =
     "seed 99\n"
     "replications 3\n"
     "payoff-spread 0.25\n"
-    "max-support-change 6\n"
     "rate-model sim\n"
     "policy tcp\n"
     "window 25\n"
@@ -42,7 +41,6 @@ TEST(CampaignSpec, ParsesEveryAxis) {
   EXPECT_EQ(spec.seed, 99u);
   EXPECT_EQ(spec.replications, 3);
   EXPECT_DOUBLE_EQ(spec.payoff_spread, 0.25);
-  EXPECT_EQ(spec.max_support_change, 6);
   EXPECT_EQ(spec.rate_model, online::RateModel::Simulated);
   EXPECT_EQ(spec.sim_policy, sim::SharingPolicy::TcpRttBias);
   EXPECT_DOUBLE_EQ(spec.sim_window_units, 25.0);
@@ -148,6 +146,8 @@ TEST(CampaignSpec, DiagnosticsNameTheLine) {
   EXPECT_THROW((void)from_text(""), Error);
   // Unknown keyword.
   expect_fail_at("dls-campaign 1\nfrobnicate 3\n", 2, "unknown keyword");
+  // A retired keyword is just as unknown.
+  expect_fail_at("dls-campaign 1\nmax-support-change 4\n", 2, "unknown keyword");
   // Unknown key on a platform line.
   expect_fail_at("dls-campaign 1\nplatform generate clusterz=4\n", 2,
                  "unknown key 'clusterz'");

@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "platform/generator.hpp"
 
 namespace dls::online {
@@ -162,6 +167,65 @@ TEST(OnlineEngine, EmptyWorkloadIsANoop) {
   EXPECT_EQ(report.completed, 0);
   EXPECT_EQ(report.reschedules, 0);
   EXPECT_EQ(report.makespan, 0.0);
+}
+
+/// The rescheduler's solve series, dls_resched_solves_total, as
+/// {mode, start} -> count.
+std::map<std::pair<std::string, std::string>, std::uint64_t> resched_solves() {
+  std::map<std::pair<std::string, std::string>, std::uint64_t> out;
+  for (const char* mode : {"single", "multi"})
+    for (const char* start : {"cold", "warm", "repaired"}) out[{mode, start}] = 0;
+  for (const obs::SeriesSnapshot& s : obs::registry().snapshot().series) {
+    if (s.name != "dls_resched_solves_total") continue;
+    for (auto& [key, count] : out)
+      if (s.labels == "mode=\"" + key.first + "\",start=\"" + key.second + "\"")
+        count = s.counter;
+  }
+  return out;
+}
+
+/// Replays `options` under capacity drift (so Sum LP solves take all
+/// three start kinds) and checks that exactly the `mode` solve series
+/// rose, by the report's solve counts split by start kind.
+void check_solve_series(const OnlineOptions& options, const std::string& mode) {
+  const platform::Platform plat = test_platform(8, 53);
+  const Workload wl = poisson(8, 80, 59);
+  Rng trace_rng(61);
+  dynamics::DriftParams drift;
+  drift.horizon = 40.0;
+  const dynamics::EventTrace trace = dynamics::drift_trace(plat, drift, trace_rng);
+  const auto before = resched_solves();
+  const OnlineReport report = OnlineEngine(plat, options).run(wl, trace);
+  const auto after = resched_solves();
+  ASSERT_GT(report.repaired_solves, 0);
+  ASSERT_GT(report.warm_solves, report.repaired_solves);
+  ASSERT_GT(report.cold_solves, 0);
+  for (const auto& [key, count] : after) {
+    const std::uint64_t delta = count - before.at(key);
+    std::uint64_t want = 0;
+    if (key.first == mode) {
+      if (key.second == "cold") want = static_cast<std::uint64_t>(report.cold_solves);
+      if (key.second == "warm")
+        want = static_cast<std::uint64_t>(report.warm_solves - report.repaired_solves);
+      if (key.second == "repaired")
+        want = static_cast<std::uint64_t>(report.repaired_solves);
+    }
+    EXPECT_EQ(delta, want) << "mode=" << key.first << " start=" << key.second;
+  }
+}
+
+TEST(OnlineEngine, SingleLoadReplayRaisesOnlyTheSingleSolveSeries) {
+  OnlineOptions options;
+  options.sched.method = Method::LpBound;
+  options.sched.objective = core::Objective::Sum;
+  check_solve_series(options, "single");
+}
+
+TEST(OnlineEngine, MultiLoadReplayRaisesOnlyTheMultiSolveSeries) {
+  OnlineOptions options;
+  options.multi_load = true;
+  options.multi.solve.objective = core::MultiObjective::WeightedSum;
+  check_solve_series(options, "multi");
 }
 
 }  // namespace

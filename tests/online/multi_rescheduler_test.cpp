@@ -133,7 +133,7 @@ TEST(MultiRescheduler, SlotUniverseGrowsGeometricallyAndStaysCorrect) {
 
 TEST(MultiRescheduler, RejectsInvalidActiveSets) {
   const platform::Platform plat = test_platform(3, 9);
-  MultiLoadRescheduler sched(plat, {});
+  MultiLoadRescheduler sched(plat, MultiReschedulerOptions{});
   EXPECT_THROW((void)sched.reschedule({}), Error);
   EXPECT_THROW((void)sched.reschedule({{0, 0, 1.0}, {0, 1, 1.0}}), Error);
   EXPECT_THROW((void)sched.reschedule({{0, 7, 1.0}}), Error);
@@ -295,7 +295,7 @@ TEST(MultiRescheduler, CapacityPatchesMatchFullRebuildsBitForBit) {
                       const dynamics::PlatformEvent& b) { return a.time < b.time; });
 
   dynamics::DynamicPlatform dyn(base);
-  MultiLoadRescheduler sched(dyn.plat(), {});
+  MultiLoadRescheduler sched(dyn.plat(), MultiReschedulerOptions{});
   RebuildingReference ref(dyn.plat());
 
   // One load per cluster at most; arrivals and departures flip clusters

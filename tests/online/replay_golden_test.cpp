@@ -4,7 +4,8 @@
 // mode, printed as C99 `%a` hex floats, must match the committed files
 // byte for byte. The trace mixes capacity drift, link failures and
 // cluster churn, so the pins cover completions, platform events, churn
-// aborts and rejects.
+// aborts and rejects. Single-load mode is pinned under both objectives
+// (MaxMin, the default, and Sum).
 //
 // To re-record after an intended semantic change:
 //   DLS_UPDATE_GOLDEN=1 ./dls_tests --gtest_filter='*LoadGolden.*'
@@ -126,6 +127,44 @@ std::string single_load_pins() {
   return out;
 }
 
+/// The single-load replay under Objective::Sum — the objective whose LP
+/// methods patch one cached reduced model per event — for every method,
+/// greedy cold (WarmPolicy::Auto) and seeded (WarmPolicy::Always), fluid
+/// and simulated, over the same inputs.
+std::string single_load_sum_pins() {
+  const Inputs in = inputs();
+  struct Arm {
+    Method method;
+    WarmPolicy warm;
+    const char* label;
+  };
+  const Arm arms[] = {
+      {Method::Greedy, WarmPolicy::Auto, "greedy-auto"},
+      {Method::Greedy, WarmPolicy::Always, "greedy-always"},
+      {Method::Lpr, WarmPolicy::Auto, "lpr"},
+      {Method::Lprg, WarmPolicy::Auto, "lprg"},
+      {Method::LpBound, WarmPolicy::Auto, "lp"},
+  };
+  std::string out;
+  for (const Arm& arm : arms) {
+    for (const RateModel model : {RateModel::Fluid, RateModel::Simulated}) {
+      OnlineOptions options;
+      options.sched.method = arm.method;
+      options.sched.objective = core::Objective::Sum;
+      options.sched.warm = arm.warm;
+      options.rate_model = model;
+      const OnlineReport report =
+          OnlineEngine(in.plat, options).run(in.wl, in.trace);
+      EXPECT_GT(report.platform_events, 0);
+      EXPECT_GT(report.queued_arrivals, 0);
+      out += std::string("method ") + arm.label + " rate_model " +
+             (model == RateModel::Fluid ? "fluid" : "simulated") + "\n" +
+             pin(report);
+    }
+  }
+  return out;
+}
+
 /// Compares `got` with the committed file, or re-records it when
 /// DLS_UPDATE_GOLDEN is set.
 void check_golden(const std::string& name, const std::string& got) {
@@ -148,6 +187,10 @@ TEST(MultiLoadGolden, DynamicsReplayMatchesCommittedPin) {
 
 TEST(SingleLoadGolden, DynamicsReplayMatchesCommittedPin) {
   check_golden("run_single_golden.txt", single_load_pins());
+}
+
+TEST(SingleLoadGolden, SumReplayMatchesCommittedPin) {
+  check_golden("run_single_sum_golden.txt", single_load_sum_pins());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Adaptive rescheduler: warm-started re-solves must match cold solves'
-// objectives (the acceptance cross-check of ISSUE 2), the invalidation
-// rules must hold, and the warm path must actually engage.
+// The rescheduler in single-load mode (the paper's one application per
+// cluster): warm-started re-solves must match cold solves' objectives,
+// the invalidation rules must hold, and the warm path must actually
+// engage.
 #include "online/rescheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,16 @@ platform::Platform test_platform(int k, std::uint64_t seed) {
   params.ensure_connected = true;
   Rng rng(seed);
   return generate_platform(params, rng);
+}
+
+/// The active set of a payoff vector: one load per cluster with a
+/// positive payoff, id = cluster.
+std::vector<ActiveLoad> loads_of(const std::vector<double>& payoffs) {
+  std::vector<ActiveLoad> loads;
+  for (std::size_t c = 0; c < payoffs.size(); ++c)
+    if (payoffs[c] > 0.0)
+      loads.push_back({static_cast<int>(c), static_cast<int>(c), payoffs[c]});
+  return loads;
 }
 
 /// Arrival/departure-like payoff sequence: one cluster flips per step.
@@ -57,11 +68,11 @@ void check_warm_equals_cold(Method method, core::Objective objective,
   warm_opt.warm = WarmPolicy::Auto;
   ReschedulerOptions cold_opt = warm_opt;
   cold_opt.warm = WarmPolicy::Never;
-  AdaptiveRescheduler warm(plat, warm_opt), cold(plat, cold_opt);
+  MultiLoadRescheduler warm(plat, warm_opt), cold(plat, cold_opt);
   int warm_used = 0;
   for (const auto& payoffs : event_sequence(10, 60, 5)) {
-    const Reschedule rw = warm.reschedule(payoffs);
-    const Reschedule rc = cold.reschedule(payoffs);
+    const MultiReschedule rw = warm.reschedule(loads_of(payoffs));
+    const MultiReschedule rc = cold.reschedule(loads_of(payoffs));
     EXPECT_NEAR(rw.objective, rc.objective,
                 kTol + rel_tol * (1.0 + rc.objective));
     warm_used += rw.warm;
@@ -91,16 +102,16 @@ TEST(Rescheduler, LprWarmStaysValidWhileLpValueMatchesCold) {
   warm_opt.objective = core::Objective::Sum;
   ReschedulerOptions cold_opt = warm_opt;
   cold_opt.warm = WarmPolicy::Never;
-  AdaptiveRescheduler warm(plat, warm_opt), cold(plat, cold_opt);
+  MultiLoadRescheduler warm(plat, warm_opt), cold(plat, cold_opt);
   const core::SteadyStateProblem base(plat, std::vector<double>(10, 1.0),
                                       core::Objective::Sum);
   int warm_used = 0;
   for (const auto& payoffs : event_sequence(10, 40, 5)) {
-    const Reschedule rw = warm.reschedule(payoffs);
-    const Reschedule rc = cold.reschedule(payoffs);
+    const MultiReschedule rw = warm.reschedule(loads_of(payoffs));
+    const MultiReschedule rc = cold.reschedule(loads_of(payoffs));
     const auto problem = base.with_payoffs(payoffs);
-    EXPECT_TRUE(core::validate_allocation(problem, rw.allocation).ok);
-    EXPECT_TRUE(core::validate_allocation(problem, rc.allocation).ok);
+    EXPECT_TRUE(core::validate_allocation(problem, warm.allocation()).ok);
+    EXPECT_TRUE(core::validate_allocation(problem, cold.allocation()).ok);
     const double bound = core::lp_upper_bound(problem).objective;
     EXPECT_LE(rw.objective, bound + kTol * (1.0 + bound));
     EXPECT_LE(rc.objective, bound + kTol * (1.0 + bound));
@@ -116,10 +127,10 @@ TEST(Rescheduler, WarmEngagesAndSavesPivotsUnderSum) {
   warm_opt.objective = core::Objective::Sum;
   ReschedulerOptions cold_opt = warm_opt;
   cold_opt.warm = WarmPolicy::Never;
-  AdaptiveRescheduler warm(plat, warm_opt), cold(plat, cold_opt);
+  MultiLoadRescheduler warm(plat, warm_opt), cold(plat, cold_opt);
   for (const auto& payoffs : event_sequence(12, 80, 7)) {
-    (void)warm.reschedule(payoffs);
-    (void)cold.reschedule(payoffs);
+    (void)warm.reschedule(loads_of(payoffs));
+    (void)cold.reschedule(loads_of(payoffs));
   }
   const auto& ws = warm.stats();
   const auto& cs = cold.stats();
@@ -137,15 +148,15 @@ TEST(Rescheduler, MaxMinReshapesSoWarmOnlySurvivesSameActiveCount) {
   ReschedulerOptions opt;
   opt.method = Method::LpBound;
   opt.objective = core::Objective::MaxMin;
-  AdaptiveRescheduler sched(plat, opt);
+  MultiLoadRescheduler sched(plat, opt);
   std::vector<double> payoffs(8, 0.0);
   payoffs[0] = payoffs[1] = 1.0;
-  (void)sched.reschedule(payoffs);
+  (void)sched.reschedule(loads_of(payoffs));
   // Arrival: active count 2 -> 3 reshapes the MaxMin model (one more
   // fairness row); neither the capsule nor a basis repair fits the new
   // shape, so this solves cold.
   payoffs[2] = 1.0;
-  EXPECT_FALSE(sched.reschedule(payoffs).warm);
+  EXPECT_FALSE(sched.reschedule(loads_of(payoffs)).warm);
   // Payoff value change at the same support: same shape but the MaxMin
   // fairness rows embed the payoff *values*, so the matrix fingerprint
   // no longer matches. The rescheduler's basis-repair path (see
@@ -153,33 +164,16 @@ TEST(Rescheduler, MaxMinReshapesSoWarmOnlySurvivesSameActiveCount) {
   // against the re-priced matrix instead of starting cold.
   payoffs[2] = 1.2;
   {
-    const Reschedule r = sched.reschedule(payoffs);
+    const MultiReschedule r = sched.reschedule(loads_of(payoffs));
     EXPECT_TRUE(r.warm);
     EXPECT_TRUE(r.repaired);
   }
   // Identical payoffs again: identical matrix, capsule restored whole.
   {
-    const Reschedule r = sched.reschedule(payoffs);
+    const MultiReschedule r = sched.reschedule(loads_of(payoffs));
     EXPECT_TRUE(r.warm);
     EXPECT_FALSE(r.repaired);
   }
-}
-
-TEST(Rescheduler, SupportChangeRuleForcesCold) {
-  const platform::Platform plat = test_platform(10, 31);
-  ReschedulerOptions opt;
-  opt.method = Method::LpBound;
-  opt.objective = core::Objective::Sum;
-  opt.max_support_change = 2;
-  AdaptiveRescheduler sched(plat, opt);
-  std::vector<double> payoffs(10, 1.0);
-  (void)sched.reschedule(payoffs);
-  // Three clusters drain at once: beyond the rule-1 budget, so cold.
-  payoffs[0] = payoffs[1] = payoffs[2] = 0.0;
-  EXPECT_FALSE(sched.reschedule(payoffs).warm);
-  // One flip: within budget, warm.
-  payoffs[0] = 1.0;
-  EXPECT_TRUE(sched.reschedule(payoffs).warm);
 }
 
 TEST(Rescheduler, GreedyAutoStaysColdAlwaysSeeds) {
@@ -187,27 +181,52 @@ TEST(Rescheduler, GreedyAutoStaysColdAlwaysSeeds) {
   ReschedulerOptions opt;
   opt.method = Method::Greedy;
   opt.objective = core::Objective::MaxMin;
-  AdaptiveRescheduler auto_sched(plat, opt);
+  MultiLoadRescheduler auto_sched(plat, opt);
   opt.warm = WarmPolicy::Always;
-  AdaptiveRescheduler seeded_sched(plat, opt);
+  MultiLoadRescheduler seeded_sched(plat, opt);
   const core::SteadyStateProblem base(plat, std::vector<double>(9, 1.0),
                                       core::Objective::MaxMin);
   for (const auto& payoffs : event_sequence(9, 30, 11)) {
-    const Reschedule a = auto_sched.reschedule(payoffs);
-    const Reschedule s = seeded_sched.reschedule(payoffs);
+    const MultiReschedule a = auto_sched.reschedule(loads_of(payoffs));
+    (void)seeded_sched.reschedule(loads_of(payoffs));
     EXPECT_FALSE(a.warm);  // greedy has no LP phase to skip under Auto
     // Both must produce valid allocations for the instance.
     const auto problem = base.with_payoffs(payoffs);
-    EXPECT_TRUE(core::validate_allocation(problem, a.allocation).ok);
-    EXPECT_TRUE(core::validate_allocation(problem, s.allocation).ok);
+    EXPECT_TRUE(core::validate_allocation(problem, auto_sched.allocation()).ok);
+    EXPECT_TRUE(core::validate_allocation(problem, seeded_sched.allocation()).ok);
   }
   EXPECT_GT(seeded_sched.stats().warm_solves, 0);
 }
 
 TEST(Rescheduler, RejectsAllZeroPayoffs) {
   const platform::Platform plat = test_platform(4, 41);
-  AdaptiveRescheduler sched(plat, {});
-  EXPECT_THROW((void)sched.reschedule(std::vector<double>(4, 0.0)), Error);
+  MultiLoadRescheduler sched(plat, ReschedulerOptions{});
+  EXPECT_THROW((void)sched.reschedule(loads_of(std::vector<double>(4, 0.0))), Error);
+}
+
+TEST(Rescheduler, SingleLoadModeHoldsOneLoadPerClusterOnTheCanonicalLp) {
+  const platform::Platform plat = test_platform(6, 41);
+  ReschedulerOptions opt;
+  opt.method = Method::LpBound;
+  opt.objective = core::Objective::Sum;
+  MultiLoadRescheduler sched(plat, opt);
+  EXPECT_THROW((void)sched.reschedule({{0, 2, 1.0}, {1, 2, 1.0}}), Error);
+  const std::vector<ActiveLoad> loads = {{7, 4, 1.5}, {3, 1, 0.5}};
+  const MultiReschedule r = sched.reschedule(loads);
+  // The slot universe is one slot per cluster: the canonical problem,
+  // idle clusters as zero-weight columns.
+  EXPECT_EQ(sched.slot_count(), 6);
+  EXPECT_TRUE(sched.problem().is_canonical());
+  std::vector<double> payoffs(6, 0.0);
+  payoffs[4] = 1.5;
+  payoffs[1] = 0.5;
+  EXPECT_EQ(sched.problem().payoffs(), payoffs);
+  // Rates are the home clusters' allocated throughputs, in call order.
+  ASSERT_EQ(r.rate.size(), 2u);
+  EXPECT_EQ(r.rate[0], sched.allocation().total_alpha(4));
+  EXPECT_EQ(r.rate[1], sched.allocation().total_alpha(1));
+  const core::SteadyStateProblem fresh(plat, payoffs, core::Objective::Sum);
+  EXPECT_EQ(r.objective, core::lp_upper_bound(fresh).objective);
 }
 
 TEST(Rescheduler, ResetDropsWarmState) {
@@ -215,12 +234,12 @@ TEST(Rescheduler, ResetDropsWarmState) {
   ReschedulerOptions opt;
   opt.method = Method::LpBound;
   opt.objective = core::Objective::Sum;
-  AdaptiveRescheduler sched(plat, opt);
+  MultiLoadRescheduler sched(plat, opt);
   std::vector<double> payoffs(8, 1.0);
-  (void)sched.reschedule(payoffs);
-  EXPECT_TRUE(sched.reschedule(payoffs).warm);
+  (void)sched.reschedule(loads_of(payoffs));
+  EXPECT_TRUE(sched.reschedule(loads_of(payoffs)).warm);
   sched.reset();
-  EXPECT_FALSE(sched.reschedule(payoffs).warm);
+  EXPECT_FALSE(sched.reschedule(loads_of(payoffs)).warm);
 }
 
 TEST(Rescheduler, PlatformCapacityChangeWarmRepairsToColdOptimum) {
@@ -228,32 +247,32 @@ TEST(Rescheduler, PlatformCapacityChangeWarmRepairsToColdOptimum) {
   ReschedulerOptions opt;
   opt.method = Method::LpBound;
   opt.objective = core::Objective::Sum;
-  AdaptiveRescheduler sched(plat, opt);
+  MultiLoadRescheduler sched(plat, opt);
   const std::vector<double> payoffs(8, 1.0);
-  (void)sched.reschedule(payoffs);
+  (void)sched.reschedule(loads_of(payoffs));
 
   // A bandwidth cut re-prices matrix coefficients: the capsule cannot
   // restore whole, but the repair path keeps the solve warm and its
   // objective must match a from-scratch solve on the mutated platform.
   plat.set_link_bandwidth(0, plat.link(0).bw * 0.5);
   sched.platform_capacity_changed();
-  const Reschedule repaired = sched.reschedule(payoffs);
+  const MultiReschedule repaired = sched.reschedule(loads_of(payoffs));
   EXPECT_TRUE(repaired.warm);
   EXPECT_TRUE(repaired.repaired);
 
-  AdaptiveRescheduler fresh(plat, opt);
-  EXPECT_NEAR(repaired.objective, fresh.reschedule(payoffs).objective, kTol);
+  MultiLoadRescheduler fresh(plat, opt);
+  EXPECT_NEAR(repaired.objective, fresh.reschedule(loads_of(payoffs)).objective, kTol);
   EXPECT_EQ(sched.stats().repaired_solves, 1);
 
   // A pure rhs move (max-connect) keeps the fingerprint: the capsule
   // restores whole, no repair involved.
   plat.set_link_max_connections(0, plat.link(0).max_connections / 2 + 1);
   sched.platform_capacity_changed();
-  const Reschedule whole = sched.reschedule(payoffs);
+  const MultiReschedule whole = sched.reschedule(loads_of(payoffs));
   EXPECT_TRUE(whole.warm);
   EXPECT_FALSE(whole.repaired);
-  AdaptiveRescheduler fresh2(plat, opt);
-  EXPECT_NEAR(whole.objective, fresh2.reschedule(payoffs).objective, kTol);
+  MultiLoadRescheduler fresh2(plat, opt);
+  EXPECT_NEAR(whole.objective, fresh2.reschedule(loads_of(payoffs)).objective, kTol);
 }
 
 TEST(Rescheduler, PlatformTopologyChangeForcesColdSolve) {
@@ -261,19 +280,19 @@ TEST(Rescheduler, PlatformTopologyChangeForcesColdSolve) {
   ReschedulerOptions opt;
   opt.method = Method::LpBound;
   opt.objective = core::Objective::Sum;
-  AdaptiveRescheduler sched(plat, opt);
+  MultiLoadRescheduler sched(plat, opt);
   const std::vector<double> payoffs(8, 1.0);
-  (void)sched.reschedule(payoffs);
+  (void)sched.reschedule(loads_of(payoffs));
 
   (void)plat.set_link_up(0, false);  // route set changes, model reshapes
   sched.platform_topology_changed();
-  const Reschedule r = sched.reschedule(payoffs);
+  const MultiReschedule r = sched.reschedule(loads_of(payoffs));
   EXPECT_FALSE(r.warm);
   EXPECT_FALSE(r.repaired);
-  AdaptiveRescheduler fresh(plat, opt);
-  EXPECT_NEAR(r.objective, fresh.reschedule(payoffs).objective, kTol);
+  MultiLoadRescheduler fresh(plat, opt);
+  EXPECT_NEAR(r.objective, fresh.reschedule(loads_of(payoffs)).objective, kTol);
   // The cold solve refreshed the capsule: the next event is warm again.
-  EXPECT_TRUE(sched.reschedule(payoffs).warm);
+  EXPECT_TRUE(sched.reschedule(loads_of(payoffs)).warm);
 }
 
 }  // namespace
