@@ -104,7 +104,7 @@ struct RunnerOptions {
   std::size_t chunk = 1;  ///< dynamic-scheduling chunk (cases per pull)
   /// Streaming per-case sink, called in case order from the reduction
   /// path (one caller at a time). Leave empty to skip.
-  std::function<void(const CampaignReport&, const CaseRecord&)> case_sink;
+  std::function<void(const CampaignReport&, const CaseRecord&)> case_sink{};
 };
 
 /// Expands and runs the campaign. Deterministic: the report (and the

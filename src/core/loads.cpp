@@ -50,18 +50,6 @@ std::vector<double> LoadSet::weights() const {
   return w;
 }
 
-double LoadAllocation::total(int j) const {
-  double sum = 0.0;
-  for (int l = 0; l < num_clusters_; ++l) sum += alpha(j, l);
-  return sum;
-}
-
-double LoadAllocation::load_on(int l) const {
-  double sum = 0.0;
-  for (int j = 0; j < num_loads_; ++j) sum += alpha(j, l);
-  return sum;
-}
-
 std::string to_string(MultiObjective o) {
   switch (o) {
     case MultiObjective::WeightedSum: return "sum";

@@ -55,38 +55,6 @@ struct LoadSet {
   [[nodiscard]] std::vector<double> weights() const;
 };
 
-/// Per-load allocation: alpha(j, l) = units of load j computed on
-/// cluster l per time unit. The multi-load analogue of core::Allocation
-/// (which is cluster-by-cluster and only meaningful for canonical sets).
-class LoadAllocation {
-public:
-  LoadAllocation() = default;
-  LoadAllocation(int num_loads, int num_clusters)
-      : num_loads_(num_loads), num_clusters_(num_clusters),
-        alpha_(static_cast<std::size_t>(num_loads) * num_clusters, 0.0) {}
-
-  [[nodiscard]] int num_loads() const { return num_loads_; }
-  [[nodiscard]] int num_clusters() const { return num_clusters_; }
-
-  [[nodiscard]] double alpha(int j, int l) const { return alpha_[idx(j, l)]; }
-  void set_alpha(int j, int l, double value) { alpha_[idx(j, l)] = value; }
-
-  /// Aggregate throughput of load j (its drain rate).
-  [[nodiscard]] double total(int j) const;
-  /// Compute load landing on cluster l across all loads.
-  [[nodiscard]] double load_on(int l) const;
-
-private:
-  [[nodiscard]] std::size_t idx(int j, int l) const {
-    DLS_ASSERT(j >= 0 && j < num_loads_ && l >= 0 && l < num_clusters_);
-    return static_cast<std::size_t>(j) * num_clusters_ + l;
-  }
-
-  int num_loads_ = 0;
-  int num_clusters_ = 0;
-  std::vector<double> alpha_;
-};
-
 /// Multi-load objectives (solve_loads in multi_solve.hpp). WeightedSum
 /// and MaxMin are single LPs; PropFair runs a Dinkelbach-style iteration
 /// of reweighted WeightedSum LPs toward max sum_j w_j log(throughput_j).

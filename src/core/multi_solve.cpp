@@ -27,13 +27,18 @@ lp::Solution solve_reduced(const SteadyStateProblem::ReducedModel& reduced,
   return sol;
 }
 
+/// Each load's throughput: its alphas summed in ascending destination
+/// order (load routes are load-major), negative solver noise clamped.
 void read_throughputs(const SteadyStateProblem& problem,
                       const SteadyStateProblem::ReducedModel& reduced,
                       const lp::Solution& sol, MultiLoadSolution& out) {
-  out.alloc = problem.load_allocation_from_reduced(reduced, sol.x);
+  const std::vector<SteadyStateProblem::LoadRoute>& lroutes = problem.load_routes();
+  require(reduced.alpha_var.size() == lroutes.size() &&
+              sol.x.size() == static_cast<std::size_t>(reduced.model.num_variables()),
+          "read_throughputs: model does not match this problem");
   out.throughput.assign(problem.num_loads(), 0.0);
-  for (int j = 0; j < problem.num_loads(); ++j)
-    out.throughput[j] = out.alloc.total(j);
+  for (std::size_t r = 0; r < lroutes.size(); ++r)
+    out.throughput[lroutes[r].load] += std::max(0.0, sol.x[reduced.alpha_var[r]]);
 }
 
 MultiLoadSolution solve_single_lp(const SteadyStateProblem& problem,

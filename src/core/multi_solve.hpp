@@ -43,7 +43,6 @@ struct MultiLoadSolution {
   /// sum_j w_j log(max(throughput_j, pf_floor)) over positive weights).
   double objective = 0.0;
   std::vector<double> throughput;  ///< per load: sum_l alpha_{j,l}
-  LoadAllocation alloc;
   int lp_solves = 0;
   int lp_iterations = 0;  ///< simplex pivots summed over all solves
   bool warm = false;      ///< the first solve reused the caller's capsule

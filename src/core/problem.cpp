@@ -1,6 +1,8 @@
 #include "core/problem.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -68,7 +70,9 @@ void SteadyStateProblem::build_load_table() {
   lt->lroute_id.assign(static_cast<std::size_t>(num_loads) * n, -1);
   lt->link_lroutes.assign(plat_->num_links(), {});
   lt->loads_at.assign(n, {});
+  lt->lroute_begin.assign(num_loads + 1, 0);
   for (int j = 0; j < num_loads; ++j) {
+    lt->lroute_begin[j] = static_cast<int>(lt->lroutes.size());
     const int src = loads_.loads[j].source;
     lt->loads_at[src].push_back(j);
     for (int l = 0; l < n; ++l) {
@@ -82,6 +86,7 @@ void SteadyStateProblem::build_load_table() {
           lt->link_lroutes[li].push_back(id);
     }
   }
+  lt->lroute_begin[num_loads] = static_cast<int>(lt->lroutes.size());
   ltable_ = std::move(lt);
 }
 
@@ -113,22 +118,18 @@ SteadyStateProblem SteadyStateProblem::with_loads(LoadSet loads) const {
   return copy;
 }
 
-SteadyStateProblem SteadyStateProblem::with_load_weights(
-    const std::vector<double>& weights) const {
+void SteadyStateProblem::set_load_weights(const std::vector<double>& weights) {
   require(weights.size() == loads_.loads.size(),
-          "with_load_weights: one weight per load required");
-  SteadyStateProblem copy = *this;
+          "set_load_weights: one weight per load required");
   bool any_positive = false;
-  for (std::size_t j = 0; j < weights.size(); ++j) {
-    require(weights[j] >= 0.0 && std::isfinite(weights[j]),
-            "with_load_weights: weights must be finite and >= 0");
-    any_positive |= weights[j] > 0.0;
-    copy.loads_.loads[j].weight = weights[j];
+  for (const double w : weights) {
+    require(w >= 0.0 && std::isfinite(w),
+            "set_load_weights: weights must be finite and >= 0");
+    any_positive |= w > 0.0;
   }
-  require(any_positive,
-          "with_load_weights: at least one positive weight required");
-  if (canonical_) copy.payoffs_ = weights;
-  return copy;
+  require(any_positive, "set_load_weights: at least one positive weight required");
+  for (std::size_t j = 0; j < weights.size(); ++j) loads_.loads[j].weight = weights[j];
+  if (canonical_) payoffs_ = weights;
 }
 
 int SteadyStateProblem::route_id(int k, int l) const {
@@ -280,11 +281,19 @@ void SteadyStateProblem::update_reduced_payoffs(ReducedModel& reduced) const {
   require(!reduced.has_fixings,
           "update_reduced_payoffs: model was built with beta fixings, whose "
           "(7e) caps live in the alpha bounds this would overwrite");
-  for (std::size_t r = 0; r < ltable_->lroutes.size(); ++r) {
-    const double w = loads_.loads[ltable_->lroutes[r].load].weight;
-    const int var = reduced.alpha_var[r];
-    reduced.model.set_bounds(var, 0.0, w == 0.0 ? 0.0 : lp::kInf);
-    reduced.model.set_objective_coef(var, w);
+  lp::Model& m = reduced.model;
+  const std::vector<int>& begin = ltable_->lroute_begin;
+  for (int j = 0; j < num_loads(); ++j) {
+    if (begin[j] == begin[j + 1]) continue;
+    const double w = loads_.loads[j].weight;
+    const double held = m.objective_coef(reduced.alpha_var[begin[j]]);
+    if (std::bit_cast<std::uint64_t>(held) == std::bit_cast<std::uint64_t>(w))
+      continue;
+    for (int r = begin[j]; r < begin[j + 1]; ++r) {
+      const int var = reduced.alpha_var[r];
+      m.set_bounds(var, 0.0, w == 0.0 ? 0.0 : lp::kInf);
+      m.set_objective_coef(var, w);
+    }
   }
 }
 
@@ -431,7 +440,7 @@ Allocation SteadyStateProblem::allocation_from_reduced(
     const std::vector<BetaFixing>& fixings) const {
   require(canonical_,
           "allocation_from_reduced: cluster-by-cluster allocations only "
-          "exist for canonical load sets; use load_allocation_from_reduced");
+          "exist for canonical load sets");
   require(x.size() == static_cast<std::size_t>(reduced.model.num_variables()),
           "allocation_from_reduced: assignment size mismatch");
   std::vector<int> fixed(table_->routes.size(), -1);
@@ -463,21 +472,6 @@ Allocation SteadyStateProblem::allocation_from_full(const FullModel& full,
     alloc.set_alpha(route.k, route.l, std::max(0.0, x[full.alpha_var[r]]));
     if (full.beta_var[r] >= 0)
       alloc.set_beta(route.k, route.l, std::max(0.0, x[full.beta_var[r]]));
-  }
-  return alloc;
-}
-
-LoadAllocation SteadyStateProblem::load_allocation_from_reduced(
-    const ReducedModel& reduced, const std::vector<double>& x) const {
-  require(x.size() == static_cast<std::size_t>(reduced.model.num_variables()),
-          "load_allocation_from_reduced: assignment size mismatch");
-  require(reduced.alpha_var.size() == ltable_->lroutes.size(),
-          "load_allocation_from_reduced: model does not match this problem");
-  LoadAllocation alloc(num_loads(), num_clusters());
-  for (std::size_t r = 0; r < ltable_->lroutes.size(); ++r) {
-    const LoadRoute& lr = ltable_->lroutes[r];
-    alloc.set_alpha(lr.load, table_->routes[lr.route].l,
-                    std::max(0.0, x[reduced.alpha_var[r]]));
   }
   return alloc;
 }

@@ -79,11 +79,12 @@ public:
   /// the per-load route bindings are rebuilt (O(N*K + links)).
   [[nodiscard]] SteadyStateProblem with_loads(LoadSet loads) const;
 
-  /// A copy with the same load structure but new weights (one per load).
-  /// Shares both tables — the O(N) path the multi-load rescheduler takes
-  /// per event.
-  [[nodiscard]] SteadyStateProblem with_load_weights(
-      const std::vector<double>& weights) const;
+  /// Replaces the load weights (one per load) in place, keeping the load
+  /// structure and both tables — the O(N), allocation-free path the
+  /// multi-load rescheduler takes per event. Same validation as the
+  /// constructor (finite, >= 0, at least one positive); on a throw the
+  /// problem is unchanged.
+  void set_load_weights(const std::vector<double>& weights);
 
   [[nodiscard]] const platform::Platform& plat() const { return *plat_; }
   /// The per-cluster payoff view of a canonical load set; throws for
@@ -162,6 +163,13 @@ public:
   /// The online rescheduler patches one cached model per event with this
   /// instead of paying build_reduced's allocations thousands of times.
   /// Works for any load set (weights enter the same way payoffs do).
+  ///
+  /// Only loads whose weight differs (bit for bit) from the one the
+  /// model holds in their first column are rewritten, so an arrival or
+  /// departure costs one slot's columns, not every alpha column. That
+  /// needs the model's alpha bounds and costs to have been written only
+  /// by build_reduced and this function; the result then equals
+  /// build_reduced() of this problem bit for bit.
   void update_reduced_payoffs(ReducedModel& reduced) const;
 
   /// Re-reads every route's per-connection bottleneck bandwidth from the
@@ -202,20 +210,15 @@ public:
   [[nodiscard]] Allocation allocation_from_full(const FullModel& full,
                                                 const std::vector<double>& x) const;
 
-  /// Reads the per-load allocation out of a reduced-model solution.
-  /// Works for any load set (the N-load analogue of allocation_from_reduced).
-  [[nodiscard]] LoadAllocation load_allocation_from_reduced(
-      const ReducedModel& reduced, const std::vector<double>& x) const;
-
   /// Objective value of an allocation under this problem's objective.
   /// MaxMin with no positive-payoff application is defined as 0.
   [[nodiscard]] double objective_of(const Allocation& alloc) const;
 
 private:
   /// Route structure derived from the platform alone. Immutable once
-  /// built and shared between payoff variants (with_payoffs), so the
-  /// online rescheduler's per-event problem copies cost O(K) instead of
-  /// re-copying K^2 routes and the per-link incidence lists.
+  /// built and shared between problems over the same platform
+  /// (with_payoffs, with_loads), so deriving a problem costs O(K) instead
+  /// of re-copying K^2 routes and the per-link incidence lists.
   struct RouteTable {
     std::vector<Route> routes;
     std::vector<int> route_id;  // dense K*K -> route id or -1
@@ -223,10 +226,11 @@ private:
   };
 
   /// Per-load route bindings derived from (load sources, route table).
-  /// Weight changes don't touch it, so with_payoffs/with_load_weights
-  /// share it; with_loads rebuilds it against the shared route table.
+  /// Weight changes don't touch it, so with_payoffs/set_load_weights
+  /// keep it; with_loads rebuilds it against the shared route table.
   struct LoadTable {
-    std::vector<LoadRoute> lroutes;
+    std::vector<LoadRoute> lroutes;   // load-major, ascending l per load
+    std::vector<int> lroute_begin;    // load j's ids: [begin[j], begin[j+1])
     std::vector<int> lroute_id;  // dense N*K -> load-route id or -1
     std::vector<std::vector<int>> link_lroutes;
     std::vector<std::vector<int>> loads_at;  // cluster -> load ids sourced there

@@ -27,12 +27,12 @@ struct WorkerOptions {
   double retry_seconds = 10.0;
   double heartbeat_period = 2.0;  ///< seconds between PINGs
   /// Progress lines ("connected", "range [lo,hi) done", ...).
-  std::function<void(const std::string&)> log;
+  std::function<void(const std::string&)> log{};
 
   // -- test hooks ----------------------------------------------------------
   /// Called per case before execution; returning true makes the case
   /// throw (poisoned-case injection for the requeue tests).
-  std::function<bool(std::size_t case_index)> fail_case;
+  std::function<bool(std::size_t case_index)> fail_case{};
   /// When n > 0: on receiving the n-th RANGE lease, drop the connection
   /// without executing it — a worker dying mid-range, as seen by the
   /// coordinator (EOF with an outstanding lease).

@@ -45,10 +45,12 @@ struct ArenaImpl {
   SparseVector w, rho;
   SolveScratch hs;
 
-  // Incremental pricing state.
+  // Incremental pricing state. movable lists the non-fixed (lb != ub)
+  // structural and slack columns in ascending index order; seen is the
+  // capsule restore's duplicate check.
   std::vector<double> d, weights, alpha;
-  std::vector<int> cand, touched;
-  std::vector<char> in_cand;
+  std::vector<int> cand, touched, movable;
+  std::vector<char> in_cand, seen;
 };
 
 std::uint64_t matrix_fingerprint(const Model& model) {
@@ -203,6 +205,7 @@ public:
         alpha_(arena.alpha),
         cand_(arena.cand),
         touched_(arena.touched),
+        movable_(arena.movable),
         in_cand_(arena.in_cand) {
     n_ = model.num_variables();
     m_ = model.num_constraints();
@@ -403,6 +406,12 @@ private:
       const int a = n_ + m_ + i;
       lb_[a] = ub_[a] = 0.0;  // widened per-row in init_basis when needed
     }
+    // Structural and slack bounds never move during a solve, so the
+    // movable set is fixed per solve. Artificials stay off it: they are
+    // basic or pinned at [0,0] whenever a scan could reach them.
+    movable_.clear();
+    for (int j = 0; j < n_ + m_; ++j)
+      if (lb_[j] != ub_[j]) movable_.push_back(j);
   }
 
   /// Starting point: every structural variable nonbasic at its bound
@@ -567,12 +576,12 @@ private:
     if (basics != m_) return false;
     // Each Basic-marked variable must appear in basic_vars exactly once;
     // a duplicate entry would desynchronize basis_ from the factorization.
-    std::vector<char> seen(static_cast<std::size_t>(n_ + m_), 0);
+    a_.seen.assign(static_cast<std::size_t>(n_ + m_), 0);
     for (int b : state.basic_vars) {
       if (b < 0 || b >= n_ + m_ || status_[b] != VarStatus::Basic ||
-          seen[static_cast<std::size_t>(b)])
+          a_.seen[static_cast<std::size_t>(b)])
         return false;
-      seen[static_cast<std::size_t>(b)] = 1;
+      a_.seen[static_cast<std::size_t>(b)] = 1;
     }
     basis_ = std::move(state.basic_vars);
     state.valid = false;  // consumed; save_state re-validates after the solve
@@ -638,6 +647,34 @@ private:
   }
 
   // ---- pricing -----------------------------------------------------------
+  //
+  // Fixed columns (lb == ub: an idle load slot's alphas, equality-row
+  // slacks) can never enter, so the scans walk movable_ and the pivot-row
+  // sweep skips them: a fixed column's d_ and Devex weight are write-only,
+  // and whatever an earlier refresh or solve left there is never read.
+  // The one fixed column pricing does handle is a fixed basic that leaves
+  // the basis (a departed load's alpha still basic in a warm capsule);
+  // update_pricing sets its d_ and weight explicitly before anything reads
+  // them. Scan cursors and window boundaries stay measured over every
+  // column, so scan order, candidate lists and tie-breaks are those of a
+  // scan that visits the fixed columns and passes over them.
+
+  /// Calls fn(j) for each movable column j, in scan order, of the cyclic
+  /// window of `count` indices that starts at `start` in [0, nn).
+  template <typename Fn>
+  void for_each_movable_in_window(int start, int count, int nn, Fn&& fn) const {
+    const auto run = [&](int lo, int hi) {
+      for (auto it = std::lower_bound(movable_.begin(), movable_.end(), lo);
+           it != movable_.end() && *it < hi; ++it)
+        fn(*it);
+    };
+    if (start + count <= nn) {
+      run(start, start + count);
+    } else {
+      run(start, nn);
+      run(0, start + count - nn);
+    }
+  }
 
   double current_cost(int j) const {
     if (in_phase1_) return j >= n_ + m_ ? 1.0 : 0.0;
@@ -682,9 +719,8 @@ private:
     q = -1;
     increase = true;
     double best_score = opt_.opt_tol;
-    for (int j = 0; j < total_; ++j) {
+    for (const int j : movable_) {
       if (status_[j] == VarStatus::Basic) continue;
-      if (lb_[j] == ub_[j]) continue;  // fixed: can never move
       double d = current_cost(j);
       for_each_in_column(j, [&](int row, double coef) { d -= y_[row] * coef; });
       const bool can_up = status_[j] != VarStatus::AtUpper;
@@ -719,10 +755,8 @@ private:
     double best_score = opt_.opt_tol;
     while (examined < nn) {
       const int count = std::min(window_, nn - examined);
-      for (int t = 0; t < count; ++t) {
-        int j = start + t;
-        if (j >= nn) j -= nn;
-        if (status_[j] == VarStatus::Basic || lb_[j] == ub_[j]) continue;
+      for_each_movable_in_window(start, count, nn, [&](int j) {
+        if (status_[j] == VarStatus::Basic) return;
         double d = current_cost(j);
         for_each_in_column(j, [&](int row, double coef) { d -= y_[row] * coef; });
         const double bar = best_score * (1.0 + kTieMargin);
@@ -736,7 +770,7 @@ private:
           q = j;
           increase = false;
         }
-      }
+      });
       examined += count;
       start += count;
       if (start >= nn) start -= nn;
@@ -822,7 +856,7 @@ private:
     cand_.clear();
     in_cand_.assign(nn, 0);
     const detail::ColumnCache& c = *cols_;
-    for (int j = 0; j < nn; ++j) {
+    for (const int j : movable_) {
       weights_[j] = 1.0;
       if (status_[j] == VarStatus::Basic) {
         d_[j] = 0.0;
@@ -836,7 +870,7 @@ private:
         d -= y_[j - n_];  // slack column e_{j-n}
       }
       d_[j] = d;
-      if (lb_[j] != ub_[j] && attractive(j)) {
+      if (attractive(j)) {
         cand_.push_back(j);
         in_cand_[j] = 1;
       }
@@ -868,12 +902,10 @@ private:
     bool found = false;
     while (examined < nn && !found) {
       const int count = std::min(window_, nn - examined);
-      for (int t = 0; t < count; ++t) {
-        int j = start + t;
-        if (j >= nn) j -= nn;
+      for_each_movable_in_window(start, count, nn, [&](int j) {
         if (status_[j] == VarStatus::Basic) {
           d_[j] = 0.0;
-          continue;
+          return;
         }
         double d = current_cost(j);
         if (j < n_) {
@@ -883,14 +915,14 @@ private:
           d -= y_[j - n_];
         }
         d_[j] = d;
-        if (lb_[j] == ub_[j] || in_cand_[j]) continue;
+        if (in_cand_[j]) return;
         if (attractive(j)) {
           weights_[j] = 1.0;
           in_cand_[j] = 1;
           cand_.push_back(j);
           found = true;
         }
-      }
+      });
       examined += count;
       start += count;
       if (start >= nn) start -= nn;
@@ -1006,14 +1038,22 @@ private:
       }
       cand_.resize(keep);
     } else {
-      // Artificial columns are skipped: they are only ever basic or fixed.
+      // Artificial columns are skipped: they are only ever basic or
+      // fixed. Fixed terms are skipped before they accumulate, which
+      // leaves the free columns' sums and relative touched_ order as is.
+      // A model without fixed columns (every Table-1 solve) skips the
+      // per-term test.
       touched_.clear();
+      const bool any_fixed = static_cast<int>(movable_.size()) != nn;
       for (const int i : rho_nz_) {
         const double ri = rv[i];
         const int s = n_ + i;
-        if (alpha_[s] == 0.0) touched_.push_back(s);
-        alpha_[s] += ri;
+        if (lb_[s] != ub_[s]) {
+          if (alpha_[s] == 0.0) touched_.push_back(s);
+          alpha_[s] += ri;
+        }
         for (const Term& t : model_.row(i)) {
+          if (any_fixed && lb_[t.var] == ub_[t.var]) continue;
           if (alpha_[t.var] == 0.0) touched_.push_back(t.var);
           alpha_[t.var] += ri * t.coef;
         }
@@ -1023,7 +1063,7 @@ private:
         const double aj = alpha_[j];
         alpha_[j] = 0.0;
         if (aj == 0.0) continue;  // duplicate entry after exact cancellation
-        if (status_[j] == VarStatus::Basic || lb_[j] == ub_[j]) continue;
+        if (status_[j] == VarStatus::Basic) continue;
         d_[j] -= ratio * aj;
         const double w_new = aj * aj * inv_p2 * wq;
         if (w_new > weights_[j]) {
@@ -1041,7 +1081,9 @@ private:
     }
 
     d_[q] = 0.0;  // entered the basis
-    if (old_var < nn) {  // a leaving artificial is pinned, never re-priced
+    // A leaving artificial is pinned, never re-priced; a leaving fixed
+    // column gets its d_ and weight set here (see the pricing section).
+    if (old_var < nn) {
       d_[old_var] = -ratio;
       weights_[old_var] = std::max(wq * inv_p2, 1.0);
       if (!in_cand_[old_var] && attractive(old_var)) {
@@ -1508,6 +1550,7 @@ private:
   std::vector<double>& alpha_;   // pivot-row scatter (kept all-zero between uses)
   std::vector<int>& cand_;       // steepest-edge candidate list
   std::vector<int>& touched_;
+  std::vector<int>& movable_;    // non-fixed structural + slack columns
   std::vector<char>& in_cand_;
 
   const detail::ColumnCache* cols_ = nullptr;

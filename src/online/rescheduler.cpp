@@ -156,28 +156,28 @@ void MultiLoadRescheduler::rebuild_slots(const std::vector<int>& needed) {
 
 void MultiLoadRescheduler::seat(const std::vector<ActiveLoad>& loads) {
   const int n = plat_->num_clusters();
-  std::vector<int> needed(n, 0);
-  for (const ActiveLoad& load : loads) ++needed[load.cluster];
+  needed_.assign(n, 0);
+  for (const ActiveLoad& load : loads) ++needed_[load.cluster];
   if (single_) {
     for (int c = 0; c < n; ++c)
-      require(needed[c] <= 1,
+      require(needed_[c] <= 1,
               "MultiLoadRescheduler: single-load mode holds at most one load "
               "per cluster");
   }
 
   bool grown = static_cast<int>(slots_per_cluster_.size()) != n;
-  for (int c = 0; !grown && c < n; ++c) grown = needed[c] > slots_per_cluster_[c];
-  if (grown) rebuild_slots(needed);
+  for (int c = 0; !grown && c < n; ++c) grown = needed_[c] > slots_per_cluster_[c];
+  if (grown) rebuild_slots(needed_);
 
   // Release slots of departed loads, then seat new arrivals on the
   // lowest idle slot of their cluster (deterministic in call order).
-  std::vector<char> present(slot_app_.size(), 0);
+  present_.assign(slot_app_.size(), 0);
   for (const ActiveLoad& load : loads) {
     auto it = slot_of_.find(load.id);
-    if (it != slot_of_.end()) present[it->second] = 1;
+    if (it != slot_of_.end()) present_[it->second] = 1;
   }
   for (int s = 0; s < total_slots_; ++s) {
-    if (slot_app_[s] >= 0 && !present[s]) {
+    if (slot_app_[s] >= 0 && !present_[s]) {
       slot_of_.erase(slot_app_[s]);
       slot_app_[s] = -1;
       resched_obs().unseats.inc();
@@ -199,8 +199,8 @@ void MultiLoadRescheduler::seat(const std::vector<ActiveLoad>& loads) {
     slot_of_[load.id] = slot;
   }
 
-  std::vector<double> weights(total_slots_, 0.0);
-  for (const ActiveLoad& load : loads) weights[slot_of_[load.id]] = load.weight;
+  weights_.assign(total_slots_, 0.0);
+  for (const ActiveLoad& load : loads) weights_[slot_of_[load.id]] = load.weight;
 
   // A new slot universe (the problem's load count no longer matches)
   // re-derives the slot problem, sharing the route table when one
@@ -213,7 +213,7 @@ void MultiLoadRescheduler::seat(const std::vector<ActiveLoad>& loads) {
       for (int s = 0; s < slots_per_cluster_[c]; ++s) {
         core::LoadSpec spec;
         spec.source = c;
-        spec.weight = weights[slot_base_[c] + s];
+        spec.weight = weights_[slot_base_[c] + s];
         slots.loads.push_back(std::move(spec));
       }
     if (problem_) {
@@ -223,7 +223,7 @@ void MultiLoadRescheduler::seat(const std::vector<ActiveLoad>& loads) {
                        single_ ? single_->objective : core::Objective::Sum);
     }
   } else {
-    problem_ = problem_->with_load_weights(weights);
+    problem_->set_load_weights(weights_);
   }
 }
 
@@ -314,16 +314,15 @@ MultiReschedule MultiLoadRescheduler::reschedule(
     const std::vector<ActiveLoad>& loads) {
   require(!loads.empty(), "MultiLoadRescheduler: no active loads");
   const int n = plat_->num_clusters();
-  std::vector<int> ids;
-  ids.reserve(loads.size());
+  ids_.clear();
   for (const ActiveLoad& load : loads) {
     require(load.cluster >= 0 && load.cluster < n,
             "MultiLoadRescheduler: load cluster out of range");
     require(load.weight > 0.0, "MultiLoadRescheduler: load weight must be > 0");
-    ids.push_back(load.id);
+    ids_.push_back(load.id);
   }
-  std::sort(ids.begin(), ids.end());
-  require(std::adjacent_find(ids.begin(), ids.end()) == ids.end(),
+  std::sort(ids_.begin(), ids_.end());
+  require(std::adjacent_find(ids_.begin(), ids_.end()) == ids_.end(),
           "MultiLoadRescheduler: duplicate load id");
 
   WallTimer timer;

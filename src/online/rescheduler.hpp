@@ -205,18 +205,26 @@ private:
   int total_slots_ = 0;
   std::unordered_map<int, int> slot_of_;  // load id -> global slot index
   std::vector<int> slot_app_;             // global slot -> load id or -1
-  /// The current problem: the slot problem, re-weighted per event with
-  /// with_load_weights and re-derived with with_loads when the slot
-  /// universe grows; under multi-load MaxMin the active-set problem,
+  /// The current problem: the slot problem, re-weighted in place per
+  /// event with set_load_weights and re-derived with with_loads when the
+  /// slot universe grows; under multi-load MaxMin the active-set problem,
   /// re-derived per event with with_loads (sharing the route table).
   std::optional<core::SteadyStateProblem> problem_;
   /// Fixing-free reduced model of a Sum-objective slot problem, patched
-  /// per event with update_reduced_payoffs.
+  /// per event with update_reduced_payoffs (only the seated or released
+  /// slots' columns change).
   std::optional<core::SteadyStateProblem::ReducedModel> reduced_cache_;
   lp::WarmState warm_state_;
-  /// Simplex working storage reused across every event's LP solves —
-  /// after the first event a reschedule allocates nothing in the solver.
+  /// Simplex working storage reused across every event's LP solves:
+  /// after the first event the solver's scratch allocates nothing (the
+  /// lp::Solution it hands back still carries its own x and basis).
   lp::SolveArena arena_;
+  /// Per-event scratch of reschedule() and seat(), reused across events:
+  /// sorted ids (duplicate check), loads per cluster, slots still
+  /// occupied, and slot weights.
+  std::vector<int> ids_, needed_;
+  std::vector<char> present_;
+  std::vector<double> weights_;
   /// Single-load mode: the last allocation, the greedy seed under
   /// WarmPolicy::Always.
   std::optional<core::Allocation> allocation_;

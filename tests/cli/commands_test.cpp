@@ -178,7 +178,9 @@ TEST(Cli, CampaignCsvAndCaseStream) {
     EXPECT_EQ(line.find("{\"case\":"), 0u);
     // The stream arrives in case order.
     const std::size_t id = std::stoul(line.substr(8));
-    if (lines > 0) EXPECT_GT(id, previous_case);
+    if (lines > 0) {
+      EXPECT_GT(id, previous_case);
+    }
     previous_case = id;
     ++lines;
   }

@@ -158,7 +158,9 @@ TEST(NpcGadget, HeuristicsStayWithinExactOptimum) {
     // first-come and each succeeds or is blocked exactly as in the
     // independent-set greedy. Not asserted (not proven), but it should
     // at least find one route.
-    if (mis >= 1.0) EXPECT_GE(greedy.objective, 1.0 - kTol);
+    if (mis >= 1.0) {
+      EXPECT_GE(greedy.objective, 1.0 - kTol);
+    }
   }
 }
 
@@ -234,8 +236,11 @@ TEST(DegeneratePlatforms, DisconnectedClustersSolveLocalOnly) {
       EXPECT_TRUE(validate_allocation(problem, result.allocation).ok);
       EXPECT_NEAR(result.objective, optimum, kTol);
       for (int k = 0; k < 4; ++k)
-        for (int l = 0; l < 4; ++l)
-          if (k != l) EXPECT_EQ(result.allocation.alpha(k, l), 0.0);
+        for (int l = 0; l < 4; ++l) {
+          if (k != l) {
+            EXPECT_EQ(result.allocation.alpha(k, l), 0.0);
+          }
+        }
     }
     // The greedy's take-remaining policy additionally exhausts every
     // cluster's own speed.

@@ -1,6 +1,7 @@
 // In-place re-pricing of the reduced LP (SteadyStateProblem::
-// refresh_route_bandwidths + update_reduced_capacities) and slot growth
-// through with_loads: after every change the patched or re-derived
+// refresh_route_bandwidths + update_reduced_capacities), in-place
+// re-weighting (set_load_weights + update_reduced_payoffs) and slot
+// growth through with_loads: after every change the patched or re-derived
 // model must equal build_reduced() of a freshly constructed problem on
 // the same platform, bit for bit, so the simplex cannot tell them apart.
 #include "core/problem.hpp"
@@ -172,11 +173,90 @@ TEST(ReducedPatch, SuccessiveEventsAccumulateExactly) {
   }
 }
 
+TEST(ReducedPatch, PayoffPatchOfChangedLoadsMatchesRebuild) {
+  // A slot universe: three slots per cluster, most of them idle. Every
+  // step seats, releases or re-weights slots (or rescales a capacity),
+  // patches the cached model, and compares it with a fresh build.
+  platform::Platform plat = test_platform(6, 27);
+  LoadSet slots;
+  for (int c = 0; c < 6; ++c)
+    for (int s = 0; s < 3; ++s) {
+      LoadSpec spec;
+      spec.source = c;
+      spec.weight = 0.0;
+      spec.data_ratio = 1.0 + 0.25 * s;
+      slots.loads.push_back(spec);
+    }
+  slots.loads[0].weight = 1.0;
+  SteadyStateProblem problem(plat, slots, Objective::Sum);
+  SteadyStateProblem::ReducedModel reduced = problem.build_reduced();
+  std::vector<double> weights = problem.loads().weights();
+  const int num = problem.num_loads();
+  // The first slot at or after `from` (cyclically) whose weight is
+  // positive (or zero, per `positive`).
+  const auto find = [&](int from, bool positive) {
+    for (int t = 0; t < num; ++t) {
+      const int j = (from + t) % num;
+      if ((weights[j] > 0.0) == positive) return j;
+    }
+    return -1;
+  };
+  Rng rng(31);
+  for (int step = 0; step < 40; ++step) {
+    const int from = static_cast<int>(rng.index(static_cast<std::size_t>(num)));
+    switch (step % 5) {
+      case 0:  // arrival: 0 -> positive
+        if (const int j = find(from, false); j >= 0) weights[j] = rng.uniform(0.5, 2.0);
+        break;
+      case 1: {  // departure: positive -> 0, keeping one load seated
+        const int j = find(from, true);
+        if (find(j + 1, true) != j) weights[j] = 0.0;
+        break;
+      }
+      case 2:  // re-weight: positive -> positive
+        weights[find(from, true)] = rng.uniform(0.5, 2.0);
+        break;
+      case 3: {  // capacity event under the cached model
+        const platform::LinkId li = routed_link(plat, step % 3);
+        plat.set_link_bandwidth(li, plat.link(li).bw * rng.uniform(0.5, 1.5));
+        plat.set_cluster_gateway_bw(step % 6, plat.cluster(step % 6).gateway_bw * 0.9);
+        problem.update_reduced_capacities(reduced, problem.refresh_route_bandwidths());
+        break;
+      }
+      default: {  // paired departure + arrival, and a signed idle zero
+        const int out = find(from, true);
+        if (find(out + 1, true) != out) weights[out] = 0.0;
+        if (const int in = find(from + 1, false); in >= 0) weights[in] = 1.25;
+        if (const int idle = find(from + 2, false); idle >= 0) weights[idle] = -0.0;
+        break;
+      }
+    }
+    problem.set_load_weights(weights);
+    problem.update_reduced_payoffs(reduced);
+    const SteadyStateProblem fresh(plat, problem.loads(), Objective::Sum);
+    expect_same_reduced(reduced, fresh.build_reduced());
+    if (HasFailure()) FAIL() << "diverged at step " << step;
+  }
+}
+
+TEST(ReducedPatch, SetLoadWeightsValidatesBeforeWriting) {
+  const platform::Platform plat = test_platform(4, 28);
+  SteadyStateProblem problem(plat, mixed_loads(4), Objective::Sum);
+  const std::vector<double> before = problem.loads().weights();
+  std::vector<double> bad = before;
+  bad.back() = -1.0;
+  EXPECT_THROW(problem.set_load_weights(bad), Error);
+  EXPECT_THROW(problem.set_load_weights(std::vector<double>(before.size(), 0.0)),
+               Error);
+  EXPECT_THROW(problem.set_load_weights({1.0}), Error);
+  EXPECT_EQ(problem.loads().weights(), before);
+}
+
 TEST(ReducedPatch, RefreshCopiesTheSharedRouteTable) {
   platform::Platform plat = test_platform(6, 25);
   SteadyStateProblem problem(plat, mixed_loads(6), Objective::Sum);
-  const SteadyStateProblem sibling = problem.with_load_weights(
-      std::vector<double>(problem.num_loads(), 1.0));
+  SteadyStateProblem sibling = problem;
+  sibling.set_load_weights(std::vector<double>(problem.num_loads(), 1.0));
   const std::vector<SteadyStateProblem::Route> old_routes = sibling.routes();
   const platform::LinkId li = routed_link(plat, 0);
   plat.set_link_bandwidth(li, plat.link(li).bw * 0.5);

@@ -92,7 +92,7 @@ TEST(RunCase, ZeroPayoffSpreadPinsRatiosToOne) {
 TEST(RunCase, RejectsBadSpread) {
   CaseConfig config = small_config(1);
   config.payoff_spread = 1.0;
-  EXPECT_THROW(run_case(config), Error);
+  EXPECT_THROW((void)run_case(config), Error);
 }
 
 TEST(SampleGridParams, DrawsFromTableOneValues) {

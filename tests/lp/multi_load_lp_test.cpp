@@ -78,7 +78,7 @@ TEST(MultiLoadLp, WarmCapsuleCarriesAcrossWeightPatches) {
   auto reduced = problem.build_reduced();
   int warm_used = 0;
   for (const std::vector<double>& w : weights) {
-    problem = problem.with_load_weights(w);
+    problem.set_load_weights(w);
     problem.update_reduced_payoffs(reduced);
     LpWarmStart warm{&state, &arena, &reduced};
     const MultiLoadSolution hot = solve_loads(problem, {}, &warm);

@@ -255,6 +255,112 @@ TEST(SimplexPricing, SolutionCarriesKernelStats) {
   EXPECT_GT(s.eta_peak_nnz, 0u);
 }
 
+/// Random packing LP (nonnegative rows, positive rhs and costs) plus two
+/// equality rows x_a = x_b, whose slacks are fixed at [0,0]: x = 0 stays
+/// feasible however many columns are pinned to zero.
+Model make_packing_lp(Rng& rng, int n, int m) {
+  Model model;
+  model.set_sense(Sense::Maximize);
+  for (int j = 0; j < n; ++j)
+    model.add_variable(0.0, rng.uniform(2.0, 20.0), rng.uniform(0.5, 5.0));
+  for (int i = 0; i < m; ++i) {
+    std::vector<Term> terms;
+    for (int j = 0; j < n; ++j)
+      if (rng.bernoulli(0.3)) terms.push_back({j, rng.uniform(0.2, 3.0)});
+    if (terms.empty()) terms.push_back({static_cast<int>(rng.index(n)), 1.0});
+    model.add_constraint(std::move(terms), Relation::LessEqual, rng.uniform(5.0, 30.0));
+  }
+  model.add_constraint({{1, 1.0}, {2, -1.0}}, Relation::Equal, 0.0);
+  model.add_constraint({{4, 1.0}, {7, -1.0}}, Relation::Equal, 0.0);
+  return model;
+}
+
+/// `model` without the columns `drop` marks (rows keep their order).
+Model without_columns(const Model& model, const std::vector<char>& drop) {
+  Model out;
+  out.set_sense(model.sense());
+  std::vector<int> map(static_cast<std::size_t>(model.num_variables()), -1);
+  for (int j = 0; j < model.num_variables(); ++j)
+    if (!drop[static_cast<std::size_t>(j)])
+      map[static_cast<std::size_t>(j)] = out.add_variable(
+          model.lower_bound(j), model.upper_bound(j), model.objective_coef(j));
+  for (int c = 0; c < model.num_constraints(); ++c) {
+    std::vector<Term> terms;
+    for (const Term& t : model.row(c))
+      if (map[static_cast<std::size_t>(t.var)] >= 0)
+        terms.push_back({map[static_cast<std::size_t>(t.var)], t.coef});
+    out.add_constraint(std::move(terms), model.relation(c), model.rhs(c));
+  }
+  return out;
+}
+
+TEST(SimplexPricing, FixedColumnsWithAttractiveCostsNeverEnter) {
+  Rng rng(77);
+  for (const Pricing p : kRules) {
+    for (const Factorization f : kFactorizations) {
+      const std::string arm = std::string(p == Pricing::Dantzig ? "dantzig" : "se") +
+                              (f == Factorization::SparseLu ? "/lu" : "/dense");
+      SimplexOptions opt;
+      opt.pricing = p;
+      opt.factorization = f;
+      Model model = make_packing_lp(rng, 60, 20);
+      WarmState state;
+      const Solution first = SimplexSolver(opt).solve(model, &state);
+      ASSERT_EQ(first.status, SolveStatus::Optimal) << arm;
+
+      // Pin every third column, and every odd basic one, at [0,0] with
+      // the best cost in the model: a solver that priced fixed columns
+      // would keep choosing them.
+      const int n = model.num_variables();
+      std::vector<char> fixed(static_cast<std::size_t>(n), 0);
+      int fixed_basic = 0;
+      for (int j = 0; j < n; ++j) {
+        const bool basic = first.basis.variables[j] == BasisStatus::Basic;
+        if (j % 3 != 0 && !(basic && j % 2 == 1)) continue;
+        fixed[static_cast<std::size_t>(j)] = 1;
+        fixed_basic += basic && first.x[j] > 0.0;
+        model.set_bounds(j, 0.0, 0.0);
+        model.set_objective_coef(j, 50.0);
+      }
+      ASSERT_GT(fixed_basic, 0) << arm;  // the warm start must repair them
+
+      const Solution warm = SimplexSolver(opt).solve(model, &state);
+      ASSERT_EQ(warm.status, SolveStatus::Optimal) << arm;
+      EXPECT_EQ(warm.warm_kind, WarmKind::Capsule) << arm;
+      EXPECT_GT(warm.phase1_iterations, 0) << arm;
+      const Solution cold = SimplexSolver(opt).solve(model);
+      ASSERT_EQ(cold.status, SolveStatus::Optimal) << arm;
+      // A fixed column that never enters keeps the resting place its
+      // start gave it (an entered one would at least bound-flip).
+      for (int j = 0; j < n; ++j) {
+        if (!fixed[static_cast<std::size_t>(j)]) continue;
+        EXPECT_EQ(warm.x[j], 0.0) << arm << " var " << j;
+        if (first.basis.variables[j] != BasisStatus::Basic) {
+          EXPECT_EQ(warm.basis.variables[j], first.basis.variables[j])
+              << arm << " var " << j;
+        }
+        EXPECT_EQ(cold.basis.variables[j], BasisStatus::AtLower) << arm << " var " << j;
+      }
+      const Model kept = without_columns(model, fixed);
+      const Solution ref = SimplexSolver(opt).solve(kept);
+      ASSERT_EQ(ref.status, SolveStatus::Optimal) << arm;
+      EXPECT_TRUE(close(warm.objective, ref.objective))
+          << arm << ": " << warm.objective << " vs " << ref.objective;
+      EXPECT_TRUE(close(cold.objective, ref.objective)) << arm;
+      if (p != Pricing::Dantzig) continue;
+      // Full-scan pricing visits the free columns in the same relative
+      // order either way, so the cold solve walks the deleted model's
+      // pivot path exactly.
+      EXPECT_EQ(cold.iterations, ref.iterations) << arm;
+      EXPECT_EQ(bits(cold.objective), bits(ref.objective)) << arm;
+      for (int j = 0, k = 0; j < n; ++j) {
+        if (fixed[static_cast<std::size_t>(j)]) continue;
+        EXPECT_EQ(bits(cold.x[j]), bits(ref.x[k++])) << arm << " var " << j;
+      }
+    }
+  }
+}
+
 TEST(SimplexPricing, HypersparseToggleIsBitIdentical) {
   for (const Pricing p : kRules) {
     SimplexOptions hyper;

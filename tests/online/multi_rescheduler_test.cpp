@@ -248,7 +248,7 @@ public:
       }
       problem_.emplace(*plat_, std::move(slots), core::Objective::Sum);
     } else {
-      problem_ = problem_->with_load_weights(weights);
+      problem_->set_load_weights(weights);
     }
     if (!reduced_) {
       reduced_ = problem_->build_reduced();

@@ -165,6 +165,75 @@ std::string single_load_sum_pins() {
   return out;
 }
 
+/// An idle-heavy shared-LP trace at K = 32: three long-lived loads, a
+/// burst of short loads on five clusters that grows their slot counts
+/// 1 -> 2 -> 4 -> 8 one arrival at a time, a drain back to the
+/// long-lived loads, capacity events (link bandwidth, max-connect and
+/// gateway rescales) while most slot columns sit idle at [0,0], and
+/// short late loads whose departures leave the warm capsule with basic
+/// columns outside their new [0,0] bounds (the composite bound phase 1).
+Inputs idle_slot_inputs() {
+  platform::GeneratorParams params;
+  params.num_clusters = 32;
+  params.ensure_connected = true;
+  Rng prng(11);
+  Inputs in{generate_platform(params, prng), {}, {}};
+  const auto arrive = [&in](double time, int cluster, double payoff,
+                            double load) {
+    in.wl.arrivals.push_back({time, cluster, payoff, load, ""});
+  };
+  arrive(0.0, 5, 1.0, 40000.0);
+  arrive(0.0, 17, 1.5, 60000.0);
+  arrive(0.0, 26, 0.75, 50000.0);
+  const int burst[] = {0, 1, 2, 3, 8};
+  for (int i = 0; i < 40; ++i)
+    arrive(1.0 + 0.05 * i, burst[i % 5], 0.5 + 0.125 * (i % 7),
+           400.0 + 50.0 * (i % 9));
+  for (int i = 0; i < 8; ++i)
+    arrive(60.0 + 7.0 * i, (3 * i + 9) % 32, 1.0 + 0.25 * (i % 3), 300.0);
+
+  const platform::Platform& plat = in.plat;
+  using dynamics::EventKind;
+  auto& ev = in.trace.events;
+  for (int i = 0; i < 6; ++i) {
+    const double t = 30.0 + 9.0 * i;
+    const int link = (7 * i + 3) % plat.num_links();
+    ev.push_back({t, EventKind::LinkBandwidth, link,
+                  plat.link(link).bw * (i % 2 == 0 ? 0.5 : 1.5)});
+    ev.push_back({t + 2.0, EventKind::GatewayBandwidth, (5 * i + 1) % 32,
+                  plat.cluster((5 * i + 1) % 32).gateway_bw * 0.6});
+    ev.push_back({t + 4.0, EventKind::LinkMaxConnect, link,
+                  static_cast<double>(plat.link(link).max_connections / 2 + 1)});
+  }
+  return in;
+}
+
+/// The idle-heavy trace under both slot-universe objectives in
+/// multi-load mode, and under single-load Sum with the LP bound (the
+/// canonical model, idle clusters as zero-weight columns).
+std::string idle_slot_pins() {
+  const Inputs in = idle_slot_inputs();
+  std::string out;
+  for (const core::MultiObjective objective :
+       {core::MultiObjective::WeightedSum, core::MultiObjective::PropFair}) {
+    OnlineOptions options;
+    options.multi_load = true;
+    options.multi.solve.objective = objective;
+    const OnlineReport report =
+        OnlineEngine(in.plat, options).run(in.wl, in.trace);
+    EXPECT_EQ(report.platform_events, in.trace.size());
+    EXPECT_GT(report.warm_solves, report.cold_solves);
+    out += "objective " + core::to_string(objective) + "\n" + pin(report);
+  }
+  OnlineOptions options;
+  options.sched.method = Method::LpBound;
+  options.sched.objective = core::Objective::Sum;
+  const OnlineReport report = OnlineEngine(in.plat, options).run(in.wl, in.trace);
+  EXPECT_GT(report.queued_arrivals, 0);
+  out += "method lp objective SUM\n" + pin(report);
+  return out;
+}
+
 /// Compares `got` with the committed file, or re-records it when
 /// DLS_UPDATE_GOLDEN is set.
 void check_golden(const std::string& name, const std::string& got) {
@@ -191,6 +260,10 @@ TEST(SingleLoadGolden, DynamicsReplayMatchesCommittedPin) {
 
 TEST(SingleLoadGolden, SumReplayMatchesCommittedPin) {
   check_golden("run_single_sum_golden.txt", single_load_sum_pins());
+}
+
+TEST(MultiLoadGolden, IdleSlotReplayMatchesCommittedPin) {
+  check_golden("run_idle_slots_golden.txt", idle_slot_pins());
 }
 
 }  // namespace

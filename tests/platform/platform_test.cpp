@@ -222,7 +222,7 @@ TEST(Platform, RouteMetricCacheFollowsRouteEdits) {
   EXPECT_DOUBLE_EQ(p.route_latency(0, 1), 2.5);
 
   p.clear_route(0, 1);
-  EXPECT_THROW(p.route_bottleneck_bw(0, 1), Error);
+  EXPECT_THROW((void)p.route_bottleneck_bw(0, 1), Error);
 
   // BFS reinstall repopulates the cache (shortest route is the direct link).
   p.compute_shortest_path_routes();
@@ -254,7 +254,7 @@ TEST(Platform, RouteMetricCacheInvalidatedBySubdivide) {
   p.subdivide_link(0, mid);
   // Routes (and metrics) are dropped until recomputed.
   EXPECT_FALSE(p.has_route(0, 1));
-  EXPECT_THROW(p.route_bottleneck_bw(0, 1), Error);
+  EXPECT_THROW((void)p.route_bottleneck_bw(0, 1), Error);
   p.compute_shortest_path_routes();
   EXPECT_DOUBLE_EQ(p.route_bottleneck_bw(0, 1), 10.0);
 }

@@ -107,7 +107,7 @@ TEST(Lcm64, Basics) {
 
 TEST(Lcm64, OverflowDetected) {
   const std::int64_t big = (1LL << 62) + 1;  // == 2 (mod 3), so coprime with 3
-  EXPECT_THROW(lcm64(big, 3), Error);
+  EXPECT_THROW((void)lcm64(big, 3), Error);
 }
 
 }  // namespace

@@ -65,8 +65,8 @@ TEST(RationalizeFloor, NeverRoundsUp) {
 }
 
 TEST(Rationalize, InvalidInputs) {
-  EXPECT_THROW(rationalize(std::nan(""), 10), Error);
-  EXPECT_THROW(rationalize(1.0, 0), Error);
+  EXPECT_THROW((void)rationalize(std::nan(""), 10), Error);
+  EXPECT_THROW((void)rationalize(1.0, 0), Error);
 }
 
 }  // namespace

@@ -70,8 +70,8 @@ TEST(Stats, Percentiles) {
 }
 
 TEST(Stats, PercentileValidation) {
-  EXPECT_THROW(percentile(std::vector<double>{}, 50), Error);
-  EXPECT_THROW(percentile(std::vector<double>{1.0}, 101), Error);
+  EXPECT_THROW((void)percentile(std::vector<double>{}, 50), Error);
+  EXPECT_THROW((void)percentile(std::vector<double>{1.0}, 101), Error);
 }
 
 TEST(P2Quantile, ExactForSmallSamples) {
