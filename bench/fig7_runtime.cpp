@@ -7,6 +7,10 @@
 // and with our own simplex, but the *separations* must hold: G orders of
 // magnitude below the LP family, and LPRR above LPRG by a factor that
 // grows roughly like the number of LP solves.
+//
+// exp::run_case solves the relaxation once and derives LP, LPR and LPRG
+// from it; the LPR and LPRG columns each include that shared solve, so
+// every column reads as the method's standalone running time.
 #include <cstdio>
 #include <iostream>
 

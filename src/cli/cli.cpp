@@ -101,7 +101,9 @@ Solved solve_with_method(const core::SteadyStateProblem& problem, Args& args) {
   Rng rng(args.get_u64("seed", 1));
   Solved out{core::Allocation(problem.num_clusters()), 0.0, 0.0, method};
 
-  const auto bound = core::lp_upper_bound(problem);
+  // One relaxation serves the bound and, for lpr/lprg, the rounding.
+  const core::Relaxation relaxation = core::solve_relaxation(problem);
+  const auto bound = core::lp_upper_bound(problem, relaxation);
   require(bound.status == lp::SolveStatus::Optimal, "LP bound solve failed");
   out.bound = bound.objective;
 
@@ -115,9 +117,9 @@ Solved solve_with_method(const core::SteadyStateProblem& problem, Args& args) {
   if (method == "g") {
     result = core::run_greedy(problem);
   } else if (method == "lpr") {
-    result = core::run_lpr(problem);
+    result = core::run_lpr(problem, relaxation);
   } else if (method == "lprg") {
-    result = core::run_lprg(problem);
+    result = core::run_lprg(problem, relaxation);
   } else if (method == "lprr") {
     result = core::run_lprr(problem, rng);
   } else if (method == "exact") {

@@ -13,11 +13,17 @@
 //                          betas are fractional); upper-bounds the optimum
 //   MLP   solve_exact      branch-and-bound on the full program (7)
 //
+// LP, LPR and LPRG all start from the same rational relaxation. Each
+// takes either the simplex options (and solves it itself) or a
+// Relaxation from solve_relaxation, so a caller that runs several of
+// them — the §6 experiment, `dls solve` — pays for one solve.
+//
 // Every heuristic returns a *valid* allocation (integral betas, all of
 // equations (7) satisfied), which tests enforce via validate_allocation.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "core/allocation.hpp"
 #include "core/problem.hpp"
@@ -97,17 +103,44 @@ struct GreedyOptions {
                                               const Allocation& previous,
                                               const GreedyOptions& options = {});
 
+/// The rational relaxation of program (7), solved once: the fixing-free
+/// reduced model and the simplex's solution on it. The model is owned,
+/// or borrowed from LpWarmStart::reduced (which must then outlive this).
+struct Relaxation {
+  std::optional<SteadyStateProblem::ReducedModel> own;
+  const SteadyStateProblem::ReducedModel* borrowed = nullptr;
+  lp::Solution solution;
+
+  [[nodiscard]] const SteadyStateProblem::ReducedModel& reduced() const {
+    return own ? *own : *borrowed;
+  }
+};
+
+/// Solves the relaxation, threading the optional warm-start capsule and
+/// arena through the simplex (which consumes and refreshes the capsule).
+[[nodiscard]] Relaxation solve_relaxation(const SteadyStateProblem& problem,
+                                          const lp::SimplexOptions& lp_options = {},
+                                          LpWarmStart* warm = nullptr);
+
 /// LPR: rational relaxation, betas rounded down, alphas clipped to the
 /// rounded bandwidth.
 [[nodiscard]] HeuristicResult run_lpr(const SteadyStateProblem& problem,
                                       const lp::SimplexOptions& lp_options = {},
                                       LpWarmStart* warm = nullptr);
+/// LPR from an already solved relaxation of `problem`; a non-optimal
+/// relaxation yields an empty allocation carrying its status.
+[[nodiscard]] HeuristicResult run_lpr(const SteadyStateProblem& problem,
+                                      const Relaxation& relaxation);
 
 /// LPRG: LPR, then the greedy pass reclaims the rounding losses.
 [[nodiscard]] HeuristicResult run_lprg(const SteadyStateProblem& problem,
                                        const lp::SimplexOptions& lp_options = {},
                                        const GreedyOptions& greedy_options = {},
                                        LpWarmStart* warm = nullptr);
+/// LPRG from an already solved relaxation of `problem` (failure as run_lpr).
+[[nodiscard]] HeuristicResult run_lprg(const SteadyStateProblem& problem,
+                                       const Relaxation& relaxation,
+                                       const GreedyOptions& greedy_options = {});
 
 struct LprrOptions {
   /// false: round up with probability frac(beta) (the paper's LPRR);
@@ -143,6 +176,9 @@ struct LpBoundResult {
 [[nodiscard]] LpBoundResult lp_upper_bound(const SteadyStateProblem& problem,
                                            const lp::SimplexOptions& lp_options = {},
                                            LpWarmStart* warm = nullptr);
+/// The bound read off an already solved relaxation of `problem`.
+[[nodiscard]] LpBoundResult lp_upper_bound(const SteadyStateProblem& problem,
+                                           const Relaxation& relaxation);
 
 struct ExactResult {
   double objective = 0.0;

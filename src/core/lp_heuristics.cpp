@@ -1,7 +1,6 @@
 // LP-based heuristics (paper §5.2) and the rational upper bound.
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <vector>
 
 #include "core/heuristics.hpp"
@@ -42,59 +41,57 @@ Allocation round_down(const SteadyStateProblem& problem,
   return alloc;
 }
 
-/// Solves the reduced relaxation, threading the optional warm-start
-/// capsule through the simplex (which consumes and refreshes it).
-lp::Solution solve_relaxation(const SteadyStateProblem::ReducedModel& reduced,
-                              const lp::SimplexOptions& lp_options,
-                              LpWarmStart* warm) {
+}  // namespace
+
+Relaxation solve_relaxation(const SteadyStateProblem& problem,
+                            const lp::SimplexOptions& lp_options, LpWarmStart* warm) {
+  Relaxation out;
+  if (warm != nullptr && warm->reduced != nullptr)
+    out.borrowed = warm->reduced;
+  else
+    out.own.emplace(problem.build_reduced());
+  const lp::Model& model = out.reduced().model;
   const lp::SimplexSolver solver(lp_options);
   lp::WarmState* state = warm != nullptr ? warm->state : nullptr;
   lp::SolveArena* arena = warm != nullptr ? warm->arena : nullptr;
-  lp::Solution sol = arena != nullptr ? solver.solve(reduced.model, state, *arena)
-                                      : (state != nullptr
-                                             ? solver.solve(reduced.model, state)
-                                             : solver.solve(reduced.model));
+  out.solution = arena != nullptr ? solver.solve(model, state, *arena)
+                                  : (state != nullptr ? solver.solve(model, state)
+                                                      : solver.solve(model));
   if (warm != nullptr) {
-    warm->used = sol.warm_used;
-    warm->kind = sol.warm_kind;
+    warm->used = out.solution.warm_used;
+    warm->kind = out.solution.warm_kind;
   }
-  return sol;
+  return out;
 }
-
-/// The caller's cached reduced model when one was supplied, else a
-/// freshly built one kept alive in `own`.
-const SteadyStateProblem::ReducedModel& reduced_for(
-    const SteadyStateProblem& problem, LpWarmStart* warm,
-    std::optional<SteadyStateProblem::ReducedModel>& own) {
-  if (warm != nullptr && warm->reduced != nullptr) return *warm->reduced;
-  own.emplace(problem.build_reduced());
-  return *own;
-}
-
-}  // namespace
 
 LpBoundResult lp_upper_bound(const SteadyStateProblem& problem,
                              const lp::SimplexOptions& lp_options,
                              LpWarmStart* warm) {
-  std::optional<SteadyStateProblem::ReducedModel> own;
-  const auto& reduced = reduced_for(problem, warm, own);
-  const lp::Solution sol = solve_relaxation(reduced, lp_options, warm);
+  return lp_upper_bound(problem, solve_relaxation(problem, lp_options, warm));
+}
+
+LpBoundResult lp_upper_bound(const SteadyStateProblem& problem,
+                             const Relaxation& relaxation) {
+  const lp::Solution& sol = relaxation.solution;
   LpBoundResult out{0.0, Allocation(problem.num_clusters()), sol.status,
                     sol.iterations};
   if (sol.status != lp::SolveStatus::Optimal) return out;
   out.objective = sol.objective;
-  out.allocation = problem.allocation_from_reduced(reduced, sol.x);
+  out.allocation = problem.allocation_from_reduced(relaxation.reduced(), sol.x);
   return out;
 }
 
 HeuristicResult run_lpr(const SteadyStateProblem& problem,
                         const lp::SimplexOptions& lp_options, LpWarmStart* warm) {
-  std::optional<SteadyStateProblem::ReducedModel> own;
-  const auto& reduced = reduced_for(problem, warm, own);
-  const lp::Solution sol = solve_relaxation(reduced, lp_options, warm);
+  return run_lpr(problem, solve_relaxation(problem, lp_options, warm));
+}
+
+HeuristicResult run_lpr(const SteadyStateProblem& problem,
+                        const Relaxation& relaxation) {
+  const lp::Solution& sol = relaxation.solution;
   if (sol.status != lp::SolveStatus::Optimal) return failed(problem, sol.status);
 
-  HeuristicResult result{round_down(problem, reduced, sol.x), 0.0, 1,
+  HeuristicResult result{round_down(problem, relaxation.reduced(), sol.x), 0.0, 1,
                          lp::SolveStatus::Optimal, sol.iterations};
   result.objective = problem.objective_of(result.allocation);
   return result;
@@ -103,13 +100,18 @@ HeuristicResult run_lpr(const SteadyStateProblem& problem,
 HeuristicResult run_lprg(const SteadyStateProblem& problem,
                          const lp::SimplexOptions& lp_options,
                          const GreedyOptions& greedy_options, LpWarmStart* warm) {
-  std::optional<SteadyStateProblem::ReducedModel> own;
-  const auto& reduced = reduced_for(problem, warm, own);
-  const lp::Solution sol = solve_relaxation(reduced, lp_options, warm);
+  return run_lprg(problem, solve_relaxation(problem, lp_options, warm),
+                  greedy_options);
+}
+
+HeuristicResult run_lprg(const SteadyStateProblem& problem,
+                         const Relaxation& relaxation,
+                         const GreedyOptions& greedy_options) {
+  const lp::Solution& sol = relaxation.solution;
   if (sol.status != lp::SolveStatus::Optimal) return failed(problem, sol.status);
 
   internal::GreedyState st = internal::GreedyState::after(
-      problem, round_down(problem, reduced, sol.x));
+      problem, round_down(problem, relaxation.reduced(), sol.x));
   internal::greedy_fill(problem, st, greedy_options);
   HeuristicResult result{std::move(st.alloc), 0.0, 1, lp::SolveStatus::Optimal,
                          sol.iterations};

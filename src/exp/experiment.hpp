@@ -20,9 +20,11 @@ struct CaseConfig {
   platform::GeneratorParams params;
   core::Objective objective = core::Objective::MaxMin;
   std::uint64_t seed = 1;   ///< drives both the platform and LPRR's coins
-  /// The LP-based methods each cost at least one relaxation solve; a
-  /// campaign whose method axis excludes them skips that work (greedy
-  /// and the LP bound always run — they anchor every ratio).
+  /// LPR and LPRG round the relaxation the LP bound already solved, so
+  /// they add no solve of their own; a campaign whose method axis
+  /// excludes them skips only the rounding and greedy work (greedy and
+  /// the LP bound always run — they anchor every ratio). LPRR and its
+  /// ablations re-solve their own models.
   bool with_lpr = true;
   bool with_lprg = true;
   bool with_lprr = false;   ///< LPRR costs ~K^2 LP solves; opt in
@@ -41,6 +43,9 @@ struct CaseConfig {
   core::GreedyOptions greedy;  ///< local-exhaust policy ablation
 };
 
+/// A method's standalone cost. LP, LPR and LPRG share one relaxation
+/// solve per case, and its time is included in each of their `seconds`
+/// (so t_lpr + t_lprg counts it twice); each reports lp_solves = 1.
 struct Timing {
   double seconds = 0.0;
   int lp_solves = 0;
@@ -76,7 +81,7 @@ struct CaseResult {
                                   const platform::Platform& plat);
 
 /// The same kernels routed through a shared BatchSolver: every LP solve
-/// in the case (the bound, LPR/LPRG's relaxation, LPRR's ~K^2 re-solves)
+/// in the case (the relaxation behind LP/LPR/LPRG, LPRR's ~K^2 re-solves)
 /// reuses the calling thread's arena and the batch's shared
 /// column-structure cache. Numbers are bit-identical to the plain
 /// overloads — the batch only removes redundant analysis and allocation.

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "platform/generator.hpp"
 #include "support/rng.hpp"
@@ -235,6 +238,90 @@ TEST(LprrEqualProbability, AlsoFeasible) {
   const auto result = run_lprr(problem, lprr_rng, options);
   ASSERT_EQ(result.status, lp::SolveStatus::Optimal);
   EXPECT_TRUE(validate_allocation(problem, result.allocation, 1e-5).ok);
+}
+
+void expect_same_allocation(const Allocation& a, const Allocation& b) {
+  ASSERT_EQ(a.num_clusters(), b.num_clusters());
+  for (int k = 0; k < a.num_clusters(); ++k) {
+    for (int l = 0; l < a.num_clusters(); ++l) {
+      EXPECT_EQ(a.alpha(k, l), b.alpha(k, l)) << k << "->" << l;
+      EXPECT_EQ(a.beta(k, l), b.beta(k, l)) << k << "->" << l;
+    }
+  }
+}
+
+TEST(LpHeuristics, RelaxationOverloadsMatchStandalone) {
+  for (int num_clusters : {5, 15, 35}) {
+    Rng rng(static_cast<std::uint64_t>(num_clusters) * 131);
+    platform::GeneratorParams params;
+    params.num_clusters = num_clusters;
+    params.connectivity = 0.4;
+    params.mean_backbone_bw = 20;
+    params.mean_max_connections = 5;
+    const auto plat = generate_platform(params, rng);
+    std::vector<double> payoffs(plat.num_clusters());
+    for (double& p : payoffs) p = rng.uniform(0.5, 1.5);
+    for (Objective obj : {Objective::MaxMin, Objective::Sum}) {
+      SCOPED_TRACE("K=" + std::to_string(num_clusters) +
+                   (obj == Objective::Sum ? " sum" : " maxmin"));
+      const SteadyStateProblem problem(plat, payoffs, obj);
+      Relaxation solved = solve_relaxation(problem);
+      // The model is owned by value, so a moved relaxation stays usable.
+      const Relaxation relaxation = std::move(solved);
+      ASSERT_EQ(relaxation.solution.status, lp::SolveStatus::Optimal);
+
+      const auto bound = lp_upper_bound(problem);
+      const auto shared_bound = lp_upper_bound(problem, relaxation);
+      EXPECT_EQ(shared_bound.objective, bound.objective);
+      EXPECT_EQ(shared_bound.iterations, bound.iterations);
+      expect_same_allocation(shared_bound.allocation, bound.allocation);
+
+      const auto lpr = run_lpr(problem);
+      const auto shared_lpr = run_lpr(problem, relaxation);
+      EXPECT_EQ(shared_lpr.objective, lpr.objective);
+      EXPECT_EQ(shared_lpr.lp_solves, 1);
+      expect_same_allocation(shared_lpr.allocation, lpr.allocation);
+
+      const auto lprg = run_lprg(problem);
+      const auto shared_lprg = run_lprg(problem, relaxation);
+      EXPECT_EQ(shared_lprg.objective, lprg.objective);
+      EXPECT_EQ(shared_lprg.lp_solves, 1);
+      expect_same_allocation(shared_lprg.allocation, lprg.allocation);
+
+      // A caller's cached model is borrowed, not copied.
+      const auto cached = problem.build_reduced();
+      LpWarmStart warm;
+      warm.reduced = &cached;
+      const Relaxation borrowed = solve_relaxation(problem, {}, &warm);
+      EXPECT_FALSE(borrowed.own.has_value());
+      EXPECT_EQ(&borrowed.reduced(), &cached);
+      EXPECT_EQ(run_lprg(problem, borrowed).objective, lprg.objective);
+    }
+  }
+}
+
+TEST(LpHeuristics, NonOptimalRelaxationFails) {
+  const auto plat = testing::rounding_sensitive();
+  const SteadyStateProblem problem(plat, {1.0, 1.0}, Objective::Sum);
+  // No cluster computes this much: the relaxation is infeasible.
+  auto infeasible = problem.build_reduced();
+  infeasible.model.add_constraint({{infeasible.alpha_var[0], 1.0}},
+                                  lp::Relation::GreaterEqual, 1e9);
+  LpWarmStart warm;
+  warm.reduced = &infeasible;
+  const Relaxation relaxation = solve_relaxation(problem, {}, &warm);
+  ASSERT_NE(relaxation.solution.status, lp::SolveStatus::Optimal);
+
+  const auto bound = lp_upper_bound(problem, relaxation);
+  EXPECT_EQ(bound.status, relaxation.solution.status);
+  EXPECT_EQ(bound.objective, 0.0);
+  for (const HeuristicResult& r :
+       {run_lpr(problem, relaxation), run_lprg(problem, relaxation)}) {
+    EXPECT_EQ(r.status, relaxation.solution.status);
+    EXPECT_EQ(r.objective, 0.0);
+    EXPECT_EQ(r.lp_solves, 0);
+    EXPECT_EQ(r.allocation.total_alpha(0), 0.0);
+  }
 }
 
 TEST(Heuristics, DisconnectedPlatformStaysLocal) {

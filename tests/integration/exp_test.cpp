@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace dls::exp {
 namespace {
@@ -93,6 +97,53 @@ TEST(RunCase, RejectsBadSpread) {
   CaseConfig config = small_config(1);
   config.payoff_spread = 1.0;
   EXPECT_THROW((void)run_case(config), Error);
+}
+
+/// Every simplex solve so far, summed over dls_lp_solves_total's start
+/// kinds.
+std::uint64_t lp_solves_total() {
+  std::uint64_t total = 0;
+  for (const obs::SeriesSnapshot& s : obs::registry().snapshot().series)
+    if (s.name == "dls_lp_solves_total") total += s.counter;
+  return total;
+}
+
+TEST(Experiment, OneRelaxationPerCase) {
+  lp::BatchSolver lps;
+  for (std::uint64_t seed : {3ULL, 8ULL}) {
+    for (core::LocalExhaustPolicy exhaust :
+         {core::LocalExhaustPolicy::TakeRemaining,
+          core::LocalExhaustPolicy::DropApplication}) {
+      for (core::Objective obj : {core::Objective::MaxMin, core::Objective::Sum}) {
+        CaseConfig config = small_config(seed);
+        config.objective = obj;
+        config.greedy.local_exhaust = exhaust;
+
+        // The standalone methods on run_case's platform and payoffs.
+        Rng rng(config.seed);
+        const platform::Platform plat = generate_platform(config.params, rng);
+        std::vector<double> payoffs(plat.num_clusters());
+        for (double& p : payoffs)
+          p = rng.uniform(1.0 - config.payoff_spread, 1.0 + config.payoff_spread);
+        const core::SteadyStateProblem problem(plat, payoffs, obj);
+        const double lp = core::lp_upper_bound(problem).objective;
+        const double lpr = core::run_lpr(problem).objective;
+        const double lprg =
+            core::run_lprg(problem, lp::SimplexOptions{}, config.greedy).objective;
+
+        for (const bool batched : {false, true}) {
+          const std::uint64_t before = lp_solves_total();
+          const CaseResult r = batched ? run_case(config, lps) : run_case(config);
+          EXPECT_EQ(lp_solves_total() - before, 1u) << "batched " << batched;
+          ASSERT_TRUE(r.ok);
+          EXPECT_EQ(r.lp, lp);
+          EXPECT_EQ(r.lpr, lpr);
+          EXPECT_EQ(r.lprg, lprg);
+          for (const Timing& t : {r.t_lp, r.t_lpr, r.t_lprg}) EXPECT_EQ(t.lp_solves, 1);
+        }
+      }
+    }
+  }
 }
 
 TEST(SampleGridParams, DrawsFromTableOneValues) {
