@@ -15,9 +15,10 @@
 //      re-solves the steady state. The warm
 //      replica carries its simplex capsule across the event — restored
 //      whole when only rhs/bounds moved, basis-repaired when the event
-//      re-priced matrix coefficients (lp::SimplexOptions::warm_repair)
-//      — while the cold replica re-solves from scratch. Both reach the
-//      same LP optimum (asserted); the headline is
+//      re-priced matrix coefficients (the simplex's statuses-only
+//      retry, lp::WarmKind::Basis) — while the cold replica re-solves
+//      from scratch. Both reach the same LP optimum (asserted); the
+//      headline is
 //          warm_cold_ratio = mean warm ms / mean cold ms,
 //      expected well below 1 for K >= 64 (gated in CI).
 //

@@ -88,7 +88,7 @@ void BM_ScheduleReconstruction(benchmark::State& state) {
   const auto plat = make_platform(k, 2);
   const core::SteadyStateProblem problem(plat, std::vector<double>(k, 1.0),
                                          core::Objective::MaxMin);
-  const auto h = core::run_lprg(problem);
+  const auto h = core::run_lprg(problem, core::solve_relaxation(problem));
   for (auto _ : state) {
     const auto sched = core::build_periodic_schedule(problem, h.allocation);
     benchmark::DoNotOptimize(sched.period);

@@ -242,14 +242,14 @@ int main() {
     const lp::SimplexSolver warm_solver(warm_opt);
     lp::SolveArena warm_arena;
     lp::WarmState state;
-    (void)warm_solver.solve(model, &state, warm_arena);
+    (void)warm_solver.solve(model, &state, &warm_arena);
     std::vector<double> departed = payoffs;
     departed[static_cast<std::size_t>((k / 2) & ~1)] = 0.0;  // an active cluster
     const core::SteadyStateProblem after = problem.with_payoffs(departed);
     after.update_reduced_payoffs(reduced);
     const HyperSnap hw0 = hyper_snap();
     WallTimer warm_timer;
-    const lp::Solution warm = warm_solver.solve(model, &state, warm_arena);
+    const lp::Solution warm = warm_solver.solve(model, &state, &warm_arena);
     const double warm_seconds = warm_timer.seconds();
     const HyperSnap hw1 = hyper_snap();
     if (warm.status != lp::SolveStatus::Optimal) {
@@ -280,7 +280,7 @@ int main() {
       lp::SolveArena arena;
       WallTimer timer;
       for (int s = 0; s < block; ++s) {
-        if (solver.solve(model, arena).status != lp::SolveStatus::Optimal) {
+        if (solver.solve(model, nullptr, &arena).status != lp::SolveStatus::Optimal) {
           std::cerr << "lp_scaling: obs-arm solve not optimal\n";
           std::exit(1);
         }
@@ -327,7 +327,8 @@ int main() {
     std::vector<double> batch_obj;
     WallTimer batch_timer;
     for (const lp::Model* m : batch_ptrs)
-      batch_obj.push_back(batch_solver.solve(*m, batch.local_arena()).objective);
+      batch_obj.push_back(
+          batch_solver.solve(*m, nullptr, &batch.local_arena()).objective);
     const double batch_seconds = batch_timer.seconds();
     for (std::size_t i = 0; i < batch_obj.size(); ++i) {
       if (batch_obj[i] != plain_obj[i]) {
@@ -418,7 +419,7 @@ int main() {
        << ",\"objective\":" << sparse.objective
        << ",\"sparse_warm_seconds\":" << warm_seconds
        << ",\"warm_pivots\":" << warm.iterations
-       << ",\"warm_used\":" << (warm.warm_used ? "true" : "false")
+       << ",\"warm_used\":" << (warm.warm_kind != lp::WarmKind::Cold ? "true" : "false")
        << ",\"capsule_bytes\":" << state.memory_bytes()
        << ",\"dense_binv_bytes\":" << dense_binv_bytes
        << ",\"batch_models\":" << batch_models

@@ -70,7 +70,7 @@ RepResult run_rep(std::uint64_t seed, int k, int rep) {
   const platform::Platform plat = generate_platform(params, rng);
   const std::vector<double> payoffs(plat.num_clusters(), 1.0);
   const core::SteadyStateProblem problem(plat, payoffs, core::Objective::MaxMin);
-  const auto h = core::run_lprg(problem);
+  const auto h = core::run_lprg(problem, core::solve_relaxation(problem));
   if (h.status != lp::SolveStatus::Optimal) return out;
   const auto sched = core::build_periodic_schedule(problem, h.allocation);
 

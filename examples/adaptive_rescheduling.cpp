@@ -100,7 +100,8 @@ int main() {
 
   const auto first = make_platform(epochs[0].bw, epochs[0].connections);
   const core::SteadyStateProblem first_problem(first, payoffs, core::Objective::MaxMin);
-  const auto static_plan = core::run_lprg(first_problem);
+  const auto static_plan =
+      core::run_lprg(first_problem, core::solve_relaxation(first_problem));
 
   std::cout << "# re-solving each epoch (adaptive) vs keeping epoch-0's schedule (static)\n";
   TextTable table({"epoch", "conditions", "LP bound", "adaptive LPRG", "static plan"});
@@ -108,8 +109,9 @@ int main() {
   for (const auto& e : epochs) {
     const auto plat = make_platform(e.bw, e.connections);
     const core::SteadyStateProblem problem(plat, payoffs, core::Objective::MaxMin);
-    const auto bound = core::lp_upper_bound(problem);
-    const auto adaptive = core::run_lprg(problem);
+    const auto relaxation = core::solve_relaxation(problem);
+    const auto bound = core::lp_upper_bound(problem, relaxation);
+    const auto adaptive = core::run_lprg(problem, relaxation);
     const double frozen = static_plan_value(problem, static_plan.allocation);
     table.add_row({std::to_string(epoch++), e.note, TextTable::fmt(bound.objective, 1),
                    TextTable::fmt(adaptive.objective, 1), TextTable::fmt(frozen, 1)});

@@ -40,10 +40,11 @@ int main() {
 
   for (core::Objective obj : {core::Objective::Sum, core::Objective::MaxMin}) {
     const core::SteadyStateProblem problem(plat, payoffs, obj);
-    const auto bound = core::lp_upper_bound(problem);
+    const auto relaxation = core::solve_relaxation(problem);
+    const auto bound = core::lp_upper_bound(problem, relaxation);
     const auto g = core::run_greedy(problem);
-    const auto lpr = core::run_lpr(problem);
-    const auto lprg = core::run_lprg(problem);
+    const auto lpr = core::run_lpr(problem, relaxation);
+    const auto lprg = core::run_lprg(problem, relaxation);
     Rng coin(2024);
     const auto lprr = core::run_lprr(problem, coin);
 

@@ -43,7 +43,7 @@ int main() {
   const core::SteadyStateProblem problem(inst.platform, inst.payoffs,
                                          core::Objective::MaxMin);
 
-  const auto bound = core::lp_upper_bound(problem);
+  const auto bound = core::lp_upper_bound(problem, core::solve_relaxation(problem));
   std::cout << "rational relaxation (fractional connections): " << bound.objective
             << "\n";
 

@@ -31,7 +31,7 @@ int main() {
   std::cout << "payoffs: app0=4 (urgent), app1=2, app2..4=1, cluster5=donor\n\n";
   for (core::Objective obj : {core::Objective::Sum, core::Objective::MaxMin}) {
     const core::SteadyStateProblem problem(plat, payoffs, obj);
-    const auto lprg = core::run_lprg(problem);
+    const auto lprg = core::run_lprg(problem, core::solve_relaxation(problem));
 
     std::cout << "== " << to_string(obj) << " (LPRG objective "
               << TextTable::fmt(lprg.objective, 1) << ") ==\n";

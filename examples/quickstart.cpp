@@ -32,8 +32,9 @@ int main() {
   const core::SteadyStateProblem problem(plat, payoffs, core::Objective::MaxMin);
 
   // 3. Upper bound (rational relaxation) and the LPRG heuristic.
-  const auto bound = core::lp_upper_bound(problem);
-  const auto plan = core::run_lprg(problem);
+  const auto relaxation = core::solve_relaxation(problem);
+  const auto bound = core::lp_upper_bound(problem, relaxation);
+  const auto plan = core::run_lprg(problem, relaxation);
   std::cout << "LP upper bound (MAXMIN): " << bound.objective << "\n"
             << "LPRG achieves:           " << plan.objective << "\n\n";
 

@@ -13,10 +13,10 @@
 //                          betas are fractional); upper-bounds the optimum
 //   MLP   solve_exact      branch-and-bound on the full program (7)
 //
-// LP, LPR and LPRG all start from the same rational relaxation. Each
-// takes either the simplex options (and solves it itself) or a
-// Relaxation from solve_relaxation, so a caller that runs several of
-// them — the §6 experiment, `dls solve` — pays for one solve.
+// LP, LPR and LPRG all start from the same rational relaxation: each
+// takes a Relaxation from solve_relaxation, so a caller that runs
+// several of them — the §6 experiment, `dls solve`, the online
+// rescheduler — pays for one solve.
 //
 // Every heuristic returns a *valid* allocation (integral betas, all of
 // equations (7) satisfied), which tests enforce via validate_allocation.
@@ -62,12 +62,18 @@ struct LpWarmStart {
   /// SteadyStateProblem::update_reduced_payoffs). When null the
   /// heuristic builds its own.
   const SteadyStateProblem::ReducedModel* reduced = nullptr;
-  bool used = false;  ///< set by the heuristic: the seed was accepted
-  /// How the relaxation solve was seeded (lp::WarmKind::Basis = the
-  /// capsule was repaired across a constraint-matrix change, see
-  /// lp::SimplexOptions::warm_repair).
+  /// Set by the solve: how the seed was used (Cold = not at all;
+  /// lp::WarmKind::Basis = the capsule was repaired across a
+  /// constraint-matrix change).
   lp::WarmKind kind = lp::WarmKind::Cold;
 };
+
+/// The one way an LpWarmStart reaches the simplex: solves `model`
+/// through the optional capsule and arena of `warm` (which may be null)
+/// and records in warm->kind how the seed was used.
+[[nodiscard]] lp::Solution solve_warm(const lp::Model& model,
+                                      const lp::SimplexOptions& lp_options,
+                                      LpWarmStart* warm);
 
 /// What the greedy does when an application picks its local cluster but
 /// the paper's step-5 cap (the largest amount another application could
@@ -122,22 +128,14 @@ struct Relaxation {
                                           const lp::SimplexOptions& lp_options = {},
                                           LpWarmStart* warm = nullptr);
 
-/// LPR: rational relaxation, betas rounded down, alphas clipped to the
-/// rounded bandwidth.
-[[nodiscard]] HeuristicResult run_lpr(const SteadyStateProblem& problem,
-                                      const lp::SimplexOptions& lp_options = {},
-                                      LpWarmStart* warm = nullptr);
-/// LPR from an already solved relaxation of `problem`; a non-optimal
-/// relaxation yields an empty allocation carrying its status.
+/// LPR: the relaxation of `problem`, betas rounded down, alphas clipped
+/// to the rounded bandwidth. A non-optimal relaxation yields an empty
+/// allocation carrying its status.
 [[nodiscard]] HeuristicResult run_lpr(const SteadyStateProblem& problem,
                                       const Relaxation& relaxation);
 
-/// LPRG: LPR, then the greedy pass reclaims the rounding losses.
-[[nodiscard]] HeuristicResult run_lprg(const SteadyStateProblem& problem,
-                                       const lp::SimplexOptions& lp_options = {},
-                                       const GreedyOptions& greedy_options = {},
-                                       LpWarmStart* warm = nullptr);
-/// LPRG from an already solved relaxation of `problem` (failure as run_lpr).
+/// LPRG: LPR, then the greedy pass reclaims the rounding losses
+/// (failure as run_lpr).
 [[nodiscard]] HeuristicResult run_lprg(const SteadyStateProblem& problem,
                                        const Relaxation& relaxation,
                                        const GreedyOptions& greedy_options = {});
@@ -172,11 +170,8 @@ struct LpBoundResult {
   int iterations = 0;
 };
 
-/// The "LP" comparator: optimum of the rational relaxation.
-[[nodiscard]] LpBoundResult lp_upper_bound(const SteadyStateProblem& problem,
-                                           const lp::SimplexOptions& lp_options = {},
-                                           LpWarmStart* warm = nullptr);
-/// The bound read off an already solved relaxation of `problem`.
+/// The "LP" comparator: the optimum of the solved rational relaxation
+/// of `problem`.
 [[nodiscard]] LpBoundResult lp_upper_bound(const SteadyStateProblem& problem,
                                            const Relaxation& relaxation);
 

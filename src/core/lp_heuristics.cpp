@@ -43,6 +43,15 @@ Allocation round_down(const SteadyStateProblem& problem,
 
 }  // namespace
 
+lp::Solution solve_warm(const lp::Model& model, const lp::SimplexOptions& lp_options,
+                        LpWarmStart* warm) {
+  lp::Solution sol = lp::SimplexSolver(lp_options).solve(
+      model, warm != nullptr ? warm->state : nullptr,
+      warm != nullptr ? warm->arena : nullptr);
+  if (warm != nullptr) warm->kind = sol.warm_kind;
+  return sol;
+}
+
 Relaxation solve_relaxation(const SteadyStateProblem& problem,
                             const lp::SimplexOptions& lp_options, LpWarmStart* warm) {
   Relaxation out;
@@ -50,24 +59,8 @@ Relaxation solve_relaxation(const SteadyStateProblem& problem,
     out.borrowed = warm->reduced;
   else
     out.own.emplace(problem.build_reduced());
-  const lp::Model& model = out.reduced().model;
-  const lp::SimplexSolver solver(lp_options);
-  lp::WarmState* state = warm != nullptr ? warm->state : nullptr;
-  lp::SolveArena* arena = warm != nullptr ? warm->arena : nullptr;
-  out.solution = arena != nullptr ? solver.solve(model, state, *arena)
-                                  : (state != nullptr ? solver.solve(model, state)
-                                                      : solver.solve(model));
-  if (warm != nullptr) {
-    warm->used = out.solution.warm_used;
-    warm->kind = out.solution.warm_kind;
-  }
+  out.solution = solve_warm(out.reduced().model, lp_options, warm);
   return out;
-}
-
-LpBoundResult lp_upper_bound(const SteadyStateProblem& problem,
-                             const lp::SimplexOptions& lp_options,
-                             LpWarmStart* warm) {
-  return lp_upper_bound(problem, solve_relaxation(problem, lp_options, warm));
 }
 
 LpBoundResult lp_upper_bound(const SteadyStateProblem& problem,
@@ -82,11 +75,6 @@ LpBoundResult lp_upper_bound(const SteadyStateProblem& problem,
 }
 
 HeuristicResult run_lpr(const SteadyStateProblem& problem,
-                        const lp::SimplexOptions& lp_options, LpWarmStart* warm) {
-  return run_lpr(problem, solve_relaxation(problem, lp_options, warm));
-}
-
-HeuristicResult run_lpr(const SteadyStateProblem& problem,
                         const Relaxation& relaxation) {
   const lp::Solution& sol = relaxation.solution;
   if (sol.status != lp::SolveStatus::Optimal) return failed(problem, sol.status);
@@ -95,13 +83,6 @@ HeuristicResult run_lpr(const SteadyStateProblem& problem,
                          lp::SolveStatus::Optimal, sol.iterations};
   result.objective = problem.objective_of(result.allocation);
   return result;
-}
-
-HeuristicResult run_lprg(const SteadyStateProblem& problem,
-                         const lp::SimplexOptions& lp_options,
-                         const GreedyOptions& greedy_options, LpWarmStart* warm) {
-  return run_lprg(problem, solve_relaxation(problem, lp_options, warm),
-                  greedy_options);
 }
 
 HeuristicResult run_lprg(const SteadyStateProblem& problem,
@@ -122,10 +103,6 @@ HeuristicResult run_lprg(const SteadyStateProblem& problem,
 HeuristicResult run_lprr(const SteadyStateProblem& problem, Rng& rng,
                          const LprrOptions& options) {
   const lp::SimplexSolver solver(options.lp);
-  const auto solve_lp = [&](const lp::Model& model) {
-    return options.arena != nullptr ? solver.solve(model, *options.arena)
-                                    : solver.solve(model);
-  };
 
   std::vector<SteadyStateProblem::BetaFixing> fixings;
   std::vector<char> is_fixed(problem.routes().size(), 0);
@@ -169,7 +146,7 @@ HeuristicResult run_lprr(const SteadyStateProblem& problem, Rng& rng,
   if (options.resolve_between_fixings) {
     while (!unfixed.empty()) {
       const auto reduced = problem.build_reduced(fixings);
-      const lp::Solution sol = solve_lp(reduced.model);
+      const lp::Solution sol = solver.solve(reduced.model, nullptr, options.arena);
       ++lp_solves;
       if (sol.status != lp::SolveStatus::Optimal) {
         HeuristicResult r = failed(problem, sol.status);
@@ -199,7 +176,7 @@ HeuristicResult run_lprr(const SteadyStateProblem& problem, Rng& rng,
     // One-shot: round every beta from a single relaxation solve, in a
     // random order (the order matters through the budget demotions).
     const auto reduced = problem.build_reduced();
-    const lp::Solution sol = solve_lp(reduced.model);
+    const lp::Solution sol = solver.solve(reduced.model, nullptr, options.arena);
     ++lp_solves;
     if (sol.status != lp::SolveStatus::Optimal) {
       HeuristicResult r = failed(problem, sol.status);
@@ -216,7 +193,7 @@ HeuristicResult run_lprr(const SteadyStateProblem& problem, Rng& rng,
 
   // Final solve with every beta pinned gives the best alphas under them.
   const auto reduced = problem.build_reduced(fixings);
-  const lp::Solution sol = solve_lp(reduced.model);
+  const lp::Solution sol = solver.solve(reduced.model, nullptr, options.arena);
   ++lp_solves;
   if (sol.status != lp::SolveStatus::Optimal) {
     HeuristicResult r = failed(problem, sol.status);

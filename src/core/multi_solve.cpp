@@ -2,30 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 namespace dls::core {
 
 namespace {
-
-/// Mirrors the single-load heuristics' warm-threading: consume and
-/// refresh the caller's capsule/arena, report how the seed was used.
-lp::Solution solve_reduced(const SteadyStateProblem::ReducedModel& reduced,
-                           const lp::SimplexOptions& lp_options,
-                           LpWarmStart* warm) {
-  const lp::SimplexSolver solver(lp_options);
-  lp::WarmState* state = warm != nullptr ? warm->state : nullptr;
-  lp::SolveArena* arena = warm != nullptr ? warm->arena : nullptr;
-  lp::Solution sol = arena != nullptr ? solver.solve(reduced.model, state, *arena)
-                                      : (state != nullptr
-                                             ? solver.solve(reduced.model, state)
-                                             : solver.solve(reduced.model));
-  if (warm != nullptr) {
-    warm->used = sol.warm_used;
-    warm->kind = sol.warm_kind;
-  }
-  return sol;
-}
 
 /// Each load's throughput: its alphas summed in ascending destination
 /// order (load routes are load-major), negative solver noise clamped.
@@ -44,23 +24,17 @@ void read_throughputs(const SteadyStateProblem& problem,
 MultiLoadSolution solve_single_lp(const SteadyStateProblem& problem,
                                   const MultiLoadSolveOptions& options,
                                   LpWarmStart* warm) {
-  std::optional<SteadyStateProblem::ReducedModel> own;
-  const SteadyStateProblem::ReducedModel* reduced =
-      warm != nullptr && warm->reduced != nullptr ? warm->reduced : nullptr;
-  if (reduced == nullptr) {
-    own.emplace(problem.build_reduced());
-    reduced = &*own;
-  }
-  const lp::Solution sol = solve_reduced(*reduced, options.lp, warm);
+  const Relaxation relaxation = solve_relaxation(problem, options.lp, warm);
+  const lp::Solution& sol = relaxation.solution;
   MultiLoadSolution out;
   out.status = sol.status;
   out.lp_solves = 1;
   out.lp_iterations = sol.iterations;
-  out.warm = warm != nullptr && warm->used;
-  out.repaired = warm != nullptr && warm->kind == lp::WarmKind::Basis;
+  out.warm = sol.warm_kind != lp::WarmKind::Cold;
+  out.repaired = sol.warm_kind == lp::WarmKind::Basis;
   if (sol.status != lp::SolveStatus::Optimal) return out;
   out.objective = sol.objective;
-  read_throughputs(problem, *reduced, sol, out);
+  read_throughputs(problem, relaxation.reduced(), sol, out);
   return out;
 }
 
@@ -79,24 +53,20 @@ MultiLoadSolution solve_prop_fair(const SteadyStateProblem& problem,
   LpWarmStart chain;
   if (warm != nullptr) chain = *warm;
   if (chain.state == nullptr) chain.state = &local_state;
-  chain.reduced = nullptr;
-  LpWarmStart* thread = &chain;
 
   const LoadSet& loads = problem.loads();
   const int num_loads = problem.num_loads();
   const double floor = options.pf_floor;
 
-  lp::Solution sol = solve_reduced(reduced, options.lp, thread);
+  lp::Solution sol = solve_warm(reduced.model, options.lp, &chain);
   MultiLoadSolution out;
   out.status = sol.status;
   out.lp_solves = 1;
   out.lp_iterations = sol.iterations;
-  out.warm = thread->used;
-  out.repaired = thread->kind == lp::WarmKind::Basis;
-  if (warm != nullptr) {  // event-level semantics: how round 1 was seeded
-    warm->used = out.warm;
-    warm->kind = thread->kind;
-  }
+  out.warm = sol.warm_kind != lp::WarmKind::Cold;
+  out.repaired = sol.warm_kind == lp::WarmKind::Basis;
+  // Event-level semantics: the caller learns how round 1 was seeded.
+  if (warm != nullptr) warm->kind = sol.warm_kind;
   if (sol.status != lp::SolveStatus::Optimal) return out;
   read_throughputs(problem, reduced, sol, out);
 
@@ -121,7 +91,7 @@ MultiLoadSolution solve_prop_fair(const SteadyStateProblem& problem,
           w > 0.0 ? w / std::max(ref[problem.load_routes()[r].load], lin_floor)
                   : 0.0);
     }
-    sol = solve_reduced(reduced, options.lp, thread);
+    sol = solve_warm(reduced.model, options.lp, &chain);
     ++out.lp_solves;
     out.lp_iterations += sol.iterations;
     if (sol.status != lp::SolveStatus::Optimal) {

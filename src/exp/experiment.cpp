@@ -37,10 +37,8 @@ CaseResult run_case_on(const CaseConfig& config, const platform::Platform& plat,
     p = rng.uniform(1.0 - config.payoff_spread, 1.0 + config.payoff_spread);
   const core::SteadyStateProblem problem(plat, payoffs, config.objective);
 
-  // Fresh per call: LpWarmStart carries per-solve outputs (used/kind).
-  core::LpWarmStart warm;
+  core::LpWarmStart warm;  // no capsule: the arena only
   warm.arena = arena;
-  core::LpWarmStart* warm_ptr = arena != nullptr ? &warm : nullptr;
 
   CaseResult out;
   WallTimer timer;
@@ -49,7 +47,7 @@ CaseResult run_case_on(const CaseConfig& config, const platform::Platform& plat,
   // counts toward each of them, so every Timing is its method's
   // standalone cost.
   timer.reset();
-  const core::Relaxation relaxation = core::solve_relaxation(problem, {}, warm_ptr);
+  const core::Relaxation relaxation = core::solve_relaxation(problem, {}, &warm);
   const double t_relaxation = timer.seconds();
   const auto bound = core::lp_upper_bound(problem, relaxation);
   out.t_lp = {timer.seconds(), 1};

@@ -222,8 +222,8 @@ public:
     build_bounds_and_costs();
   }
 
-  Solution run(const Basis* warm, WarmState* state) {
-    Solution sol = run_inner(warm, state);
+  Solution run(WarmState* state) {
+    Solution sol = run_inner(state);
     sol.factorization_used =
         dense_ ? Factorization::DenseInverse : Factorization::SparseLu;
     sol.pricing_used = rule_;
@@ -235,7 +235,7 @@ public:
   }
 
 private:
-  Solution run_inner(const Basis* warm, WarmState* state) {
+  Solution run_inner(WarmState* state) {
     Solution sol;
     if (m_ == 0) return solve_unconstrained();
 
@@ -247,25 +247,21 @@ private:
     bool warm_ok = false;
     WarmKind kind = WarmKind::Cold;
     if (state != nullptr && state->valid) {
-      const bool matrix_changed = state->fingerprint != fingerprint_;
       warm_ok = init_from_state(*state);
       if (warm_ok) {
         kind = WarmKind::Capsule;
-      } else if (opt_.warm_repair && matrix_changed) {
+      } else if (state->fingerprint != fingerprint_) {
         // Basis repair: the constraint matrix moved under the capsule (a
-        // platform capacity event re-priced coefficients). Its statuses
-        // may still describe a near-optimal vertex of the new model;
-        // refactorize them against the new matrix and let the composite
-        // bound phase 1 below absorb any primal infeasibility. A basic
-        // set the new matrix makes singular fails the refactorization
-        // and falls through to the cold start.
+        // platform capacity event re-priced coefficients), or the
+        // capsule carries statuses only. The statuses may still describe
+        // a near-optimal vertex of the new model; refactorize them
+        // against the new matrix and let the composite bound phase 1
+        // below absorb any primal infeasibility. A basic set the new
+        // matrix makes singular fails the refactorization and falls
+        // through to the cold start.
         warm_ok = init_basis_warm(state->basis);
         if (warm_ok) kind = WarmKind::Basis;
       }
-    }
-    if (!warm_ok && warm != nullptr) {
-      warm_ok = init_basis_warm(*warm);
-      if (warm_ok) kind = WarmKind::Basis;
     }
     if (warm_ok && warm_infeasible_) {
       // Composite bound phase 1: bounds moved since the basis was taken
@@ -286,7 +282,6 @@ private:
       else
         sol.phase1_iterations = iters_;
     }
-    sol.warm_used = warm_ok;
     sol.warm_kind = warm_ok ? kind : WarmKind::Cold;
     if (!warm_ok) init_basis();
 
@@ -1582,11 +1577,6 @@ private:
 
 }  // namespace
 
-bool Basis::compatible(const Model& model) const {
-  return static_cast<int>(variables.size()) == model.num_variables() &&
-         static_cast<int>(slacks.size()) == model.num_constraints();
-}
-
 std::size_t WarmState::memory_bytes() const {
   return basis.variables.size() * sizeof(BasisStatus) +
          basis.slacks.size() * sizeof(BasisStatus) +
@@ -1632,24 +1622,10 @@ SolveArena::~SolveArena() = default;
 SolveArena::SolveArena(SolveArena&&) noexcept = default;
 SolveArena& SolveArena::operator=(SolveArena&&) noexcept = default;
 
-Solution SimplexSolver::solve(const Model& model, const Basis* warm) const {
-  SolveArena arena;
-  return solve(model, warm, arena);
-}
-
-Solution SimplexSolver::solve(const Model& model, WarmState* state) const {
-  SolveArena arena;
-  return solve(model, state, arena);
-}
-
-Solution SimplexSolver::solve(const Model& model, SolveArena& arena) const {
-  return solve(model, static_cast<const Basis*>(nullptr), arena);
-}
-
 namespace {
 
-// Every solve funnels through the two arena overloads below, so this
-// is the one place the lp layer reports to obs. Handles are resolved
+// Every solve funnels through SimplexSolver::solve below, so this is
+// the one place the lp layer reports to obs. Handles are resolved
 // once; each record is a handful of relaxed atomics on the calling
 // thread's shard.
 struct LpObs {
@@ -1687,22 +1663,15 @@ void record_solve(const Solution& solution, double seconds) {
 
 }  // namespace
 
-Solution SimplexSolver::solve(const Model& model, const Basis* warm,
-                              SolveArena& arena) const {
-  WallTimer timer;
-  Worker worker(model, options_, arena.impl());
-  Solution solution =
-      worker.run(warm != nullptr && warm->compatible(model) ? warm : nullptr,
-                 nullptr);
-  record_solve(solution, timer.seconds());
-  return solution;
-}
-
 Solution SimplexSolver::solve(const Model& model, WarmState* state,
-                              SolveArena& arena) const {
+                              SolveArena* arena) const {
+  if (arena == nullptr) {
+    SolveArena fresh;
+    return solve(model, state, &fresh);
+  }
   WallTimer timer;
-  Worker worker(model, options_, arena.impl());
-  Solution solution = worker.run(nullptr, state);
+  Worker worker(model, options_, arena->impl());
+  Solution solution = worker.run(state);
   record_solve(solution, timer.seconds());
   return solution;
 }

@@ -25,7 +25,11 @@
 //     Devex-style reference weights maintains the reduced-cost vector
 //     incrementally from the pivot row, so an iteration costs O(fill)
 //     instead of O(rows x cols). Both rules switch to Bland's rule
-//     after a long degenerate stall, which guarantees termination.
+//     after a long degenerate stall, which guarantees termination;
+//   * there is one entry, SimplexSolver::solve(model, capsule, arena),
+//     and one warm-start carrier, the WarmState capsule: restored whole
+//     on the matrix it was taken from, retried as a statuses-only start
+//     (basis repair) when the matrix moved, ignored when it does not fit.
 //
 // This is the LP engine behind every rational relaxation in the paper
 // (the "LP" upper-bound comparator and the LPR/LPRG/LPRR heuristics).
@@ -108,35 +112,16 @@ struct SimplexOptions {
   bool hypersparse = true;
   /// Entering-variable rule.
   Pricing pricing = Pricing::SteepestEdge;
-  /// Basis repair across constraint-matrix changes: when a warm capsule
-  /// is rejected by the matrix fingerprint but its statuses still fit
-  /// the model's shape, retry them as a statuses-only start against the
-  /// new matrix — refactorize the basic set and let the composite bound
-  /// phase 1 repair any primal infeasibility — instead of starting cold.
-  /// Off by default: it only makes sense when successive models are
-  /// small perturbations of one another (the dynamics rescheduler's
-  /// capacity events); a capsule from an unrelated model should be
-  /// discarded, not repaired.
-  bool warm_repair = false;
 };
 
 /// Resting place of one variable in a basis snapshot.
 enum class BasisStatus : unsigned char { AtLower, AtUpper, Basic, Free };
 
-/// A restart point for solve(): the status of every structural variable
-/// and of every row's slack at some basis. Obtained from Solution::basis
-/// and fed back as solve()'s `warm` argument, typically against a
-/// neighbouring model of identical shape whose bounds, costs or rhs
-/// moved (the adaptive rescheduler's arrival/departure re-solves). A
-/// basis that does not fit the model — wrong shape, singular, or primal
-/// infeasible under the new data — is ignored and the solve falls back
-/// to the cold all-slack start, so passing a stale basis is always safe.
+/// The status of every structural variable and of every row's slack at
+/// some basis: Solution::basis, and the statuses half of a WarmState.
 struct Basis {
   std::vector<BasisStatus> variables;  ///< one per structural variable
   std::vector<BasisStatus> slacks;     ///< one per constraint row
-  [[nodiscard]] bool empty() const { return variables.empty() && slacks.empty(); }
-  /// Shape check only; feasibility is verified during the solve.
-  [[nodiscard]] bool compatible(const Model& model) const;
 };
 
 /// Persistent warm-start capsule: the statuses PLUS the factorized
@@ -151,10 +136,18 @@ struct Basis {
 /// compressed away by a refactorization before the capsule is written
 /// (SimplexOptions::capsule_eta_fill), so long warm chains cannot grow
 /// it. A fingerprint of the constraint rows guards reuse: a capsule
-/// taken from a different matrix is ignored. solve() both consumes and
-/// refreshes the capsule, so callers just keep handing the same object
-/// back. A capsule written by a dense-inverse solve carries no
-/// factorization (the dense inverse is not persisted); restoring it
+/// taken from a different matrix is not restored whole but retried as
+/// a statuses-only start (basis repair, WarmKind::Basis) — its basic
+/// set is refactorized against the new matrix and the composite bound
+/// phase 1 absorbs any primal infeasibility — which is what a platform
+/// capacity event that re-prices coefficients needs. A capsule that
+/// carries statuses only (`basis` filled, no basic set, a stale
+/// fingerprint) takes the same path. A basis that does not fit — wrong
+/// shape, singular, or unrepairable — falls back to the cold all-slack
+/// start, so handing over a stale capsule is always safe. solve() both
+/// consumes and refreshes the capsule, so callers just keep handing the
+/// same object back. A capsule written by a dense-inverse solve carries
+/// no factorization (the dense inverse is not persisted); restoring it
 /// refactorizes from the saved basic set instead.
 struct WarmState {
   Basis basis;
@@ -177,10 +170,9 @@ enum class WarmKind : unsigned char {
   /// Capsule restored against its own constraint matrix (fingerprint
   /// matched; the saved factorization is reused when present).
   Capsule,
-  /// Statuses-only start: the basic set was refactorized against a
-  /// matrix the basis was not taken from (a plain Basis argument, or —
-  /// under SimplexOptions::warm_repair — a capsule whose matrix
-  /// fingerprint no longer matched).
+  /// Statuses-only start (basis repair): the capsule's matrix
+  /// fingerprint no longer matched, so its basic set was refactorized
+  /// against the new matrix.
   Basis,
 };
 
@@ -197,11 +189,10 @@ struct Solution {
   /// Optimal basis, filled when status == Optimal; reusable as a warm
   /// start for a same-shaped model.
   Basis basis;
-  /// True when a supplied warm basis was accepted (phase 1 was skipped).
-  bool warm_used = false;
-  /// Which start actually seeded the solve (Cold when warm_used is
-  /// false). phase1_iterations > 0 with a warm kind means the composite
-  /// bound phase 1 had to repair the restored basis first.
+  /// Which start actually seeded the solve (Cold when no capsule was
+  /// supplied or it was rejected). phase1_iterations > 0 with a warm
+  /// kind means the composite bound phase 1 had to repair the restored
+  /// basis first.
   WarmKind warm_kind = WarmKind::Cold;
   /// What the Auto factorization resolved to, plus factorization
   /// telemetry for bench/lp_scaling's per-rule columns.
@@ -291,26 +282,16 @@ class SimplexSolver {
   explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
 
   /// Solves the model's continuous relaxation (integrality marks ignored).
-  /// A non-null `warm` basis seeds the solve when it fits the model and
-  /// is primal feasible under its current bounds; otherwise it is
-  /// silently ignored (Solution::warm_used reports which happened).
-  [[nodiscard]] Solution solve(const Model& model,
-                               const Basis* warm = nullptr) const;
-
-  /// Capsule form: seeds from `state` when it is valid, fits the model's
-  /// shape, was taken from the same constraint matrix, and is still
-  /// primal feasible; falls back to the cold start otherwise. Either
-  /// way, an Optimal solve refreshes the capsule for the next call.
-  [[nodiscard]] Solution solve(const Model& model, WarmState* state) const;
-
-  /// Arena forms: identical results, but all scratch comes from (and
-  /// stays in) `arena` — the no-per-solve-allocation path BatchSolver
-  /// and the campaign kernels run on.
-  [[nodiscard]] Solution solve(const Model& model, SolveArena& arena) const;
-  [[nodiscard]] Solution solve(const Model& model, const Basis* warm,
-                               SolveArena& arena) const;
-  [[nodiscard]] Solution solve(const Model& model, WarmState* state,
-                               SolveArena& arena) const;
+  /// A valid `state` seeds the solve: restored whole when it was taken
+  /// from the same constraint matrix, repaired as a statuses-only start
+  /// when the matrix moved, and ignored (cold start) when it does not
+  /// fit; Solution::warm_kind reports which happened. An Optimal solve
+  /// refreshes the capsule for the next call. All scratch comes from
+  /// (and stays in) `arena` — the no-per-solve-allocation path
+  /// BatchSolver and the campaign kernels run on; a null arena means a
+  /// fresh one. Results are identical with or without an arena.
+  [[nodiscard]] Solution solve(const Model& model, WarmState* state = nullptr,
+                               SolveArena* arena = nullptr) const;
 
   [[nodiscard]] const SimplexOptions& options() const { return options_; }
 

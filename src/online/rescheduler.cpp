@@ -63,12 +63,6 @@ MultiLoadRescheduler::MultiLoadRescheduler(const platform::Platform& plat,
     : plat_(&plat), options_(options) {
   // Per-event solves never read shadow prices; skip their extraction.
   options_.solve.lp.compute_duals = false;
-  // Successive models here are always small perturbations of one
-  // another, the setting basis repair is designed for. With a static
-  // platform the matrix fingerprint always matches and the flag is
-  // inert; after a capacity event it turns the forced cold solve into a
-  // statuses-only repair.
-  options_.solve.lp.warm_repair = true;
 }
 
 namespace {
@@ -95,6 +89,16 @@ const core::Allocation& MultiLoadRescheduler::allocation() const {
   require(allocation_.has_value(),
           "MultiLoadRescheduler: no single-load allocation to read");
   return *allocation_;
+}
+
+bool MultiLoadRescheduler::caches_reduced() const {
+  // A Sum model keeps its rows across events, so one cached reduced
+  // model is patched per event; a MaxMin solve builds its own (one
+  // fairness row per active load), PropFair re-patches objective
+  // coefficients on a private model, and greedy solves no LP.
+  if (single_)
+    return single_->method != Method::Greedy && single_->objective == core::Objective::Sum;
+  return options_.solve.objective == core::MultiObjective::WeightedSum;
 }
 
 void MultiLoadRescheduler::reset() {
@@ -231,7 +235,6 @@ MultiReschedule MultiLoadRescheduler::solve_single(
     const std::vector<ActiveLoad>& loads, core::LpWarmStart& warm) {
   const ReschedulerOptions& single = *single_;
   const core::SteadyStateProblem& problem = *problem_;
-  const lp::SimplexOptions& lp_options = options_.solve.lp;
   MultiReschedule out;
   if (single.method == Method::Greedy) {
     // Auto keeps greedy cold: it solves no LP, so there is no phase-1
@@ -244,29 +247,28 @@ MultiReschedule MultiLoadRescheduler::solve_single(
     allocation_ = std::move(r.allocation);
     out.objective = r.objective;
     out.warm = seed;
-  } else if (single.method == Method::LpBound) {
-    core::LpBoundResult r = core::lp_upper_bound(problem, lp_options, &warm);
-    require(r.status == lp::SolveStatus::Optimal, "reschedule: LP bound failed");
-    allocation_ = std::move(r.allocation);
-    out.objective = r.objective;
-    out.lp_iterations = r.iterations;
-    out.lp_solves = 1;
   } else {
-    core::HeuristicResult r =
-        single.method == Method::Lpr
-            ? core::run_lpr(problem, lp_options, &warm)
-            : core::run_lprg(problem, lp_options, single.greedy, &warm);
-    if (r.status != lp::SolveStatus::Optimal)
+    const core::Relaxation relaxation =
+        core::solve_relaxation(problem, options_.solve.lp, &warm);
+    if (relaxation.solution.status != lp::SolveStatus::Optimal)
       throw Error(std::string("reschedule: method ") + to_string(single.method) +
                   " failed");
-    allocation_ = std::move(r.allocation);
-    out.objective = r.objective;
-    out.lp_iterations = r.lp_iterations;
-    out.lp_solves = r.lp_solves;
-  }
-  if (single.method != Method::Greedy) {
-    out.warm = warm.used;
+    out.warm = warm.kind != lp::WarmKind::Cold;
     out.repaired = warm.kind == lp::WarmKind::Basis;
+    out.lp_iterations = relaxation.solution.iterations;
+    out.lp_solves = 1;
+    if (single.method == Method::LpBound) {
+      core::LpBoundResult r = core::lp_upper_bound(problem, relaxation);
+      allocation_ = std::move(r.allocation);
+      out.objective = r.objective;
+    } else {
+      core::HeuristicResult r =
+          single.method == Method::Lpr
+              ? core::run_lpr(problem, relaxation)
+              : core::run_lprg(problem, relaxation, single.greedy);
+      allocation_ = std::move(r.allocation);
+      out.objective = r.objective;
+    }
   }
   out.rate.resize(loads.size());
   for (std::size_t i = 0; i < loads.size(); ++i)
@@ -333,11 +335,7 @@ MultiReschedule MultiLoadRescheduler::reschedule(
   } else {
     seat(loads);
   }
-  // A Sum model keeps its rows across events, so one cached reduced
-  // model is patched per event; a MaxMin solve builds its own (one
-  // fairness row per active load), and greedy solves no LP.
-  const bool solves_lp = !single_ || single_->method != Method::Greedy;
-  if (solves_lp && problem_->objective() == core::Objective::Sum) {
+  if (caches_reduced()) {
     if (!reduced_cache_) {
       reduced_cache_ = problem_->build_reduced();
     } else {

@@ -95,8 +95,7 @@ struct ActiveLoad {
 /// Multi-load mode: the shared-LP objective and its controls.
 struct MultiReschedulerOptions {
   /// Objective plus LP/PropFair controls (core::solve_loads). The
-  /// rescheduler disables dual extraction and enables warm_repair in
-  /// either mode.
+  /// rescheduler disables dual extraction in either mode.
   core::MultiLoadSolveOptions solve;
   WarmPolicy warm = WarmPolicy::Auto;
 };
@@ -126,8 +125,8 @@ struct MultiReschedule {
 /// and objective coefficients. The constraint matrix, and therefore the
 /// lp::WarmState capsule keyed on its fingerprint, survive every such
 /// event whole. Platform capacity events re-price the matrix under the
-/// capsule, which warm_repair turns into a statuses-only repair; only
-/// topology events and slot growth force a cold start.
+/// capsule, which the simplex then repairs as a statuses-only start;
+/// only topology events and slot growth force a cold start.
 class MultiLoadRescheduler {
 public:
   MultiLoadRescheduler(const platform::Platform& plat,
@@ -187,6 +186,8 @@ private:
   void seat(const std::vector<ActiveLoad>& loads);
   void rebuild_slots(const std::vector<int>& needed);
   void derive_active_problem(const std::vector<ActiveLoad>& loads);
+  /// Whether the solve reads reduced_cache_ (see its comment).
+  [[nodiscard]] bool caches_reduced() const;
   [[nodiscard]] MultiReschedule solve_single(const std::vector<ActiveLoad>& loads,
                                              core::LpWarmStart& warm);
   [[nodiscard]] MultiReschedule solve_multi(const std::vector<ActiveLoad>& loads,
@@ -212,7 +213,8 @@ private:
   std::optional<core::SteadyStateProblem> problem_;
   /// Fixing-free reduced model of a Sum-objective slot problem, patched
   /// per event with update_reduced_payoffs (only the seated or released
-  /// slots' columns change).
+  /// slots' columns change). Kept only while the solve reads it: LP
+  /// methods under single-load Sum and multi-load WeightedSum.
   std::optional<core::SteadyStateProblem::ReducedModel> reduced_cache_;
   lp::WarmState warm_state_;
   /// Simplex working storage reused across every event's LP solves:

@@ -69,7 +69,7 @@ TEST(LprrOneShot, ValidAndBelowBound) {
     std::vector<double> payoffs(plat.num_clusters());
     for (double& p : payoffs) p = rng.uniform(0.5, 1.5);
     SteadyStateProblem problem(plat, payoffs, Objective::MaxMin);
-    const auto bound = lp_upper_bound(problem);
+    const auto bound = lp_upper_bound(problem, solve_relaxation(problem));
 
     LprrOptions oneshot;
     oneshot.resolve_between_fixings = false;
@@ -121,11 +121,11 @@ TEST(LinklessRoutes, SameRouterClustersExchangeFreely) {
   ASSERT_GE(route, 0);
   EXPECT_FALSE(problem.routes()[route].needs_beta);
 
-  const auto bound = lp_upper_bound(problem);
+  const auto bound = lp_upper_bound(problem, solve_relaxation(problem));
   EXPECT_NEAR(bound.objective, 30.0, kTol);  // source gateway binds
 
   const auto g = run_greedy(problem);
-  const auto lprg = run_lprg(problem);
+  const auto lprg = run_lprg(problem, solve_relaxation(problem));
   for (const auto* h : {&g, &lprg}) {
     EXPECT_TRUE(validate_allocation(problem, h->allocation).ok);
     EXPECT_NEAR(h->objective, 30.0, kTol);
@@ -177,7 +177,7 @@ TEST(Validation, LprAllocationsAlwaysIntegral) {
     for (double& p : payoffs) p = rng.uniform(0.5, 1.5);
     for (Objective obj : {Objective::Sum, Objective::MaxMin}) {
       SteadyStateProblem problem(plat, payoffs, obj);
-      const auto lpr = run_lpr(problem);
+      const auto lpr = run_lpr(problem, solve_relaxation(problem));
       ASSERT_EQ(lpr.status, lp::SolveStatus::Optimal);
       EXPECT_TRUE(lpr.allocation.has_integral_betas());
       EXPECT_TRUE(validate_allocation(problem, lpr.allocation, 1e-5).ok);
@@ -204,8 +204,8 @@ TEST(DegeneratePlatforms, SingleClusterModelHasNoEmptyRows) {
       EXPECT_FALSE(full.model.row(c).empty()) << "row " << c;
 
     const auto g = run_greedy(problem);
-    const auto lprg = run_lprg(problem);
-    const auto bound = lp_upper_bound(problem);
+    const auto lprg = run_lprg(problem, solve_relaxation(problem));
+    const auto bound = lp_upper_bound(problem, solve_relaxation(problem));
     EXPECT_NEAR(g.objective, 100.0, kTol);
     EXPECT_NEAR(lprg.objective, 100.0, kTol);
     EXPECT_NEAR(bound.objective, 100.0, kTol);
@@ -230,8 +230,9 @@ TEST(DegeneratePlatforms, DisconnectedClustersSolveLocalOnly) {
 
     // payoff * speed products: 50, 120, 70, 40 -> Sum 280, MaxMin 40.
     const double optimum = obj == Objective::Sum ? 280.0 : 40.0;
-    for (const auto& result :
-         {run_greedy(problem), run_lpr(problem), run_lprg(problem)}) {
+    const Relaxation relaxation = solve_relaxation(problem);
+    for (const auto& result : {run_greedy(problem), run_lpr(problem, relaxation),
+                               run_lprg(problem, relaxation)}) {
       ASSERT_EQ(result.status, lp::SolveStatus::Optimal);
       EXPECT_TRUE(validate_allocation(problem, result.allocation).ok);
       EXPECT_NEAR(result.objective, optimum, kTol);

@@ -53,7 +53,7 @@ TEST(Greedy, SourceWorkersUsesBothRoutes) {
 TEST(Lpr, AchievesIntegerOptimumWhenBetasAlreadyIntegral) {
   const auto plat = testing::source_and_two_workers();
   SteadyStateProblem problem(plat, {1.0, 0.0, 0.0}, Objective::MaxMin);
-  const auto result = run_lpr(problem);
+  const auto result = run_lpr(problem, solve_relaxation(problem));
   EXPECT_EQ(result.status, lp::SolveStatus::Optimal);
   EXPECT_TRUE(validate_allocation(problem, result.allocation).ok);
   EXPECT_NEAR(result.objective, 4.0, kTol);
@@ -65,9 +65,9 @@ TEST(Lpr, LosesFractionalBandwidth) {
   // and ships only 4.
   const auto plat = testing::rounding_sensitive();
   SteadyStateProblem problem(plat, {1.0, 0.0}, Objective::Sum);
-  const auto bound = lp_upper_bound(problem);
+  const auto bound = lp_upper_bound(problem, solve_relaxation(problem));
   EXPECT_NEAR(bound.objective, 6.0, kTol);
-  const auto result = run_lpr(problem);
+  const auto result = run_lpr(problem, solve_relaxation(problem));
   EXPECT_TRUE(validate_allocation(problem, result.allocation).ok);
   EXPECT_NEAR(result.objective, 4.0, kTol);
   EXPECT_NEAR(result.allocation.beta(0, 1), 1.0, kTol);
@@ -78,7 +78,7 @@ TEST(Lprg, ReclaimsRoundedCapacity) {
   // connection (maxcon 3) and use the remaining gateway capacity 2.
   const auto plat = testing::rounding_sensitive();
   SteadyStateProblem problem(plat, {1.0, 0.0}, Objective::Sum);
-  const auto result = run_lprg(problem);
+  const auto result = run_lprg(problem, solve_relaxation(problem));
   EXPECT_TRUE(validate_allocation(problem, result.allocation).ok);
   EXPECT_NEAR(result.objective, 6.0, kTol);  // back to the LP bound
   EXPECT_GE(result.allocation.beta(0, 1), 2.0 - kTol);
@@ -168,14 +168,14 @@ TEST_P(HeuristicPropertyTest, AllHeuristicsValidAndBelowLpBound) {
     Scenario s = random_scenario(rng, num_clusters, obj);
     SteadyStateProblem problem(s.plat, s.payoffs, obj);
 
-    const auto bound = lp_upper_bound(problem);
+    const auto bound = lp_upper_bound(problem, solve_relaxation(problem));
     ASSERT_EQ(bound.status, lp::SolveStatus::Optimal);
     // The relaxation itself satisfies everything except integrality.
     EXPECT_TRUE(validate_allocation(problem, bound.allocation, 1e-5, false).ok);
 
     const auto g = run_greedy(problem);
-    const auto lpr = run_lpr(problem);
-    const auto lprg = run_lprg(problem);
+    const auto lpr = run_lpr(problem, solve_relaxation(problem));
+    const auto lprg = run_lprg(problem, solve_relaxation(problem));
     Rng lprr_rng = rng.split();
     const auto lprr = run_lprr(problem, lprr_rng);
 
@@ -213,11 +213,11 @@ TEST_P(ExactDominatesTest, HeuristicsNeverBeatTheExactOptimum) {
     if (exact.status != lp::SolveStatus::Optimal) GTEST_SKIP();
     EXPECT_TRUE(validate_allocation(problem, exact.allocation, 1e-5).ok);
 
-    const auto bound = lp_upper_bound(problem);
+    const auto bound = lp_upper_bound(problem, solve_relaxation(problem));
     EXPECT_LE(exact.objective, bound.objective + 1e-4 * (1 + bound.objective));
 
     const auto g = run_greedy(problem);
-    const auto lprg = run_lprg(problem);
+    const auto lprg = run_lprg(problem, solve_relaxation(problem));
     Rng lprr_rng = rng.split();
     const auto lprr = run_lprr(problem, lprr_rng);
     for (const auto* r : {&g, &lprg, &lprr})
@@ -270,19 +270,19 @@ TEST(LpHeuristics, RelaxationOverloadsMatchStandalone) {
       const Relaxation relaxation = std::move(solved);
       ASSERT_EQ(relaxation.solution.status, lp::SolveStatus::Optimal);
 
-      const auto bound = lp_upper_bound(problem);
+      const auto bound = lp_upper_bound(problem, solve_relaxation(problem));
       const auto shared_bound = lp_upper_bound(problem, relaxation);
       EXPECT_EQ(shared_bound.objective, bound.objective);
       EXPECT_EQ(shared_bound.iterations, bound.iterations);
       expect_same_allocation(shared_bound.allocation, bound.allocation);
 
-      const auto lpr = run_lpr(problem);
+      const auto lpr = run_lpr(problem, solve_relaxation(problem));
       const auto shared_lpr = run_lpr(problem, relaxation);
       EXPECT_EQ(shared_lpr.objective, lpr.objective);
       EXPECT_EQ(shared_lpr.lp_solves, 1);
       expect_same_allocation(shared_lpr.allocation, lpr.allocation);
 
-      const auto lprg = run_lprg(problem);
+      const auto lprg = run_lprg(problem, solve_relaxation(problem));
       const auto shared_lprg = run_lprg(problem, relaxation);
       EXPECT_EQ(shared_lprg.objective, lprg.objective);
       EXPECT_EQ(shared_lprg.lp_solves, 1);
@@ -334,7 +334,7 @@ TEST(Heuristics, DisconnectedPlatformStaysLocal) {
   plat.compute_shortest_path_routes();
   SteadyStateProblem problem(plat, {1.0, 1.0}, Objective::Sum);
   const auto g = run_greedy(problem);
-  const auto lprg = run_lprg(problem);
+  const auto lprg = run_lprg(problem, solve_relaxation(problem));
   EXPECT_NEAR(g.objective, 100.0, kTol);
   EXPECT_NEAR(lprg.objective, 100.0, kTol);
   EXPECT_NEAR(g.allocation.alpha(0, 0), 30.0, kTol);

@@ -84,7 +84,7 @@ TEST(MultiSolve, CanonicalSetMatchesSingleLoadBound) {
 
   {
     const SteadyStateProblem single(plat, payoffs, Objective::Sum);
-    const auto bound = lp_upper_bound(single);
+    const auto bound = lp_upper_bound(single, solve_relaxation(single));
     ASSERT_EQ(bound.status, lp::SolveStatus::Optimal);
     MultiLoadSolveOptions options;
     options.objective = MultiObjective::WeightedSum;
@@ -95,7 +95,7 @@ TEST(MultiSolve, CanonicalSetMatchesSingleLoadBound) {
   }
   {
     const SteadyStateProblem single(plat, payoffs, Objective::MaxMin);
-    const auto bound = lp_upper_bound(single);
+    const auto bound = lp_upper_bound(single, solve_relaxation(single));
     ASSERT_EQ(bound.status, lp::SolveStatus::Optimal);
     MultiLoadSolveOptions options;
     options.objective = MultiObjective::MaxMin;

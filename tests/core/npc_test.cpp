@@ -187,7 +187,7 @@ TEST(Theorem1, LpRelaxationCanExceedMis) {
   g.add_edge(0, 2);
   const ReductionInstance inst = build_reduction(g);
   SteadyStateProblem problem(inst.platform, inst.payoffs, Objective::MaxMin);
-  const auto bound = lp_upper_bound(problem);
+  const auto bound = lp_upper_bound(problem, solve_relaxation(problem));
   ASSERT_EQ(bound.status, lp::SolveStatus::Optimal);
   EXPECT_GT(bound.objective, 1.0 + 1e-6);  // MIS(K3) = 1
 }

@@ -69,7 +69,7 @@ TEST(Schedule, ThroughputNeverExceedsAllocation) {
     const auto plat = generate_platform(params, rng);
     std::vector<double> payoffs(plat.num_clusters(), 1.0);
     SteadyStateProblem problem(plat, payoffs, Objective::MaxMin);
-    const auto h = run_lprg(problem);
+    const auto h = run_lprg(problem, solve_relaxation(problem));
     ASSERT_EQ(h.status, lp::SolveStatus::Optimal);
     const auto sched = build_periodic_schedule(problem, h.allocation);
     EXPECT_TRUE(validate_schedule(problem, sched).ok) << "trial " << trial;

@@ -43,8 +43,8 @@ TEST(DataPlatform, EndToEndScheduling) {
   std::vector<double> payoffs(plat.num_clusters(), 1.0);
   payoffs[5] = 3.0;  // tsukuba
   const core::SteadyStateProblem problem(plat, payoffs, core::Objective::MaxMin);
-  const auto bound = core::lp_upper_bound(problem);
-  const auto lprg = core::run_lprg(problem);
+  const auto bound = core::lp_upper_bound(problem, core::solve_relaxation(problem));
+  const auto lprg = core::run_lprg(problem, core::solve_relaxation(problem));
   ASSERT_EQ(lprg.status, lp::SolveStatus::Optimal);
   EXPECT_TRUE(core::validate_allocation(problem, lprg.allocation, 1e-5).ok);
   EXPECT_GT(lprg.objective, 0.0);
@@ -65,7 +65,7 @@ TEST(DataPlatform, TcpBiasSlowsLongHaulFlows) {
   std::vector<double> payoffs(plat.num_clusters(), 1.0);
   payoffs[5] = 3.0;
   const core::SteadyStateProblem problem(plat, payoffs, core::Objective::MaxMin);
-  const auto lprg = core::run_lprg(problem);
+  const auto lprg = core::run_lprg(problem, core::solve_relaxation(problem));
   const auto sched = core::build_periodic_schedule(problem, lprg.allocation);
   sim::SimOptions fair;
   fair.periods = 3;

@@ -51,8 +51,10 @@ TEST(Determinism, HeuristicsBitExactOnSamePlatform) {
 
   EXPECT_EQ(allocation_fingerprint(core::run_greedy(problem).allocation),
             allocation_fingerprint(core::run_greedy(problem).allocation));
-  EXPECT_EQ(allocation_fingerprint(core::run_lprg(problem).allocation),
-            allocation_fingerprint(core::run_lprg(problem).allocation));
+  const auto lprg = [&] {
+    return core::run_lprg(problem, core::solve_relaxation(problem)).allocation;
+  };
+  EXPECT_EQ(allocation_fingerprint(lprg()), allocation_fingerprint(lprg()));
   Rng c1(7), c2(7);
   EXPECT_EQ(allocation_fingerprint(core::run_lprr(problem, c1).allocation),
             allocation_fingerprint(core::run_lprr(problem, c2).allocation));
@@ -84,7 +86,7 @@ TEST(Determinism, SimulatorIsDeterministic) {
   const auto plat = generate_platform(mid_params(), rng);
   std::vector<double> payoffs(plat.num_clusters(), 1.0);
   const core::SteadyStateProblem problem(plat, payoffs, core::Objective::Sum);
-  const auto h = core::run_lprg(problem);
+  const auto h = core::run_lprg(problem, core::solve_relaxation(problem));
   const auto sched = core::build_periodic_schedule(problem, h.allocation);
   sim::SimOptions opt;
   opt.policy = sim::SharingPolicy::MaxMin;
@@ -102,8 +104,10 @@ TEST(Determinism, ScheduleStableUnderSerializationRoundTrip) {
   std::vector<double> payoffs(plat.num_clusters(), 1.0);
   const core::SteadyStateProblem p1(plat, payoffs, core::Objective::MaxMin);
   const core::SteadyStateProblem p2(plat2, payoffs, core::Objective::MaxMin);
-  EXPECT_EQ(allocation_fingerprint(core::run_lprg(p1).allocation),
-            allocation_fingerprint(core::run_lprg(p2).allocation));
+  const auto lprg = [](const core::SteadyStateProblem& p) {
+    return core::run_lprg(p, core::solve_relaxation(p)).allocation;
+  };
+  EXPECT_EQ(allocation_fingerprint(lprg(p1)), allocation_fingerprint(lprg(p2)));
 }
 
 }  // namespace

@@ -126,10 +126,12 @@ TEST(Experiment, OneRelaxationPerCase) {
         for (double& p : payoffs)
           p = rng.uniform(1.0 - config.payoff_spread, 1.0 + config.payoff_spread);
         const core::SteadyStateProblem problem(plat, payoffs, obj);
-        const double lp = core::lp_upper_bound(problem).objective;
-        const double lpr = core::run_lpr(problem).objective;
+        const double lp =
+            core::lp_upper_bound(problem, core::solve_relaxation(problem)).objective;
+        const double lpr = core::run_lpr(problem, core::solve_relaxation(problem)).objective;
         const double lprg =
-            core::run_lprg(problem, lp::SimplexOptions{}, config.greedy).objective;
+            core::run_lprg(problem, core::solve_relaxation(problem), config.greedy)
+                .objective;
 
         for (const bool batched : {false, true}) {
           const std::uint64_t before = lp_solves_total();

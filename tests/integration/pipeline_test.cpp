@@ -50,10 +50,10 @@ TEST_P(FullPipelineTest, EveryStageConsistent) {
     const core::SteadyStateProblem problem(plat, payoffs, obj);
 
     // Stage 2: bound + heuristics, all valid and bounded by LP.
-    const auto bound = core::lp_upper_bound(problem);
+    const auto bound = core::lp_upper_bound(problem, core::solve_relaxation(problem));
     ASSERT_EQ(bound.status, lp::SolveStatus::Optimal);
     const auto g = core::run_greedy(problem);
-    const auto lprg = core::run_lprg(problem);
+    const auto lprg = core::run_lprg(problem, core::solve_relaxation(problem));
     Rng coin = rng.split();
     const auto lprr = core::run_lprr(problem, coin);
     for (const auto* h : {&g, &lprg, &lprr}) {
@@ -110,7 +110,7 @@ TEST(PipelineEdgeCases, IsolatedClusterAmongConnected) {
   plat.add_backbone(r0, r1, 10, 2);
   plat.compute_shortest_path_routes();
   core::SteadyStateProblem problem(plat, {1.0, 1.0, 1.0}, Objective::MaxMin);
-  const auto lprg = core::run_lprg(problem);
+  const auto lprg = core::run_lprg(problem, core::solve_relaxation(problem));
   ASSERT_TRUE(core::validate_allocation(problem, lprg.allocation).ok);
   // The isolated app is the bottleneck of the min: alpha_2 = 70.
   EXPECT_NEAR(lprg.objective, 70.0, 1e-5);
@@ -136,7 +136,7 @@ TEST(PipelineEdgeCases, BottleneckSharedLinkTriangle) {
   plat.compute_shortest_path_routes();
   core::SteadyStateProblem problem(plat, {1.0, 1.0, 0.0, 0.0}, Objective::MaxMin);
 
-  const auto bound = core::lp_upper_bound(problem);
+  const auto bound = core::lp_upper_bound(problem, core::solve_relaxation(problem));
   ASSERT_EQ(bound.status, lp::SolveStatus::Optimal);
   // Shared link: 3 connections * bw 10 = 30 total, split fairly: 15 each.
   EXPECT_NEAR(bound.objective, 15.0, 1e-5);
@@ -163,12 +163,12 @@ TEST(PipelineEdgeCases, HighPriorityAppDominatesSum) {
   plat.add_backbone(r0, r1, 20, 5);
   plat.compute_shortest_path_routes();
   core::SteadyStateProblem problem(plat, {10.0, 1.0}, Objective::Sum);
-  const auto bound = core::lp_upper_bound(problem);
+  const auto bound = core::lp_upper_bound(problem, core::solve_relaxation(problem));
   // App 0 takes its own cluster (100) plus 100 shipped into cluster 1
   // (bw 20*5 = 100 >= gateway 100): 10*200 = 2000.
   ASSERT_EQ(bound.status, lp::SolveStatus::Optimal);
   EXPECT_NEAR(bound.objective, 2000.0, 1e-4);
-  const auto lprg = core::run_lprg(problem);
+  const auto lprg = core::run_lprg(problem, core::solve_relaxation(problem));
   EXPECT_NEAR(lprg.objective, 2000.0, 1e-4);
   EXPECT_NEAR(lprg.allocation.alpha(0, 1), 100.0, 1e-4);
 }

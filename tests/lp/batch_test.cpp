@@ -56,7 +56,7 @@ TEST(BatchSolver, BitIdenticalToSequentialForAnyJobCount) {
     ThreadPool pool(jobs);
     std::vector<Solution> got(models.size());
     parallel_for(pool, 0, models.size(), [&](std::size_t i) {
-      got[i] = SimplexSolver().solve(models[i], batch.local_arena());
+      got[i] = SimplexSolver().solve(models[i], nullptr, &batch.local_arena());
     }, 1);
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].status, SolveStatus::Optimal);
@@ -73,7 +73,7 @@ TEST(BatchSolver, SharedStructureBuiltOncePerMatrix) {
   BatchSolver batch;
   std::vector<Solution> got;
   for (const Model& m : models)
-    got.push_back(SimplexSolver().solve(m, batch.local_arena()));
+    got.push_back(SimplexSolver().solve(m, nullptr, &batch.local_arena()));
   for (const Solution& s : got) ASSERT_EQ(s.status, SolveStatus::Optimal);
 
   // All 8 variants share one constraint matrix: exactly one column
@@ -91,12 +91,12 @@ TEST(BatchSolver, WarmCapsuleWorksThroughBatch) {
   BatchSolver batch;
   const SimplexSolver solver;
   WarmState state;
-  const Solution cold = solver.solve(models[0], &state, batch.local_arena());
+  const Solution cold = solver.solve(models[0], &state, &batch.local_arena());
   ASSERT_EQ(cold.status, SolveStatus::Optimal);
-  EXPECT_FALSE(cold.warm_used);
-  const Solution warm = solver.solve(models[1], &state, batch.local_arena());
+  EXPECT_EQ(cold.warm_kind, WarmKind::Cold);
+  const Solution warm = solver.solve(models[1], &state, &batch.local_arena());
   ASSERT_EQ(warm.status, SolveStatus::Optimal);
-  EXPECT_TRUE(warm.warm_used);
+  EXPECT_NE(warm.warm_kind, WarmKind::Cold);
   // Warm and cold agree on the optimum, though possibly via different
   // vertices on a degenerate face — so near, not bitwise.
   const Solution cold_ref = SimplexSolver().solve(models[1]);
@@ -110,7 +110,7 @@ TEST(BatchSolver, LocalArenaReuseMatchesColdSolves) {
   SolveArena& arena = batch.local_arena();
   const SimplexSolver solver{SimplexOptions{}};
   for (const Model& m : models) {
-    const Solution via_arena = solver.solve(m, arena);
+    const Solution via_arena = solver.solve(m, nullptr, &arena);
     const Solution cold = solver.solve(m);
     ASSERT_EQ(via_arena.status, SolveStatus::Optimal);
     EXPECT_EQ(via_arena.objective, cold.objective);
@@ -132,11 +132,11 @@ TEST(BatchSolver, ArenaHistoryAcrossFactorizationsNeverLeaks) {
 
   BatchSolver batch;
   SolveArena& arena = batch.local_arena();
-  (void)solver.solve(big, arena);
-  const Solution dense = solver.solve(small, arena);
+  (void)solver.solve(big, nullptr, &arena);
+  const Solution dense = solver.solve(small, nullptr, &arena);
   ASSERT_EQ(dense.status, SolveStatus::Optimal);
   ASSERT_EQ(dense.factorization_used, Factorization::DenseInverse);
-  const Solution again = solver.solve(big, arena);
+  const Solution again = solver.solve(big, nullptr, &arena);
   ASSERT_EQ(again.status, SolveStatus::Optimal);
   EXPECT_EQ(again.iterations, fresh.iterations);
   EXPECT_EQ(again.objective, fresh.objective);

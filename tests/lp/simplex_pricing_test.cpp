@@ -208,7 +208,7 @@ TEST(SimplexPricing, CapsuleCompressionPreservesWarmSolves) {
     ASSERT_EQ(cold.status, SolveStatus::Optimal);
     const Solution warm = solver.solve(model, &state);
     ASSERT_EQ(warm.status, SolveStatus::Optimal);
-    EXPECT_TRUE(warm.warm_used);
+    EXPECT_NE(warm.warm_kind, WarmKind::Cold);
     // A compressed capsule (fresh factorization, no eta file) and an
     // uncompressed one represent the same basis: the warm re-solve must
     // land on the same objective with zero pivots either way.

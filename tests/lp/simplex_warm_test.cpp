@@ -1,4 +1,5 @@
-// Warm-start tests: statuses-only Basis reuse and the WarmState capsule
+// Warm-start tests: statuses-only capsules (a Basis without its
+// factorization, refactorized on restore) and the full WarmState capsule
 // (factorized basis carried across solves of same-matrix models),
 // including the composite bound phase 1 that repairs a restored basis
 // whose basic values moved outside their bounds.
@@ -41,12 +42,21 @@ Model random_model(Rng& rng, int vars, int rows) {
   return m;
 }
 
+/// A capsule carrying statuses only: no basic set, no factorization and
+/// no matrix fingerprint, so the solver restores it by refactorizing the
+/// basic set (WarmKind::Basis).
+WarmState statuses_only(const Basis& basis) {
+  WarmState state;
+  state.basis = basis;
+  state.valid = true;
+  return state;
+}
+
 TEST(SimplexWarm, SolutionCarriesOptimalBasis) {
   Rng rng(3);
   const Model m = random_model(rng, 12, 6);
   const Solution s = SimplexSolver().solve(m);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
-  ASSERT_TRUE(s.basis.compatible(m));
   int basics = 0;
   for (const BasisStatus st : s.basis.variables) basics += st == BasisStatus::Basic;
   for (const BasisStatus st : s.basis.slacks) basics += st == BasisStatus::Basic;
@@ -58,9 +68,10 @@ TEST(SimplexWarm, RestartFromOwnBasisTakesNoPivots) {
   const Model m = random_model(rng, 20, 10);
   const Solution cold = SimplexSolver().solve(m);
   ASSERT_EQ(cold.status, SolveStatus::Optimal);
-  const Solution warm = SimplexSolver().solve(m, &cold.basis);
+  WarmState seed = statuses_only(cold.basis);
+  const Solution warm = SimplexSolver().solve(m, &seed);
   ASSERT_EQ(warm.status, SolveStatus::Optimal);
-  EXPECT_TRUE(warm.warm_used);
+  EXPECT_EQ(warm.warm_kind, WarmKind::Basis);
   EXPECT_EQ(warm.iterations, 0);
   EXPECT_NEAR(warm.objective, cold.objective, kTol);
 }
@@ -77,10 +88,11 @@ TEST(SimplexWarm, PerturbedCostsReachSameOptimumWithFewerPivots) {
       if (rng.bernoulli(0.2))
         m.set_objective_coef(j, rng.uniform(0.0, 5.0));
     const Solution cold = SimplexSolver().solve(m);
-    const Solution warm = SimplexSolver().solve(m, &base.basis);
+    WarmState seed = statuses_only(base.basis);
+    const Solution warm = SimplexSolver().solve(m, &seed);
     ASSERT_EQ(cold.status, SolveStatus::Optimal);
     ASSERT_EQ(warm.status, SolveStatus::Optimal);
-    EXPECT_TRUE(warm.warm_used);
+    EXPECT_EQ(warm.warm_kind, WarmKind::Basis);
     EXPECT_NEAR(warm.objective, cold.objective, kTol)
         << "trial " << trial << ": warm and cold optima must agree";
     warm_pivots += warm.iterations;
@@ -97,9 +109,10 @@ TEST(SimplexWarm, IncompatibleBasisIsIgnored) {
   const Model big = random_model(rng, 20, 10);
   const Solution s = SimplexSolver().solve(small);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
-  const Solution t = SimplexSolver().solve(big, &s.basis);
+  WarmState seed = statuses_only(s.basis);
+  const Solution t = SimplexSolver().solve(big, &seed);
   ASSERT_EQ(t.status, SolveStatus::Optimal);
-  EXPECT_FALSE(t.warm_used);
+  EXPECT_EQ(t.warm_kind, WarmKind::Cold);
   const Solution ref = SimplexSolver().solve(big);
   EXPECT_NEAR(t.objective, ref.objective, kTol);
 }
@@ -125,7 +138,8 @@ TEST(SimplexWarm, TightenedBoundsAreRepairedNotRejected) {
     }
     ASSERT_GT(clamped, 0);
     const Solution cold = SimplexSolver().solve(m);
-    const Solution warm = SimplexSolver().solve(m, &base.basis);
+    WarmState seed = statuses_only(base.basis);
+    const Solution warm = SimplexSolver().solve(m, &seed);
     ASSERT_EQ(cold.status, SolveStatus::Optimal) << "trial " << trial;
     ASSERT_EQ(warm.status, SolveStatus::Optimal) << "trial " << trial;
     EXPECT_NEAR(warm.objective, cold.objective, kTol) << "trial " << trial;
@@ -169,7 +183,7 @@ TEST(SimplexWarm, CapsuleChainsAcrossBoundAndCostChanges) {
     ASSERT_EQ(warm.status, SolveStatus::Optimal) << "step " << step;
     ASSERT_EQ(cold.status, SolveStatus::Optimal) << "step " << step;
     EXPECT_NEAR(warm.objective, cold.objective, kTol) << "step " << step;
-    warm_used += warm.warm_used;
+    warm_used += warm.warm_kind != WarmKind::Cold;
   }
   // The first solve is cold (empty capsule); the rest should all reuse it.
   EXPECT_GE(warm_used, 39);
@@ -187,7 +201,9 @@ TEST(SimplexWarm, CapsuleFromDifferentMatrixIsRejected) {
   ASSERT_TRUE(state.valid);
   const Solution sb = solver.solve(b, &state);
   ASSERT_EQ(sb.status, SolveStatus::Optimal);
-  EXPECT_FALSE(sb.warm_used);  // fingerprint mismatch forces a cold start
+  // A fingerprint mismatch never restores the capsule whole: at most its
+  // statuses are retried against the new matrix.
+  EXPECT_NE(sb.warm_kind, WarmKind::Capsule);
   const Solution ref = solver.solve(b);
   EXPECT_NEAR(sb.objective, ref.objective, kTol);
 }
@@ -206,7 +222,7 @@ TEST(SimplexWarm, CorruptedCapsuleWithDuplicateBasicsFallsBackCold) {
   state.basic_vars[0] = state.basic_vars[1];
   const Solution s = solver.solve(m, &state);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
-  EXPECT_FALSE(s.warm_used);
+  EXPECT_EQ(s.warm_kind, WarmKind::Cold);
   EXPECT_NEAR(s.objective, base.objective, kTol);
 }
 
@@ -219,10 +235,10 @@ TEST(SimplexWarm, InvalidatedCapsuleForcesColdButRefreshes) {
   ASSERT_TRUE(state.valid);
   state.invalidate();
   const Solution cold = solver.solve(m, &state);
-  EXPECT_FALSE(cold.warm_used);
+  EXPECT_EQ(cold.warm_kind, WarmKind::Cold);
   EXPECT_TRUE(state.valid);  // refreshed by the solve
   const Solution warm = solver.solve(m, &state);
-  EXPECT_TRUE(warm.warm_used);
+  EXPECT_EQ(warm.warm_kind, WarmKind::Capsule);
   EXPECT_EQ(warm.iterations, 0);
 }
 
@@ -253,9 +269,10 @@ TEST(SimplexLu, SingularWarmBasisIsRejectedNotCrashed) {
 
   for (const Factorization f : kBothPaths) {
     const SimplexSolver solver(with_factorization(f));
-    const Solution warm = solver.solve(m, &singular);
+    WarmState seed = statuses_only(singular);
+    const Solution warm = solver.solve(m, &seed);
     ASSERT_EQ(warm.status, SolveStatus::Optimal);
-    EXPECT_FALSE(warm.warm_used);  // singular basis silently discarded
+    EXPECT_EQ(warm.warm_kind, WarmKind::Cold);  // singular basis silently discarded
     const Solution cold = solver.solve(m);
     EXPECT_NEAR(warm.objective, cold.objective, kTol);
   }
@@ -398,25 +415,18 @@ TEST(SimplexLu, SparseCapsuleShrinksBelowDenseInverse) {
 
 // ---- basis repair across matrix changes (ISSUE 4) --------------------------
 //
-// SimplexOptions::warm_repair lets a capsule whose matrix fingerprint no
-// longer matches retry as a statuses-only start against the new matrix.
-// Capacity-loss events must recover to the cold optimum under both
-// factorizations, whether the carried basis stays feasible, turns
-// infeasible (composite bound repair), or goes singular (cold fallback).
-
-SimplexOptions repair_options(Factorization f) {
-  SimplexOptions opt;
-  opt.factorization = f;
-  opt.warm_repair = true;
-  return opt;
-}
+// A capsule whose matrix fingerprint no longer matches is retried as a
+// statuses-only start against the new matrix. Capacity-loss events must
+// recover to the cold optimum under both factorizations, whether the
+// carried basis stays feasible, turns infeasible (composite bound
+// repair), or goes singular (cold fallback).
 
 TEST(SimplexWarmRepair, CapacityLossRepairsToColdOptimum) {
   for (const Factorization f :
        {Factorization::SparseLu, Factorization::DenseInverse}) {
     Rng rng(41);
     Model m = random_model(rng, 24, 12);
-    const SimplexSolver solver(repair_options(f));
+    const SimplexSolver solver(with_factorization(f));
     WarmState state;
     const Solution base = solver.solve(m, &state);
     ASSERT_EQ(base.status, SolveStatus::Optimal);
@@ -434,12 +444,25 @@ TEST(SimplexWarmRepair, CapacityLossRepairsToColdOptimum) {
 
     const Solution warm = solver.solve(cut, &state);
     ASSERT_EQ(warm.status, SolveStatus::Optimal);
-    EXPECT_TRUE(warm.warm_used);
     EXPECT_EQ(warm.warm_kind, WarmKind::Basis);
-    const Solution cold = SimplexSolver(repair_options(f)).solve(cut);
+    const Solution cold = SimplexSolver(with_factorization(f)).solve(cut);
     EXPECT_NEAR(warm.objective, cold.objective, kTol)
         << "factorization " << static_cast<int>(f);
     EXPECT_LE(warm.iterations, cold.iterations);
+
+    // The same chain through one persistent arena is bit-identical.
+    SolveArena arena;
+    WarmState arena_state;
+    const Solution arena_base = solver.solve(m, &arena_state, &arena);
+    const Solution arena_warm = solver.solve(cut, &arena_state, &arena);
+    EXPECT_EQ(arena_base.x, base.x);
+    EXPECT_EQ(arena_base.duals, base.duals);
+    EXPECT_EQ(arena_warm.warm_kind, warm.warm_kind);
+    EXPECT_EQ(arena_warm.objective, warm.objective);
+    EXPECT_EQ(arena_warm.iterations, warm.iterations);
+    EXPECT_EQ(arena_warm.phase1_iterations, warm.phase1_iterations);
+    EXPECT_EQ(arena_warm.x, warm.x);
+    EXPECT_EQ(arena_warm.duals, warm.duals);
   }
 }
 
@@ -448,7 +471,7 @@ TEST(SimplexWarmRepair, InfeasibleCarriedBasisIsRepairedByBoundPhase1) {
        {Factorization::SparseLu, Factorization::DenseInverse}) {
     Rng rng(43);
     Model m = random_model(rng, 20, 10);
-    const SimplexSolver solver(repair_options(f));
+    const SimplexSolver solver(with_factorization(f));
     WarmState state;
     const Solution base = solver.solve(m, &state);
     ASSERT_EQ(base.status, SolveStatus::Optimal);
@@ -464,12 +487,12 @@ TEST(SimplexWarmRepair, InfeasibleCarriedBasisIsRepairedByBoundPhase1) {
     }
     const Solution warm = solver.solve(cut, &state);
     ASSERT_EQ(warm.status, SolveStatus::Optimal);
-    const Solution cold = SimplexSolver(repair_options(f)).solve(cut);
+    const Solution cold = SimplexSolver(with_factorization(f)).solve(cut);
     ASSERT_EQ(cold.status, SolveStatus::Optimal);
     // Whether the repair survived or fell back cold, the optimum matches.
     EXPECT_NEAR(warm.objective, cold.objective, kTol)
         << "factorization " << static_cast<int>(f);
-    if (warm.warm_used) {
+    if (warm.warm_kind != WarmKind::Cold) {
       EXPECT_EQ(warm.warm_kind, WarmKind::Basis);
       EXPECT_GT(warm.phase1_iterations, 0);  // the repair actually ran
     }
@@ -488,7 +511,7 @@ TEST(SimplexWarmRepair, SingularizedBasisFallsBackCold) {
     m.add_variable(0.0, kInf, 2.0);
     m.add_constraint({{0, 1.0}, {1, 2.0}}, Relation::LessEqual, 10.0);
     m.add_constraint({{0, 2.0}, {1, 1.0}}, Relation::LessEqual, 10.0);
-    const SimplexSolver solver(repair_options(f));
+    const SimplexSolver solver(with_factorization(f));
     WarmState state;
     const Solution base = solver.solve(m, &state);
     ASSERT_EQ(base.status, SolveStatus::Optimal);
@@ -502,27 +525,10 @@ TEST(SimplexWarmRepair, SingularizedBasisFallsBackCold) {
     cut.set_row(1, {{0, 2.0}, {1, 4.0}});  // now a multiple of row 0
     const Solution warm = solver.solve(cut, &state);
     ASSERT_EQ(warm.status, SolveStatus::Optimal);
-    EXPECT_FALSE(warm.warm_used);  // singular basis discarded, cold start
-    EXPECT_EQ(warm.warm_kind, WarmKind::Cold);
-    const Solution cold = SimplexSolver(repair_options(f)).solve(cut);
+    EXPECT_EQ(warm.warm_kind, WarmKind::Cold);  // singular basis discarded
+    const Solution cold = SimplexSolver(with_factorization(f)).solve(cut);
     EXPECT_NEAR(warm.objective, cold.objective, kTol);
   }
-}
-
-TEST(SimplexWarmRepair, OffByDefaultPreservesColdFallback) {
-  Rng rng(47);
-  const Model a = random_model(rng, 16, 8);
-  Model b = a;
-  std::vector<Term> row(b.row(0).begin(), b.row(0).end());
-  for (Term& t : row) t.coef *= 1.5;
-  b.set_row(0, std::move(row));
-  const SimplexSolver solver;  // warm_repair off
-  WarmState state;
-  ASSERT_EQ(solver.solve(a, &state).status, SolveStatus::Optimal);
-  const Solution s = solver.solve(b, &state);
-  ASSERT_EQ(s.status, SolveStatus::Optimal);
-  EXPECT_FALSE(s.warm_used);
-  EXPECT_EQ(s.warm_kind, WarmKind::Cold);
 }
 
 }  // namespace

@@ -227,7 +227,6 @@ class RebuildingReference {
 public:
   explicit RebuildingReference(const platform::Platform& plat) : plat_(&plat) {
     options_.lp.compute_duals = false;
-    options_.lp.warm_repair = true;
   }
 
   void capacity_changed() {

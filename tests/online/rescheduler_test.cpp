@@ -112,7 +112,8 @@ TEST(Rescheduler, LprWarmStaysValidWhileLpValueMatchesCold) {
     const auto problem = base.with_payoffs(payoffs);
     EXPECT_TRUE(core::validate_allocation(problem, warm.allocation()).ok);
     EXPECT_TRUE(core::validate_allocation(problem, cold.allocation()).ok);
-    const double bound = core::lp_upper_bound(problem).objective;
+    const double bound =
+        core::lp_upper_bound(problem, core::solve_relaxation(problem)).objective;
     EXPECT_LE(rw.objective, bound + kTol * (1.0 + bound));
     EXPECT_LE(rc.objective, bound + kTol * (1.0 + bound));
     warm_used += rw.warm;
@@ -159,9 +160,9 @@ TEST(Rescheduler, MaxMinReshapesSoWarmOnlySurvivesSameActiveCount) {
   EXPECT_FALSE(sched.reschedule(loads_of(payoffs)).warm);
   // Payoff value change at the same support: same shape but the MaxMin
   // fairness rows embed the payoff *values*, so the matrix fingerprint
-  // no longer matches. The rescheduler's basis-repair path (see
-  // lp::SimplexOptions::warm_repair) refactorizes the carried statuses
-  // against the re-priced matrix instead of starting cold.
+  // no longer matches. The simplex's basis-repair path (see
+  // lp::WarmKind::Basis) refactorizes the carried statuses against the
+  // re-priced matrix instead of starting cold.
   payoffs[2] = 1.2;
   {
     const MultiReschedule r = sched.reschedule(loads_of(payoffs));
@@ -226,7 +227,8 @@ TEST(Rescheduler, SingleLoadModeHoldsOneLoadPerClusterOnTheCanonicalLp) {
   EXPECT_EQ(r.rate[0], sched.allocation().total_alpha(4));
   EXPECT_EQ(r.rate[1], sched.allocation().total_alpha(1));
   const core::SteadyStateProblem fresh(plat, payoffs, core::Objective::Sum);
-  EXPECT_EQ(r.objective, core::lp_upper_bound(fresh).objective);
+  EXPECT_EQ(r.objective,
+            core::lp_upper_bound(fresh, core::solve_relaxation(fresh)).objective);
 }
 
 TEST(Rescheduler, ResetDropsWarmState) {

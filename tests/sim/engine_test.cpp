@@ -141,7 +141,7 @@ TEST_P(PipelineEngineTest, SimulateScheduleAgreesAcrossEngines) {
   const auto plat = random_pipeline_platform(rng);
   std::vector<double> payoffs(plat.num_clusters(), 1.0);
   SteadyStateProblem problem(plat, payoffs, Objective::Sum);
-  const auto h = core::run_lprg(problem);
+  const auto h = core::run_lprg(problem, core::solve_relaxation(problem));
   ASSERT_EQ(h.status, lp::SolveStatus::Optimal);
   const auto sched = core::build_periodic_schedule(problem, h.allocation);
   for (const SharingPolicy policy :
@@ -171,7 +171,7 @@ TEST_P(PipelineEngineTest, PacedSchedulesCompleteExactlyAtPeriodBoundary) {
   const auto plat = random_pipeline_platform(rng);
   std::vector<double> payoffs(plat.num_clusters(), 1.0);
   SteadyStateProblem problem(plat, payoffs, Objective::MaxMin);
-  const auto h = core::run_lprg(problem);
+  const auto h = core::run_lprg(problem, core::solve_relaxation(problem));
   ASSERT_EQ(h.status, lp::SolveStatus::Optimal);
   const auto sched = core::build_periodic_schedule(problem, h.allocation);
   if (sched.compute.empty() && sched.transfers.empty()) GTEST_SKIP();

@@ -221,7 +221,7 @@ TEST_P(PipelineRealizabilityTest, PacedLprgSchedulesExecuteOnTime) {
   std::vector<double> payoffs(plat.num_clusters(), 1.0);
   for (Objective obj : {Objective::Sum, Objective::MaxMin}) {
     SteadyStateProblem problem(plat, payoffs, obj);
-    const auto h = core::run_lprg(problem);
+    const auto h = core::run_lprg(problem, core::solve_relaxation(problem));
     ASSERT_EQ(h.status, lp::SolveStatus::Optimal);
     const auto sched = core::build_periodic_schedule(problem, h.allocation);
     ASSERT_TRUE(core::validate_schedule(problem, sched).ok);
@@ -244,7 +244,7 @@ TEST_P(PipelineRealizabilityTest, MaxMinSharingOverrunsAreBounded) {
   const auto plat = random_pipeline_platform(rng);
   std::vector<double> payoffs(plat.num_clusters(), 1.0);
   SteadyStateProblem problem(plat, payoffs, Objective::Sum);
-  const auto h = core::run_lprg(problem);
+  const auto h = core::run_lprg(problem, core::solve_relaxation(problem));
   ASSERT_EQ(h.status, lp::SolveStatus::Optimal);
   const auto sched = core::build_periodic_schedule(problem, h.allocation);
   SimOptions opt;
