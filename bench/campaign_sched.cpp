@@ -37,6 +37,7 @@
 
 #include "exp/experiment.hpp"
 #include "lp/batch.hpp"
+#include "support/error.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
@@ -78,7 +79,7 @@ std::vector<std::pair<std::size_t, std::size_t>> case_pieces(std::size_t n) {
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace dls;
   const std::uint64_t seed = exp::bench_seed();
   const int heavy = exp::scaled(6);    // LPRR at K=20: ~K^2 LP solves each
@@ -177,4 +178,7 @@ int main() {
      << ",\"results_match\":1}";
   std::cout << "JSON " << js.str() << "\n";
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_campaign_sched: " << e.what() << '\n';
+  return 1;
 }

@@ -26,6 +26,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/worker.hpp"
 #include "exp/experiment.hpp"
+#include "support/error.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -38,7 +39,7 @@ std::string report_json(const dls::campaign::CampaignReport& report) {
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace dls;
   campaign::ScenarioSpec spec = campaign::read_campaign_file(
       {"data/example.campaign", "../data/example.campaign"});
@@ -105,4 +106,7 @@ int main() {
      << ",\"identical\":1}";
   std::cout << "JSON " << js.str() << "\n";
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_dist_loopback: " << e.what() << '\n';
+  return 1;
 }

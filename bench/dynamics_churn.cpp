@@ -45,6 +45,7 @@
 #include "exp/experiment.hpp"
 #include "online/rescheduler.hpp"
 #include "platform/generator.hpp"
+#include "support/error.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -80,7 +81,7 @@ std::vector<BwEvent> make_bw_events(const dls::platform::Platform& plat,
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace dls;
   const std::uint64_t seed = exp::bench_seed();
 
@@ -260,4 +261,7 @@ int main() {
 
   for (const std::string& line : json_lines) std::cout << "JSON " << line << "\n";
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_dynamics_churn: " << e.what() << '\n';
+  return 1;
 }

@@ -10,9 +10,10 @@
 #include <string>
 
 #include "exp/experiment.hpp"
+#include "support/error.hpp"
 #include "support/table.hpp"
 
-int main() {
+int main() try {
   using namespace dls;
   const std::uint64_t seed = exp::bench_seed();
   const int per_k = exp::scaled(6);
@@ -53,4 +54,7 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_fig5_heuristics: " << e.what() << '\n';
+  return 1;
 }

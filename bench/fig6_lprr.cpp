@@ -8,9 +8,10 @@
 #include <string>
 
 #include "exp/experiment.hpp"
+#include "support/error.hpp"
 #include "support/table.hpp"
 
-int main() {
+int main() try {
   using namespace dls;
   const std::uint64_t seed = exp::bench_seed();
   // The paper used 80 topologies across the K range; LPRR solves ~K^2 LPs
@@ -65,4 +66,7 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_fig6_lprr: " << e.what() << '\n';
+  return 1;
 }

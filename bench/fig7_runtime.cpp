@@ -15,10 +15,11 @@
 #include <iostream>
 
 #include "exp/experiment.hpp"
+#include "support/error.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
-int main() {
+int main() try {
   using namespace dls;
   const std::uint64_t seed = exp::bench_seed();
   const int reps = exp::scaled(3);
@@ -63,4 +64,7 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_fig7_runtime: " << e.what() << '\n';
+  return 1;
 }

@@ -8,12 +8,15 @@
 //   * the greedy heuristic as a baseline (no LP at all).
 #include <benchmark/benchmark.h>
 
+#include <iostream>
+
 #include "core/heuristics.hpp"
 #include "core/problem.hpp"
 #include "core/schedule.hpp"
 #include "exp/experiment.hpp"
 #include "lp/simplex.hpp"
 #include "platform/generator.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -98,4 +101,13 @@ BENCHMARK(BM_ScheduleReconstruction)->Arg(10)->Arg(20)->Unit(benchmark::kMillise
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) try {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_lp_ablation: " << e.what() << '\n';
+  return 1;
+}

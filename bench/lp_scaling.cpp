@@ -47,6 +47,7 @@
 #include "lp/simplex.hpp"
 #include "obs/metrics.hpp"
 #include "platform/generator.hpp"
+#include "support/error.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -172,7 +173,7 @@ double fallback_rate(std::uint64_t falls_after, std::uint64_t falls_before,
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace dls;
   const std::uint64_t seed = exp::bench_seed();
   const bool full = exp::bench_scale() >= 1.0;
@@ -436,4 +437,7 @@ int main() {
   }
   for (const std::string& line : json_lines) std::cout << "JSON " << line << "\n";
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_lp_scaling: " << e.what() << '\n';
+  return 1;
 }

@@ -39,6 +39,7 @@
 #include "online/rescheduler.hpp"
 #include "platform/generator.hpp"
 #include "support/build_info.hpp"
+#include "support/error.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -72,7 +73,7 @@ double min_weighted(const dls::core::LoadSet& set,
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace dls;
   const std::uint64_t seed = exp::bench_seed();
   const std::string build = support::build_summary();
@@ -228,4 +229,7 @@ int main() {
 
   for (const std::string& line : json_lines) std::cout << "JSON " << line << "\n";
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_multi_load: " << e.what() << '\n';
+  return 1;
 }

@@ -31,6 +31,7 @@
 #include "exp/experiment.hpp"
 #include "online/engine.hpp"
 #include "platform/generator.hpp"
+#include "support/error.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -54,7 +55,7 @@ dls::online::Workload make_workload(int k, int count, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace dls;
   const std::uint64_t seed = exp::bench_seed();
 
@@ -130,4 +131,7 @@ int main() {
   }
   for (const std::string& line : json_lines) std::cout << "JSON " << line << "\n";
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_online_throughput: " << e.what() << '\n';
+  return 1;
 }

@@ -8,9 +8,10 @@
 #include <string>
 
 #include "exp/experiment.hpp"
+#include "support/error.hpp"
 #include "support/table.hpp"
 
-int main() {
+int main() try {
   using namespace dls;
   const std::uint64_t seed = exp::bench_seed();
   const int per_cell = exp::scaled(8);
@@ -51,4 +52,7 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_payoff_ablation: " << e.what() << '\n';
+  return 1;
 }

@@ -31,6 +31,7 @@
 #include "core/schedule.hpp"
 #include "exp/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "support/error.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -111,7 +112,7 @@ RepResult run_rep(std::uint64_t seed, int k, int rep) {
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace dls;
   const std::uint64_t seed = exp::bench_seed();
   const int per_k = exp::scaled(6);
@@ -186,4 +187,7 @@ int main() {
   table.print(std::cout);
   for (const std::string& line : json_lines) std::cout << "JSON " << line << "\n";
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_sim_validation: " << e.what() << '\n';
+  return 1;
 }

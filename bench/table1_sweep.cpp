@@ -19,10 +19,11 @@
 
 #include "campaign/runner.hpp"
 #include "exp/experiment.hpp"
+#include "support/error.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
-int main() {
+int main() try {
   using namespace dls;
   campaign::ScenarioSpec spec = campaign::read_campaign_file(
       {"data/table1_sweep.campaign", "../data/table1_sweep.campaign"});
@@ -101,4 +102,7 @@ int main() {
             << " cache hits); MAXMIN cases where LPR rounded to zero: "
             << lpr_zero << "\n";
   return 0;
+} catch (const dls::Error& e) {
+  std::cerr << "bench_table1_sweep: " << e.what() << '\n';
+  return 1;
 }

@@ -115,22 +115,12 @@ online::Method to_online(Method m) {
   throw Error("campaign: method lprr has no online rescheduler");
 }
 
-std::vector<double> run_offline_case(const ScenarioSpec& spec, const CaseDef& def,
-                                     ArtifactCache& cache, lp::BatchSolver& lps) {
-  const auto plat = cache.platform_for(def.cell, def.rep);
-  exp::CaseConfig config;
-  config.objective = spec.objectives[def.objective];
-  config.payoff_spread = spec.payoff_spread;
-  config.greedy.local_exhaust = spec.exhaust[def.exhaust];
-  config.with_lpr = has_method(spec, Method::Lpr);
-  config.with_lprg = has_method(spec, Method::Lprg);
-  config.with_lprr = has_method(spec, Method::Lprr);
-  config.seed = payoff_stream_seed(spec, def.cell, def.rep);
-  const exp::CaseResult r = exp::run_case(config, *plat, lps);
-
-  // A failed case (any solve non-optimal) contributes only ok=0: its
-  // partially-filled method values are unusable per the CaseResult
-  // contract and must not leak into the aggregates.
+/// An offline case's metric row from its CaseResult. A failed case (any
+/// solve non-optimal) contributes only ok=0: its partially-filled method
+/// values are unusable per the CaseResult contract and must not leak
+/// into the aggregates.
+std::vector<double> offline_values(const ScenarioSpec& spec,
+                                   const exp::CaseResult& r) {
   std::vector<double> values;
   values.push_back(r.ok ? 1.0 : 0.0);
   const auto guarded = [&](double v) { return r.ok ? v : qnan(); };
@@ -145,6 +135,38 @@ std::vector<double> run_offline_case(const ScenarioSpec& spec, const CaseDef& de
     values.push_back(
         guarded(r.g > 1e-9 && !std::isnan(r.lprg) ? r.lprg / r.g : qnan()));
   values.push_back(guarded(std::isnan(r.lp) ? qnan() : r.lp));
+  return values;
+}
+
+/// Offline exhaust siblings (one case or several that share cell,
+/// scenario, objective and replication): one exp::run_sibling_cases
+/// call, so they share the platform, payoffs and the relaxation.
+std::vector<std::vector<double>> run_offline_unit(const ScenarioSpec& spec,
+                                                  std::span<const CaseDef> unit,
+                                                  ArtifactCache& cache,
+                                                  lp::BatchSolver& lps) {
+  const CaseDef& lead = unit.front();
+  std::vector<core::GreedyOptions> greedy;
+  for (const CaseDef& def : unit) {
+    require(def.offline && !def.loads && def.cell == lead.cell &&
+                def.scen == lead.scen && def.objective == lead.objective &&
+                def.rep == lead.rep,
+            "campaign: a unit holds offline cases that differ only in exhaust");
+    greedy.push_back({spec.exhaust[def.exhaust]});
+  }
+  const auto plat = cache.platform_for(lead.cell, lead.rep);
+  exp::CaseConfig config;
+  config.objective = spec.objectives[lead.objective];
+  config.payoff_spread = spec.payoff_spread;
+  config.with_lpr = has_method(spec, Method::Lpr);
+  config.with_lprg = has_method(spec, Method::Lprg);
+  config.with_lprr = has_method(spec, Method::Lprr);
+  config.seed = payoff_stream_seed(spec, lead.cell, lead.rep);
+  const std::vector<exp::CaseResult> results =
+      exp::run_sibling_cases(config, *plat, greedy, lps);
+  std::vector<std::vector<double>> values;
+  values.reserve(results.size());
+  for (const exp::CaseResult& r : results) values.push_back(offline_values(spec, r));
   return values;
 }
 
@@ -302,8 +324,15 @@ std::vector<double> run_stream_case(const ScenarioSpec& spec, const CaseDef& def
 
 std::vector<double> CaseExecutor::run(const CaseDef& def) {
   if (def.loads) return run_loads_case(*spec_, def, cache_);
-  return def.offline ? run_offline_case(*spec_, def, cache_, lps_)
-                     : run_stream_case(*spec_, def, cache_);
+  if (!def.offline) return run_stream_case(*spec_, def, cache_);
+  return std::move(run_offline_unit(*spec_, {&def, 1}, cache_, lps_).front());
+}
+
+std::vector<std::vector<double>> CaseExecutor::run_unit(
+    std::span<const CaseDef> unit) {
+  require(!unit.empty(), "campaign: empty execution unit");
+  if (unit.size() == 1) return {run(unit.front())};
+  return run_offline_unit(*spec_, unit, cache_, lps_);
 }
 
 }  // namespace dls::campaign

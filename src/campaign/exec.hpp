@@ -10,12 +10,21 @@
 // (per-thread arenas, one shared column analysis). Per-case values are
 // a pure function of (spec, case index) — the bit-identity contract
 // every execution surface builds on.
+//
+// Two entries: `run` executes one case; `run_unit` executes an offline
+// case's exhaust siblings (same cell, scenario, objective and
+// replication) together. The siblings differ only in the greedy's
+// local-exhaust policy, so the unit solves their shared relaxation once
+// (exp::run_sibling_cases) and returns each sibling the values `run`
+// would, bit for bit. The in-process runner groups its shard into such
+// units; the distributed worker and the benchmark harness call `run`.
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,6 +88,12 @@ public:
       : spec_(&spec), cache_(spec) {}
 
   [[nodiscard]] std::vector<double> run(const CaseDef& def);
+
+  /// One execution unit: a single case of any kind, or offline cases
+  /// that differ only in `exhaust` (throws dls::Error otherwise). Returns
+  /// one value row per case, in `unit` order, each equal to run(case).
+  [[nodiscard]] std::vector<std::vector<double>> run_unit(
+      std::span<const CaseDef> unit);
 
   [[nodiscard]] ArtifactCache& cache() { return cache_; }
 

@@ -4,8 +4,8 @@
 // Expansion order (documented, load-bearing for sharding): for each
 // platform cell -> scenario -> objective, an *offline* scenario
 // (workload none) contributes one aggregation group per greedy-exhaust
-// axis value and one case per replication (a single exp::run_case
-// covers every method, sharing the platform and the LP bound), while a
+// axis value and one case per replication (a case covers every method,
+// which share the platform and one relaxation), while a
 // *stream* scenario contributes one group per (warm policy, method)
 // pair and one case per replication (one OnlineEngine replay each).
 // Case indices number that flat order, so `--shard i/n` (case index
@@ -21,7 +21,13 @@
 // failures, and a re-sharded campaign reproduces every case bit for
 // bit.
 //
-// Execution is dynamically chunked (support::parallel_for's atomic
+// Execution runs in units: the exhaust siblings of an offline case
+// (same cell, scenario, objective and replication, `replications` case
+// indices apart) that fall in one shard run as one unit, which solves
+// their shared relaxation once (CaseExecutor::run_unit) and still yields
+// each case's own record, bit-identical to running it alone. Any other
+// case, and a sibling whose partner is in another shard, is a unit
+// alone. Units are dynamically chunked (support::parallel_for's atomic
 // cursor): a worker that lands on an expensive LPRR case only costs
 // itself while the pool keeps draining the matrix. Generated platforms
 // are cached per (cell, replication) and shared by every case that
@@ -101,7 +107,9 @@ struct RunnerOptions {
   int jobs = 0;       ///< worker threads; 0 = hardware, 1 = inline
   int shard_index = 0;
   int shard_count = 1;
-  std::size_t chunk = 1;  ///< dynamic-scheduling chunk (cases per pull)
+  /// Dynamic-scheduling chunk (execution units per pull; a unit is one
+  /// case or an offline case's exhaust siblings).
+  std::size_t chunk = 1;
   /// Streaming per-case sink, called in case order from the reduction
   /// path (one caller at a time). Leave empty to skip.
   std::function<void(const CampaignReport&, const CaseRecord&)> case_sink{};

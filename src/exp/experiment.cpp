@@ -1,5 +1,6 @@
 #include "exp/experiment.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -25,13 +26,20 @@ void check_valid(const core::SteadyStateProblem& problem,
 
 namespace {
 
-/// The shared case kernel: `rng` has already produced the platform (or
-/// is fresh when the platform came from a cache) and now drives payoffs
-/// and the LPRR coins. When `arena` is non-null every LP solve in the
-/// case goes through it (shared column analysis, zero steady-state
-/// allocation); the numbers are identical either way.
-CaseResult run_case_on(const CaseConfig& config, const platform::Platform& plat,
-                       Rng& rng, lp::SolveArena* arena) {
+/// The shared case kernel, run once for every entry of `greedy`: `rng`
+/// has already produced the platform (or is fresh when the platform
+/// came from a cache) and now drives payoffs and the LPRR coins. The
+/// relaxation, the LP bound, LPR and LPRR do not read the greedy
+/// options, so they run once; G and LPRG run once per entry. Entry i
+/// holds what a one-entry call on greedy[i] returns, bit for bit: the
+/// rng is drawn in the same order, and an entry stops where its own
+/// standalone run would. When `arena` is non-null every LP solve goes
+/// through it (shared column analysis, zero steady-state allocation);
+/// the numbers are identical either way.
+std::vector<CaseResult> run_case_on(const CaseConfig& config,
+                                    const platform::Platform& plat, Rng& rng,
+                                    lp::SolveArena* arena,
+                                    std::span<const core::GreedyOptions> greedy) {
   std::vector<double> payoffs(plat.num_clusters());
   for (double& p : payoffs)
     p = rng.uniform(1.0 - config.payoff_spread, 1.0 + config.payoff_spread);
@@ -40,42 +48,58 @@ CaseResult run_case_on(const CaseConfig& config, const platform::Platform& plat,
   core::LpWarmStart warm;  // no capsule: the arena only
   warm.arena = arena;
 
-  CaseResult out;
+  std::vector<CaseResult> out(greedy.size());
+  // live[i]: entry i has not stopped on a failed solve.
+  std::vector<char> live(greedy.size(), 1);
+  const auto for_live = [&](const auto& set) {
+    for (std::size_t i = 0; i < out.size(); ++i)
+      if (live[i]) set(out[i]);
+  };
   WallTimer timer;
 
   // LP, LPR and LPRG all read the one relaxation solved here. Its time
-  // counts toward each of them, so every Timing is its method's
-  // standalone cost.
+  // counts toward each of them (and each entry), so every Timing is its
+  // method's standalone cost.
   timer.reset();
   const core::Relaxation relaxation = core::solve_relaxation(problem, {}, &warm);
   const double t_relaxation = timer.seconds();
   const auto bound = core::lp_upper_bound(problem, relaxation);
-  out.t_lp = {timer.seconds(), 1};
+  const Timing t_lp{timer.seconds(), 1};
+  for_live([&](CaseResult& r) { r.t_lp = t_lp; });
   if (bound.status != lp::SolveStatus::Optimal) return out;
-  out.lp = bound.objective;
+  for_live([&](CaseResult& r) { r.lp = bound.objective; });
 
-  timer.reset();
-  const auto g = core::run_greedy(problem, config.greedy);
-  out.t_g = {timer.seconds(), 0};
-  check_valid(problem, g, "G");
-  out.g = g.objective;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    timer.reset();
+    const auto g = core::run_greedy(problem, greedy[i]);
+    out[i].t_g = {timer.seconds(), 0};
+    check_valid(problem, g, "G");
+    out[i].g = g.objective;
+  }
 
   if (config.with_lpr) {
     timer.reset();
     const auto lpr = core::run_lpr(problem, relaxation);
-    out.t_lpr = {t_relaxation + timer.seconds(), lpr.lp_solves};
+    const Timing t_lpr{t_relaxation + timer.seconds(), lpr.lp_solves};
+    for_live([&](CaseResult& r) { r.t_lpr = t_lpr; });
     if (lpr.status != lp::SolveStatus::Optimal) return out;
     check_valid(problem, lpr, "LPR");
-    out.lpr = lpr.objective;
+    for_live([&](CaseResult& r) { r.lpr = lpr.objective; });
   }
 
   if (config.with_lprg) {
-    timer.reset();
-    const auto lprg = core::run_lprg(problem, relaxation, config.greedy);
-    out.t_lprg = {t_relaxation + timer.seconds(), lprg.lp_solves};
-    if (lprg.status != lp::SolveStatus::Optimal) return out;
-    check_valid(problem, lprg, "LPRG");
-    out.lprg = lprg.objective;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      timer.reset();
+      const auto lprg = core::run_lprg(problem, relaxation, greedy[i]);
+      out[i].t_lprg = {t_relaxation + timer.seconds(), lprg.lp_solves};
+      if (lprg.status != lp::SolveStatus::Optimal) {
+        live[i] = 0;
+        continue;
+      }
+      check_valid(problem, lprg, "LPRG");
+      out[i].lprg = lprg.objective;
+    }
+    if (std::find(live.begin(), live.end(), 1) == live.end()) return out;
   }
 
   if (config.with_lprr) {
@@ -84,10 +108,11 @@ CaseResult run_case_on(const CaseConfig& config, const platform::Platform& plat,
     options.arena = arena;
     timer.reset();
     const auto lprr = core::run_lprr(problem, coin, options);
-    out.t_lprr = {timer.seconds(), lprr.lp_solves};
+    const Timing t_lprr{timer.seconds(), lprr.lp_solves};
+    for_live([&](CaseResult& r) { r.t_lprr = t_lprr; });
     if (lprr.status != lp::SolveStatus::Optimal) return out;
     check_valid(problem, lprr, "LPRR");
-    out.lprr = lprr.objective;
+    for_live([&](CaseResult& r) { r.lprr = lprr.objective; });
   }
   if (config.with_lprr_eq) {
     Rng coin = rng.split();
@@ -97,7 +122,7 @@ CaseResult run_case_on(const CaseConfig& config, const platform::Platform& plat,
     const auto lprr_eq = core::run_lprr(problem, coin, options);
     if (lprr_eq.status != lp::SolveStatus::Optimal) return out;
     check_valid(problem, lprr_eq, "LPRR-EQ");
-    out.lprr_eq = lprr_eq.objective;
+    for_live([&](CaseResult& r) { r.lprr_eq = lprr_eq.objective; });
   }
   if (config.with_lprr_oneshot) {
     core::LprrOptions options;
@@ -105,56 +130,65 @@ CaseResult run_case_on(const CaseConfig& config, const platform::Platform& plat,
     options.arena = arena;
     {
       Rng coin = rng.split();
-      const auto r = core::run_lprr(problem, coin, options);
-      if (r.status != lp::SolveStatus::Optimal) return out;
-      check_valid(problem, r, "LPRR-1SHOT");
-      out.lprr_1shot = r.objective;
+      const auto lprr = core::run_lprr(problem, coin, options);
+      if (lprr.status != lp::SolveStatus::Optimal) return out;
+      check_valid(problem, lprr, "LPRR-1SHOT");
+      for_live([&](CaseResult& r) { r.lprr_1shot = lprr.objective; });
     }
     {
       Rng coin = rng.split();
       options.equal_probability = true;
-      const auto r = core::run_lprr(problem, coin, options);
-      if (r.status != lp::SolveStatus::Optimal) return out;
-      check_valid(problem, r, "LPRR-1SHOT-EQ");
-      out.lprr_1shot_eq = r.objective;
+      const auto lprr = core::run_lprr(problem, coin, options);
+      if (lprr.status != lp::SolveStatus::Optimal) return out;
+      check_valid(problem, lprr, "LPRR-1SHOT-EQ");
+      for_live([&](CaseResult& r) { r.lprr_1shot_eq = lprr.objective; });
     }
   }
 
-  out.ok = true;
+  for_live([](CaseResult& r) { r.ok = true; });
   return out;
+}
+
+void require_spread(const CaseConfig& config) {
+  require(config.payoff_spread >= 0.0 && config.payoff_spread < 1.0,
+          "run_case: payoff_spread must be in [0, 1)");
 }
 
 }  // namespace
 
 CaseResult run_case(const CaseConfig& config) {
-  require(config.payoff_spread >= 0.0 && config.payoff_spread < 1.0,
-          "run_case: payoff_spread must be in [0, 1)");
+  require_spread(config);
   Rng rng(config.seed);
   const platform::Platform plat = generate_platform(config.params, rng);
-  return run_case_on(config, plat, rng, nullptr);
+  return run_case_on(config, plat, rng, nullptr, {&config.greedy, 1}).front();
 }
 
 CaseResult run_case(const CaseConfig& config, const platform::Platform& plat) {
-  require(config.payoff_spread >= 0.0 && config.payoff_spread < 1.0,
-          "run_case: payoff_spread must be in [0, 1)");
+  require_spread(config);
   Rng rng(config.seed);
-  return run_case_on(config, plat, rng, nullptr);
+  return run_case_on(config, plat, rng, nullptr, {&config.greedy, 1}).front();
 }
 
 CaseResult run_case(const CaseConfig& config, lp::BatchSolver& lps) {
-  require(config.payoff_spread >= 0.0 && config.payoff_spread < 1.0,
-          "run_case: payoff_spread must be in [0, 1)");
+  require_spread(config);
   Rng rng(config.seed);
   const platform::Platform plat = generate_platform(config.params, rng);
-  return run_case_on(config, plat, rng, &lps.local_arena());
+  return run_case_on(config, plat, rng, &lps.local_arena(), {&config.greedy, 1})
+      .front();
 }
 
 CaseResult run_case(const CaseConfig& config, const platform::Platform& plat,
                     lp::BatchSolver& lps) {
-  require(config.payoff_spread >= 0.0 && config.payoff_spread < 1.0,
-          "run_case: payoff_spread must be in [0, 1)");
+  return run_sibling_cases(config, plat, {&config.greedy, 1}, lps).front();
+}
+
+std::vector<CaseResult> run_sibling_cases(
+    const CaseConfig& config, const platform::Platform& plat,
+    std::span<const core::GreedyOptions> greedy, lp::BatchSolver& lps) {
+  require_spread(config);
+  require(!greedy.empty(), "run_sibling_cases: no greedy options");
   Rng rng(config.seed);
-  return run_case_on(config, plat, rng, &lps.local_arena());
+  return run_case_on(config, plat, rng, &lps.local_arena(), greedy);
 }
 
 platform::GeneratorParams sample_grid_params(const platform::Table1Grid& grid,

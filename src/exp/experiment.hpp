@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/heuristics.hpp"
@@ -24,7 +25,9 @@ struct CaseConfig {
   /// they add no solve of their own; a campaign whose method axis
   /// excludes them skips only the rounding and greedy work (greedy and
   /// the LP bound always run — they anchor every ratio). LPRR and its
-  /// ablations re-solve their own models.
+  /// ablations re-solve their own models. None of these reads `greedy`
+  /// except G and LPRG, which is what lets run_sibling_cases share the
+  /// rest across greedy variants.
   bool with_lpr = true;
   bool with_lprg = true;
   bool with_lprr = false;   ///< LPRR costs ~K^2 LP solves; opt in
@@ -40,12 +43,18 @@ struct CaseConfig {
   /// instances. See DESIGN.md.
   double payoff_spread = 0.5;
 
-  core::GreedyOptions greedy;  ///< local-exhaust policy ablation
+  /// Local-exhaust policy ablation; run_sibling_cases ignores it and
+  /// takes one per sibling instead.
+  core::GreedyOptions greedy;
 };
 
 /// A method's standalone cost. LP, LPR and LPRG share one relaxation
 /// solve per case, and its time is included in each of their `seconds`
 /// (so t_lpr + t_lprg counts it twice); each reports lp_solves = 1.
+/// Siblings from run_sibling_cases keep that meaning: each one's t_lp,
+/// t_lpr and t_lprg include the one relaxation they share, and t_lprr
+/// the one LPRR run they share, so a sibling's Timing is what running
+/// it alone would cost.
 struct Timing {
   double seconds = 0.0;
   int lp_solves = 0;
@@ -90,6 +99,18 @@ struct CaseResult {
 [[nodiscard]] CaseResult run_case(const CaseConfig& config,
                                   const platform::Platform& plat,
                                   lp::BatchSolver& lps);
+
+/// The greedy variants of one case as one unit: the platform, payoffs,
+/// relaxation, LP bound, LPR and LPRR (its coins from the same
+/// Rng(config.seed) stream) are computed once, then G and LPRG run once
+/// per entry of `greedy`; config.greedy is ignored. Returns one
+/// CaseResult per entry, entry i bit-identical in every value to
+/// run_case(config with greedy = greedy[i], plat, lps) — the campaign
+/// runs an offline case's exhaust siblings this way, one relaxation for
+/// the pair. That run_case overload is this entry's one-element call.
+[[nodiscard]] std::vector<CaseResult> run_sibling_cases(
+    const CaseConfig& config, const platform::Platform& plat,
+    std::span<const core::GreedyOptions> greedy, lp::BatchSolver& lps);
 
 /// Uniformly samples one cell of the Table-1 grid for the non-K
 /// dimensions (connectivity, heterogeneity, mean g / bw / maxcon).

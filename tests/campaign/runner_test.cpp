@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "support/error.hpp"
@@ -328,6 +329,61 @@ TEST(CampaignRunner, ChunkSizeNeverChangesTheReport) {
   opt.chunk = 5;
   write_report_json(run_campaign(spec, opt), b);
   EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(CampaignRunner, UnitSpanBeyondTheBaseReorderCapacity) {
+  // 80 replications with exhaust take/drop: each offline case runs with
+  // its drop sibling 80 positions later, past the reorder buffer's base
+  // capacity of 64 records. Every worker count and chunk must finish and
+  // reproduce the --jobs 1 report and case stream bit for bit, and so
+  // must a 2-way (siblings whole) and a 3-way (siblings split) shard
+  // union.
+  const ScenarioSpec spec = from_text(
+      "dls-campaign 1\n"
+      "name unit-span\n"
+      "seed 11\n"
+      "replications 80\n"
+      "objective maxmin\n"
+      "method g lpr lprg\n"
+      "exhaust take drop\n"
+      "platform grid clusters=5\n"
+      "workload none\n");
+  const auto stream = [&](const RunnerOptions& opt, std::string* json) {
+    std::ostringstream cases;
+    RunnerOptions o = opt;
+    o.case_sink = [&cases](const CampaignReport& report, const CaseRecord& r) {
+      write_case_json(report, r, cases);
+    };
+    const CampaignReport report = run_campaign(spec, o);
+    if (json != nullptr) {
+      std::ostringstream os;
+      write_report_json(report, os);
+      *json = os.str();
+    }
+    return cases.str();
+  };
+  std::string json1;
+  const std::string cases1 = stream({.jobs = 1}, &json1);
+  EXPECT_EQ(std::count(cases1.begin(), cases1.end(), '\n'), 160);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
+    std::string json3;
+    EXPECT_EQ(stream({.jobs = 3, .chunk = chunk}, &json3), cases1) << chunk;
+    EXPECT_EQ(json3, json1) << "chunk " << chunk;
+  }
+
+  const auto sorted_lines = [](const std::string& text) {
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+  for (const int n : {2, 3}) {
+    std::string unioned;
+    for (int shard = 0; shard < n; ++shard)
+      unioned += stream({.jobs = 3, .shard_index = shard, .shard_count = n}, nullptr);
+    EXPECT_EQ(sorted_lines(unioned), sorted_lines(cases1)) << n << "-way split";
+  }
 }
 
 }  // namespace

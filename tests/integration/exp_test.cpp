@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -146,6 +147,86 @@ TEST(Experiment, OneRelaxationPerCase) {
       }
     }
   }
+}
+
+/// Every value field of a CaseResult as raw bits (NaN-safe bitwise
+/// comparison); timings are wall clock and excluded.
+std::vector<std::uint64_t> value_bits(const CaseResult& r) {
+  std::vector<std::uint64_t> out;
+  for (const double v : {r.lp, r.g, r.lpr, r.lprg, r.lprr, r.lprr_eq,
+                         r.lprr_1shot, r.lprr_1shot_eq}) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    out.push_back(b);
+  }
+  out.push_back(r.ok ? 1u : 0u);
+  return out;
+}
+
+TEST(Experiment, SiblingCasesEqualStandaloneCasesBitwise) {
+  // The exhaust siblings as one unit: one relaxation, LP, LPR and LPRR
+  // shared, G and LPRG per sibling. Each entry must equal the case run
+  // alone, in every value, for each exhaust value and in either order.
+  // Seed 36 under MaxMin has take and drop disagree on both G and LPRG,
+  // so a unit that shared either would fail here.
+  using core::LocalExhaustPolicy;
+  lp::BatchSolver lps;
+  int lprg_differs = 0;
+  for (std::uint64_t seed : {3ULL, 8ULL, 36ULL}) {
+    for (core::Objective obj : {core::Objective::MaxMin, core::Objective::Sum}) {
+      CaseConfig config = small_config(seed);
+      config.objective = obj;
+      config.with_lprr = true;
+      Rng rng(seed);
+      const platform::Platform plat = generate_platform(config.params, rng);
+      for (const auto& order :
+           {std::vector<LocalExhaustPolicy>{LocalExhaustPolicy::TakeRemaining,
+                                            LocalExhaustPolicy::DropApplication},
+            std::vector<LocalExhaustPolicy>{LocalExhaustPolicy::DropApplication,
+                                            LocalExhaustPolicy::TakeRemaining}}) {
+        std::vector<core::GreedyOptions> greedy;
+        for (const LocalExhaustPolicy e : order) greedy.push_back({e});
+        const std::vector<CaseResult> unit =
+            run_sibling_cases(config, plat, greedy, lps);
+        ASSERT_EQ(unit.size(), greedy.size());
+        if (unit[0].lprg != unit[1].lprg) ++lprg_differs;
+        for (std::size_t i = 0; i < greedy.size(); ++i) {
+          CaseConfig alone = config;
+          alone.greedy = greedy[i];
+          const CaseResult batched = run_case(alone, plat, lps);
+          const CaseResult plain = run_case(alone, plat);
+          ASSERT_TRUE(batched.ok);
+          EXPECT_EQ(value_bits(unit[i]), value_bits(batched))
+              << "seed " << seed << " entry " << i;
+          EXPECT_EQ(value_bits(unit[i]), value_bits(plain))
+              << "seed " << seed << " entry " << i;
+          // Each sibling's timings keep their standalone meaning.
+          for (const Timing& t : {unit[i].t_lp, unit[i].t_lpr, unit[i].t_lprg})
+            EXPECT_EQ(t.lp_solves, 1);
+          EXPECT_EQ(unit[i].t_lprr.lp_solves, batched.t_lprr.lp_solves);
+        }
+      }
+    }
+  }
+  EXPECT_GT(lprg_differs, 0);
+}
+
+TEST(Experiment, SiblingCasesShareOneRelaxation) {
+  // Without LPRR the whole unit costs one simplex solve, however many
+  // greedy variants it carries.
+  lp::BatchSolver lps;
+  const CaseConfig config = small_config(5);
+  Rng rng(config.seed);
+  const platform::Platform plat = generate_platform(config.params, rng);
+  const std::vector<core::GreedyOptions> greedy{
+      {core::LocalExhaustPolicy::TakeRemaining},
+      {core::LocalExhaustPolicy::DropApplication}};
+  const std::uint64_t before = lp_solves_total();
+  const std::vector<CaseResult> unit = run_sibling_cases(config, plat, greedy, lps);
+  EXPECT_EQ(lp_solves_total() - before, 1u);
+  ASSERT_EQ(unit.size(), 2u);
+  EXPECT_TRUE(unit[0].ok && unit[1].ok);
+  EXPECT_THROW((void)run_sibling_cases(config, plat, {}, lps), Error);
 }
 
 TEST(SampleGridParams, DrawsFromTableOneValues) {
