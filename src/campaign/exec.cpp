@@ -138,9 +138,9 @@ std::vector<double> offline_values(const ScenarioSpec& spec,
   return values;
 }
 
-/// Offline exhaust siblings (one case or several that share cell,
-/// scenario, objective and replication): one exp::run_sibling_cases
-/// call, so they share the platform, payoffs and the relaxation.
+/// Offline exhaust siblings (one case or several of one plan unit): one
+/// exp::run_sibling_cases call, so they share the platform, payoffs and
+/// the relaxation.
 std::vector<std::vector<double>> run_offline_unit(const ScenarioSpec& spec,
                                                   std::span<const CaseDef> unit,
                                                   ArtifactCache& cache,
@@ -148,10 +148,8 @@ std::vector<std::vector<double>> run_offline_unit(const ScenarioSpec& spec,
   const CaseDef& lead = unit.front();
   std::vector<core::GreedyOptions> greedy;
   for (const CaseDef& def : unit) {
-    require(def.offline && !def.loads && def.cell == lead.cell &&
-                def.scen == lead.scen && def.objective == lead.objective &&
-                def.rep == lead.rep,
-            "campaign: a unit holds offline cases that differ only in exhaust");
+    require(def.offline && def.unit == lead.unit,
+            "campaign: a unit holds offline cases of one plan unit");
     greedy.push_back({spec.exhaust[def.exhaust]});
   }
   const auto plat = cache.platform_for(lead.cell, lead.rep);

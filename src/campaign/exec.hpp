@@ -11,13 +11,14 @@
 // a pure function of (spec, case index) — the bit-identity contract
 // every execution surface builds on.
 //
-// Two entries: `run` executes one case; `run_unit` executes an offline
-// case's exhaust siblings (same cell, scenario, objective and
-// replication) together. The siblings differ only in the greedy's
+// Two entries: `run_unit` executes one execution unit of the plan
+// (cases sharing a `CaseDef::unit` ordinal: a single case, or an offline
+// case's exhaust siblings). The siblings differ only in the greedy's
 // local-exhaust policy, so the unit solves their shared relaxation once
-// (exp::run_sibling_cases) and returns each sibling the values `run`
-// would, bit for bit. The in-process runner groups its shard into such
-// units; the distributed worker and the benchmark harness call `run`.
+// (exp::run_sibling_cases) and returns each sibling the values a
+// standalone run would, bit for bit. The in-process runner and the
+// distributed worker call `run_unit`; `run` is the one-case unit, which
+// the benchmark harness times per case.
 #pragma once
 
 #include <cstddef>
@@ -90,8 +91,9 @@ public:
   [[nodiscard]] std::vector<double> run(const CaseDef& def);
 
   /// One execution unit: a single case of any kind, or offline cases
-  /// that differ only in `exhaust` (throws dls::Error otherwise). Returns
-  /// one value row per case, in `unit` order, each equal to run(case).
+  /// that share one `CaseDef::unit` ordinal (throws dls::Error
+  /// otherwise). Returns one value row per case, in `unit` order, each
+  /// equal to run(case).
   [[nodiscard]] std::vector<std::vector<double>> run_unit(
       std::span<const CaseDef> unit);
 

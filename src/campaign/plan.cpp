@@ -98,6 +98,7 @@ std::vector<CaseDef> expand_cases(const ScenarioSpec& spec,
   const std::vector<std::string> offline_names = offline_metric_names(spec);
   const std::vector<std::string> stream_names = stream_metric_names();
   std::vector<CaseDef> defs;
+  std::size_t unit = 0;
 
   const auto add_group = [&](const CaseDef& proto, bool offline,
                              const std::vector<std::string>& names) {
@@ -139,6 +140,7 @@ std::vector<CaseDef> expand_cases(const ScenarioSpec& spec,
         proto.group = report.groups.size() - 1;
         for (int rep = 0; rep < spec.replications; ++rep) {
           proto.rep = rep;
+          proto.unit = unit++;
           defs.push_back(proto);
         }
         continue;
@@ -151,11 +153,21 @@ std::vector<CaseDef> expand_cases(const ScenarioSpec& spec,
         proto.objective = obj;
         proto.offline = offline;
         if (offline) {
-          for (int ex = 0; ex < static_cast<int>(spec.exhaust.size()); ++ex) {
+          // Groups in exhaust order; then, per replication, the exhaust
+          // siblings as adjacent cases of one unit. Each group still
+          // sees its cases in replication order.
+          const int exhausts = static_cast<int>(spec.exhaust.size());
+          const std::size_t first_group = report.groups.size();
+          for (int ex = 0; ex < exhausts; ++ex) {
             proto.exhaust = ex;
-            proto.group = add_group(proto, true, offline_names);
-            for (int rep = 0; rep < spec.replications; ++rep) {
-              proto.rep = rep;
+            add_group(proto, true, offline_names);
+          }
+          for (int rep = 0; rep < spec.replications; ++rep) {
+            proto.rep = rep;
+            proto.unit = unit++;
+            for (int ex = 0; ex < exhausts; ++ex) {
+              proto.exhaust = ex;
+              proto.group = first_group + static_cast<std::size_t>(ex);
               defs.push_back(proto);
             }
           }
@@ -167,6 +179,7 @@ std::vector<CaseDef> expand_cases(const ScenarioSpec& spec,
               proto.group = add_group(proto, false, stream_names);
               for (int rep = 0; rep < spec.replications; ++rep) {
                 proto.rep = rep;
+                proto.unit = unit++;
                 defs.push_back(proto);
               }
             }

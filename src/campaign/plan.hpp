@@ -6,11 +6,20 @@
 // Expansion order (load-bearing for sharding and for the distributed
 // range protocol): for each platform cell -> scenario -> objective, an
 // *offline* scenario (workload none) contributes one aggregation group
-// per greedy-exhaust axis value and one case per replication, while a
-// *stream* scenario contributes one group per (warm policy, method)
-// pair and one case per replication. Case indices number that flat
-// order; any contiguous index range therefore means the same cases on
-// every machine that parsed the same spec.
+// per greedy-exhaust axis value and, per replication, one case per
+// exhaust value, while a *stream* scenario contributes one group per
+// (warm policy, method) pair and one case per replication. Case indices
+// number that flat order; any contiguous index range therefore means
+// the same cases on every machine that parsed the same spec.
+//
+// The plan also owns execution units. The exhaust siblings of an
+// offline case (same cell, scenario, objective and replication) differ
+// only in the greedy's local-exhaust policy, so they share one
+// relaxation solve; they are adjacent in case order and share one
+// `CaseDef::unit` ordinal. Every other case is a unit alone. Unit
+// ordinals ascend with case index, so a unit is a contiguous index
+// range: shards (`unit mod n`), leases and the worker all run whole
+// units by reading the ordinal, never by re-deriving the rule.
 //
 // Seed streams are derived, not shared: the platform stream is a pure
 // function of (spec seed, cell, replication), the workload stream of
@@ -41,6 +50,10 @@ struct CaseDef {
   int rep = 0;
   bool offline = false;
   bool loads = false;  ///< multi-load cell (`loads` axis); one joint solve
+  /// Execution-unit ordinal: equal for an offline case's adjacent
+  /// exhaust siblings, distinct for every other case; ascends with the
+  /// case index.
+  std::size_t unit = 0;
 };
 
 /// Expands the spec: fills `report.groups` (empty aggregates, labels and

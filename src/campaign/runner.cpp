@@ -27,19 +27,17 @@ namespace {
 /// Restores case order between the dynamically-scheduled workers and
 /// the aggregates: records wait in a bounded buffer until every earlier
 /// case has been folded. Records arrive one execution unit at a time (a
-/// case, or an offline case's exhaust siblings; see ExecutionUnits),
-/// and units are dispatched in ascending order of first position.
+/// case, or an offline case's exhaust siblings), each unit a run of
+/// consecutive shard positions, and units are dispatched in ascending
+/// order.
 ///
-/// Invariant: the unit whose first position is the next expected one
-/// never waits; every other unit waits while `capacity` records are
-/// pending. The unit that holds the next position always starts there
-/// (its earlier positions would otherwise be folded, hence pushed), and
-/// its worker is never stuck on an earlier unit (units before it are
-/// already pushed), so the buffer cannot deadlock. A unit's later
-/// siblings are pending until the cases between them fold: at most
-/// `max_span` such records, so sizing `capacity` from the span keeps
-/// the other workers running. Memory stays O(workers * chunk + span)
-/// instead of O(cases).
+/// Invariant: the unit that holds the next expected position never
+/// waits; every other unit waits while `capacity` records are pending.
+/// That unit starts at the next position (its earlier positions would
+/// otherwise be folded, hence pushed), and its worker is never stuck on
+/// an earlier unit (units before it are already pushed), so the buffer
+/// cannot deadlock. Memory stays O(workers * chunk) instead of
+/// O(cases).
 class OrderedReducer {
 public:
   OrderedReducer(CampaignReport& report, const RunnerOptions& options,
@@ -90,63 +88,6 @@ private:
   std::exception_ptr sink_error_;
 };
 
-/// A shard's execution units, in ascending order of first position:
-/// unit u covers the shard positions positions[begin[u] .. begin[u+1]),
-/// ascending. The exhaust siblings of an offline case (same cell,
-/// scenario, objective and replication; expand_cases lays them
-/// `replications` case indices apart) that fall in this shard form one
-/// unit, which solves their shared relaxation once. Every other case
-/// is a unit alone, and so is a sibling whose partner landed in another
-/// shard.
-struct ExecutionUnits {
-  std::vector<std::size_t> begin{0};
-  std::vector<std::size_t> positions;
-  std::size_t max_span = 0;  ///< largest last-minus-first position of a unit
-
-  [[nodiscard]] std::size_t size() const { return begin.size() - 1; }
-};
-
-ExecutionUnits group_units(const ScenarioSpec& spec,
-                           const std::vector<CaseDef>& defs,
-                           const std::vector<std::size_t>& mine,
-                           const RunnerOptions& options) {
-  const auto n = static_cast<std::size_t>(options.shard_count);
-  const auto shard = static_cast<std::size_t>(options.shard_index);
-  const auto stride = static_cast<std::size_t>(spec.replications);
-  const auto in_shard = [&](std::size_t i) { return i % n == shard; };
-  const auto siblings = [&](const CaseDef& a, const CaseDef& b) {
-    return a.offline && b.offline && a.cell == b.cell && a.scen == b.scen &&
-           a.objective == b.objective && a.rep == b.rep;
-  };
-  const auto exhaust = static_cast<std::size_t>(spec.exhaust.size());
-
-  ExecutionUnits units;
-  units.positions.reserve(mine.size());
-  for (std::size_t pos = 0; pos < mine.size(); ++pos) {
-    const std::size_t i = mine[pos];
-    const CaseDef& def = defs[i];
-    const auto ex = static_cast<std::size_t>(def.exhaust);
-    // A lower-exhaust sibling in this shard leads the unit holding i.
-    bool led = false;
-    for (std::size_t k = 1; def.offline && k <= ex && !led; ++k) {
-      led = in_shard(i - k * stride);
-      DLS_ASSERT(!led || siblings(def, defs[i - k * stride]));
-    }
-    if (led) continue;
-    units.positions.push_back(pos);
-    for (std::size_t e = ex + 1; def.offline && e < exhaust; ++e) {
-      const std::size_t j = i + (e - ex) * stride;
-      if (!in_shard(j)) continue;
-      DLS_ASSERT(siblings(def, defs[j]));
-      units.positions.push_back((j - shard) / n);
-    }
-    units.max_span = std::max(units.max_span, units.positions.back() - pos);
-    units.begin.push_back(units.positions.size());
-  }
-  DLS_ASSERT(units.positions.size() == mine.size());
-  return units;
-}
-
 }  // namespace
 
 void fold_case(CampaignReport& report, const CaseRecord& record) {
@@ -177,16 +118,22 @@ CampaignReport run_campaign(const ScenarioSpec& spec, const RunnerOptions& optio
   const std::vector<CaseDef> defs = expand_cases(spec, report);
   report.total_cases = defs.size();
 
-  // Shard partition: case index mod shard_count.
+  // Shard partition: unit ordinal mod shard_count, so a shard runs whole
+  // units (for a spec with one exhaust value, case index mod
+  // shard_count). Unit u covers mine[unit_begin[u] .. unit_begin[u+1]).
   std::vector<std::size_t> mine;
+  std::vector<std::size_t> unit_begin;
   for (std::size_t i = 0; i < defs.size(); ++i) {
-    if (i % static_cast<std::size_t>(options.shard_count) ==
+    if (defs[i].unit % static_cast<std::size_t>(options.shard_count) !=
         static_cast<std::size_t>(options.shard_index))
-      mine.push_back(i);
+      continue;
+    if (mine.empty() || defs[mine.back()].unit != defs[i].unit)
+      unit_begin.push_back(mine.size());
+    mine.push_back(i);
   }
+  unit_begin.push_back(mine.size());
   report.executed_cases = mine.size();
-
-  const ExecutionUnits units = group_units(spec, defs, mine, options);
+  const std::size_t units = unit_begin.size() - 1;
 
   // One executor for the whole campaign: offline cases on any worker
   // share the artifact cache and the batch solver's column-structure
@@ -198,17 +145,15 @@ CampaignReport run_campaign(const ScenarioSpec& spec, const RunnerOptions& optio
   const std::size_t workers =
       options.jobs == 0 ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
                         : static_cast<std::size_t>(options.jobs);
-  OrderedReducer reducer(
-      report, options,
-      std::max<std::size_t>(64, 4 * workers * options.chunk) + units.max_span);
+  OrderedReducer reducer(report, options,
+                         std::max<std::size_t>(64, 4 * workers * options.chunk));
 
   const auto body = [&](std::size_t u) {
-    std::vector<CaseDef> unit;
+    const std::size_t first = unit_begin[u];
+    const std::size_t last = unit_begin[u + 1];
     std::vector<std::pair<std::size_t, CaseRecord>> records;
-    for (std::size_t k = units.begin[u]; k < units.begin[u + 1]; ++k) {
-      const std::size_t pos = units.positions[k];
+    for (std::size_t pos = first; pos < last; ++pos) {
       const CaseDef& def = defs[mine[pos]];
-      unit.push_back(def);
       CaseRecord record;
       record.index = mine[pos];
       record.group = def.group;
@@ -216,7 +161,9 @@ CampaignReport run_campaign(const ScenarioSpec& spec, const RunnerOptions& optio
       records.emplace_back(pos, std::move(record));
     }
     try {
-      std::vector<std::vector<double>> values = exec.run_unit(unit);
+      // A unit's cases are adjacent in the plan, so they are one span.
+      std::vector<std::vector<double>> values =
+          exec.run_unit({&defs[mine[first]], last - first});
       for (std::size_t k = 0; k < records.size(); ++k)
         records[k].second.values = std::move(values[k]);
     } catch (...) {
@@ -229,11 +176,11 @@ CampaignReport run_campaign(const ScenarioSpec& spec, const RunnerOptions& optio
     reducer.push(std::move(records));
   };
 
-  if (options.jobs == 1 || units.size() <= 1) {
-    for (std::size_t u = 0; u < units.size(); ++u) body(u);
+  if (options.jobs == 1 || units <= 1) {
+    for (std::size_t u = 0; u < units; ++u) body(u);
   } else {
     ThreadPool pool(workers);
-    parallel_for(pool, 0, units.size(), body, options.chunk);
+    parallel_for(pool, 0, units, body, options.chunk);
   }
   if (first_error) std::rethrow_exception(first_error);
   if (reducer.sink_error()) std::rethrow_exception(reducer.sink_error());

@@ -1,38 +1,24 @@
 // The campaign runner: expands a ScenarioSpec into its deterministic
 // case matrix and streams the cases through the thread pool.
 //
-// Expansion order (documented, load-bearing for sharding): for each
-// platform cell -> scenario -> objective, an *offline* scenario
-// (workload none) contributes one aggregation group per greedy-exhaust
-// axis value and one case per replication (a case covers every method,
-// which share the platform and one relaxation), while a
-// *stream* scenario contributes one group per (warm policy, method)
-// pair and one case per replication (one OnlineEngine replay each).
-// Case indices number that flat order, so `--shard i/n` (case index
-// mod n == i) partitions any campaign identically on every machine.
+// Case numbering, seed streams and execution units are the plan's
+// (plan.hpp). `--shard i/n` keeps the cases whose unit ordinal is
+// i mod n, so it partitions any campaign identically on every machine
+// and never splits a unit; with one exhaust value that is case index
+// mod n. Cases that differ only in method/objective/warm replay the
+// same platform, arrivals and failures, and a re-sharded campaign
+// reproduces every case bit for bit.
 //
-// Seed streams are derived, not shared: the platform stream is a pure
-// function of (spec seed, cell, replication), the workload stream of
-// (spec seed, replication) — deliberately scenario-independent, so the
-// static/dynamic scenario pairing of the degradation reports replays
-// literally the same arrivals — and the event stream of (spec seed,
-// cell, scenario, replication). Cases that differ only in
-// method/objective/warm replay the same platform, arrivals and
-// failures, and a re-sharded campaign reproduces every case bit for
-// bit.
-//
-// Execution runs in units: the exhaust siblings of an offline case
-// (same cell, scenario, objective and replication, `replications` case
-// indices apart) that fall in one shard run as one unit, which solves
-// their shared relaxation once (CaseExecutor::run_unit) and still yields
-// each case's own record, bit-identical to running it alone. Any other
-// case, and a sibling whose partner is in another shard, is a unit
-// alone. Units are dynamically chunked (support::parallel_for's atomic
-// cursor): a worker that lands on an expensive LPRR case only costs
-// itself while the pool keeps draining the matrix. Generated platforms
-// are cached per (cell, replication) and shared by every case that
-// differs only in scenario/method/objective; `.platform`, `.workload`
-// and `.events` files are loaded once per campaign.
+// Execution runs in units: the exhaust siblings of an offline case run
+// as one unit, which solves their shared relaxation once
+// (CaseExecutor::run_unit) and still yields each case's own record,
+// bit-identical to running it alone. Units are dynamically chunked
+// (support::parallel_for's atomic cursor): a worker that lands on an
+// expensive LPRR case only costs itself while the pool keeps draining
+// the matrix. Generated platforms are cached per (cell, replication)
+// and shared by every case that differs only in
+// scenario/method/objective; `.platform`, `.workload` and `.events`
+// files are loaded once per campaign.
 //
 // Aggregation is streaming and order-restoring: per-case records enter
 // a bounded reorder buffer and are folded into Welford accumulators and

@@ -13,12 +13,15 @@
 //                 [--payoffs ...] [--policy paced|maxmin|tcp|window]
 //                 [--window units] [--periods n] [--seed n]
 //   dls campaign  --spec FILE [--jobs J] [--shard i/n] [--json|--csv]
-//                 [--cases FILE]
+//                 [--cases FILE] [--serve PORT [--range-size N] ...]
 //                 (run a declarative .campaign scenario matrix through
 //                  the sharded streaming runner; see src/campaign/.
 //                  --shard partitions the case matrix deterministically
-//                  for multi-machine splits; --cases streams one JSON
-//                  line per finished case, in case order)
+//                  for multi-machine splits, by execution unit so take
+//                  and drop siblings stay together; --cases streams one
+//                  JSON line per finished case, in case order. --serve
+//                  coordinates worker processes instead; --range-size
+//                  is the cases per lease, rounded up to whole units)
 //   dls sweep     --clusters K --cases N [--jobs J] [--objective ...]
 //                 [--seed n] [--lprr]
 //                 (parallel replication sweep; a thin adapter that

@@ -71,7 +71,7 @@ void restore_checkpoint(const Checkpoint& checkpoint,
 }
 
 void write_checkpoint(const Checkpoint& checkpoint, std::ostream& os) {
-  os << "dls-checkpoint 1\n";
+  os << "dls-checkpoint 2\n";
   os << "spec " << encode_hex64(checkpoint.spec_fingerprint) << "\n";
   os << "total " << checkpoint.total_cases << "\n";
   os << "frontier " << checkpoint.frontier << "\n";
@@ -114,7 +114,7 @@ Checkpoint read_checkpoint(std::istream& is) {
 
   auto tokens = next_line("header");
   require(tokens.size() == 2 && tokens[0] == "dls-checkpoint" &&
-              tokens[1] == "1",
+              tokens[1] == "2",
           "checkpoint: bad header '" + line + "'");
   tokens = next_line("spec");
   expect(tokens, "spec", 2);

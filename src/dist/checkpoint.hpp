@@ -14,7 +14,10 @@
 //
 // Format: line-oriented text, doubles as C99 hex-floats (bit-exact
 // round trip), terminated by an `end` sentinel so a torn file is
-// detected even if rename atomicity is lost (e.g. on NFS).
+// detected even if rename atomicity is lost (e.g. on NFS). The header
+// is `dls-checkpoint 2`; version 1 numbered multi-exhaust cases in
+// another order, so its frontier would name different cases and it is
+// refused.
 #pragma once
 
 #include <cstdint>

@@ -147,8 +147,10 @@ CoordinatorResult serve_campaign(const campaign::ScenarioSpec& spec,
   }
 
   // ---- work queue --------------------------------------------------------
-  // Contiguous runs of still-missing indices, chunked into leases. On a
-  // fresh run this is just [0, total) in range_size pieces.
+  // Contiguous runs of still-missing indices, chunked into leases of
+  // range_size cases, each extended to the end of its last execution
+  // unit so that no lease splits a unit. On a fresh run this is just
+  // [0, total) in pieces of about range_size.
   std::deque<Range> queue;
   std::size_t next_range_id = 0;
   {
@@ -159,7 +161,8 @@ CoordinatorResult serve_campaign(const campaign::ScenarioSpec& spec,
     while (s < todo.size()) {
       std::size_t e = s + 1;
       while (e < todo.size() && todo[e] == todo[e - 1] + 1 &&
-             e - s < options.range_size)
+             (e - s < options.range_size ||
+              defs[todo[e]].unit == defs[todo[e - 1]].unit))
         ++e;
       queue.push_back({next_range_id++, todo[s], todo[e - 1] + 1});
       s = e;

@@ -5,7 +5,8 @@
 // most), folds the frames in each ready buffer (parse_frame), then
 // sweeps heartbeat deadlines. Leases live in a per-fd Client table.
 //
-//   * hands out contiguous case-index ranges as leases (`RANGE`),
+//   * hands out contiguous case-index ranges as leases (`RANGE`), each
+//     made of whole execution units (campaign/plan.hpp),
 //   * collects streamed per-case records and folds them into the group
 //     aggregates strictly in case order (the same `fold_case` path as
 //     the in-process runner — this is what makes the distributed report
@@ -36,7 +37,8 @@ namespace dls::dist {
 struct CoordinatorOptions {
   std::uint16_t port = 0;      ///< 0 = ephemeral (see on_listen / port_file)
   std::string port_file;       ///< write the bound port here once listening
-  std::size_t range_size = 8;  ///< cases per lease
+  std::size_t range_size = 8;  ///< cases per lease, rounded up to whole
+                               ///< execution units
   double heartbeat_timeout = 15.0;  ///< seconds of silence before a worker
                                     ///< is declared dead and its lease
                                     ///< re-queued

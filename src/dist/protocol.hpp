@@ -35,7 +35,8 @@
 //     SPEC <spec-fingerprint-hex>         second..last lines: canonical
 //                                         .campaign text (the worker
 //                                         needs no spec file)
-//     RANGE <range-id> <lo> <hi>          lease of case indices [lo,hi)
+//     RANGE <range-id> <lo> <hi>          lease of case indices [lo,hi),
+//                                         whole execution units
 //     FIN                                 no more work; disconnect
 //     ABORT <message>                     fatal: spec mismatch or a
 //                                         twice-failed range
@@ -48,7 +49,9 @@
 
 namespace dls::dist {
 
-constexpr int kProtocolVersion = 1;
+/// Version 2: case indices follow the plan's unit-adjacent expansion
+/// order, so a version-1 peer would read leases as other cases.
+constexpr int kProtocolVersion = 2;
 
 /// Hard ceiling on one frame (a CASE frame is < 1 KiB; SPEC frames grow
 /// with the platform axis). A peer announcing more is speaking some

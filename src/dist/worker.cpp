@@ -221,33 +221,48 @@ WorkerResult run_worker(const WorkerOptions& options) {
       std::mutex state_mutex;
       std::string error_message;  // first failed case wins
 
-      // Satellite contract: a throwing case poisons only its range.
-      // The catch is per case, so the pool never propagates — the
+      // The lease's execution units: runs of cases sharing a unit
+      // ordinal, so exhaust siblings solve their relaxation once.
+      std::vector<std::size_t> unit_begin;
+      for (std::size_t index = lo; index < hi; ++index)
+        if (index == lo || defs[index].unit != defs[index - 1].unit)
+          unit_begin.push_back(index);
+      unit_begin.push_back(hi);
+      const std::size_t units = unit_begin.size() - 1;
+
+      // Fault containment: a throwing unit poisons only its range.
+      // The catch is per unit, so the pool never propagates — the
       // range FAILs, the worker (and its process) keeps serving.
-      const auto body = [&](std::size_t k) {
-        const std::size_t index = lo + k;
-        const campaign::CaseDef& def = defs[index];
+      const auto body = [&](std::size_t u) {
+        const std::size_t first = unit_begin[u];
+        const std::size_t last = unit_begin[u + 1];
         try {
-          if (options.fail_case && options.fail_case(index))
-            throw Error("injected failure at case " + std::to_string(index));
-          const std::vector<double> values = exec.run(def);
-          std::string line = "CASE " + std::to_string(id) + " " +
-                             std::to_string(index) + " " +
-                             std::to_string(values.size());
-          for (const double v : values) {
-            line.push_back(' ');
-            line += encode_double(v);
-          }
-          {
-            std::scoped_lock lock(state_mutex);
-            if (!error_message.empty()) return;  // range already poisoned
-            for (std::size_t m = 0; m < values.size(); ++m)
-              if (!std::isnan(values[m])) sums[def.group][m].add(values[m]);
-          }
-          if (!send_payload(line)) {
-            std::scoped_lock lock(state_mutex);
-            if (error_message.empty())
-              error_message = "coordinator connection lost mid-range";
+          for (std::size_t index = first; index < last; ++index)
+            if (options.fail_case && options.fail_case(index))
+              throw Error("injected failure at case " + std::to_string(index));
+          const std::vector<std::vector<double>> rows =
+              exec.run_unit({&defs[first], last - first});
+          for (std::size_t index = first; index < last; ++index) {
+            const std::vector<double>& values = rows[index - first];
+            std::string line = "CASE " + std::to_string(id) + " " +
+                               std::to_string(index) + " " +
+                               std::to_string(values.size());
+            for (const double v : values) {
+              line.push_back(' ');
+              line += encode_double(v);
+            }
+            {
+              std::scoped_lock lock(state_mutex);
+              if (!error_message.empty()) return;  // range already poisoned
+              const std::size_t group = defs[index].group;
+              for (std::size_t m = 0; m < values.size(); ++m)
+                if (!std::isnan(values[m])) sums[group][m].add(values[m]);
+            }
+            if (!send_payload(line)) {
+              std::scoped_lock lock(state_mutex);
+              if (error_message.empty())
+                error_message = "coordinator connection lost mid-range";
+            }
           }
         } catch (const std::exception& e) {
           std::scoped_lock lock(state_mutex);
@@ -255,11 +270,11 @@ WorkerResult run_worker(const WorkerOptions& options) {
         }
       };
 
-      if (threads == 1 || hi - lo <= 1) {
-        for (std::size_t k = 0; k < hi - lo; ++k) body(k);
+      if (threads == 1 || units <= 1) {
+        for (std::size_t u = 0; u < units; ++u) body(u);
       } else {
-        ThreadPool pool(std::min<std::size_t>(threads, hi - lo));
-        parallel_for(pool, 0, hi - lo, body, 1);
+        ThreadPool pool(std::min<std::size_t>(threads, units));
+        parallel_for(pool, 0, units, body, 1);
       }
 
       if (!error_message.empty()) {

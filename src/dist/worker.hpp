@@ -1,8 +1,9 @@
 // The campaign worker: connects to a coordinator, receives the spec
 // over the wire (no spec file needed on the worker host), expands the
 // same deterministic case matrix, and executes leased case-index
-// ranges on a local thread pool, streaming per-case records back as
-// bit-exact hex-float CASE frames.
+// ranges on a local thread pool, one execution unit of the plan per
+// task (exhaust siblings solve their relaxation once), streaming
+// per-case records back as bit-exact hex-float CASE frames.
 //
 // Failure containment (the distributed face of the thread-pool
 // exception-propagation contract): a case that throws poisons only its

@@ -6,10 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <utility>
+#include <tuple>
 #include <vector>
 
 #include "campaign/runner.hpp"
@@ -29,44 +30,67 @@ std::vector<std::uint64_t> bits(const std::vector<double>& values) {
   return out;
 }
 
+/// The Table-1 case of (cell, objective, replication, exhaust value).
+const CaseDef& find_case(const std::vector<CaseDef>& cases, int cell,
+                         int objective, int rep, int exhaust) {
+  const auto it = std::find_if(cases.begin(), cases.end(), [&](const CaseDef& d) {
+    return d.cell == cell && d.objective == objective && d.rep == rep &&
+           d.exhaust == exhaust;
+  });
+  EXPECT_NE(it, cases.end());
+  return *it;
+}
+
+/// Every case of one execution unit, in case order.
+std::vector<CaseDef> unit_cases(const std::vector<CaseDef>& cases,
+                                std::size_t unit) {
+  std::vector<CaseDef> out;
+  for (const CaseDef& d : cases)
+    if (d.unit == unit) out.push_back(d);
+  return out;
+}
+
 TEST(CaseExecutor, ValuesIndependentOfPreviouslyRunCases) {
   const ScenarioSpec spec = read_campaign_file(
       {std::string(DLS_SOURCE_DIR) + "/data/table1_sweep.campaign"});
   CampaignReport report;
   const std::vector<CaseDef> cases = expand_cases(spec, report);
-  ASSERT_GT(cases.size(), 46u);
-  // Cases 38 and 46 share the K=15 cell and replication 6 (they differ
-  // only in the greedy exhaust policy), so they solve the same LPs; 40,
-  // 42 and 44 solve other K=15 platforms in between on the same arena.
-  ASSERT_EQ(cases[38].cell, cases[46].cell);
-  ASSERT_EQ(cases[38].rep, cases[46].rep);
+  // The take and drop siblings of the K=15 cell, maxmin, replication 6
+  // solve the same LPs; the drop cases of replications 0, 2 and 4 solve
+  // other K=15 platforms in between on the same arena.
+  const std::vector<CaseDef> unit =
+      unit_cases(cases, find_case(cases, 1, 0, 6, 0).unit);
+  ASSERT_EQ(unit.size(), 2u);
 
   CaseExecutor fresh(spec);
-  const std::vector<double> expected = fresh.run(cases[46]);
+  const std::vector<double> expected = fresh.run(unit[1]);
 
   CaseExecutor carried(spec);
-  for (const std::size_t i : {38u, 40u, 42u, 44u}) (void)carried.run(cases[i]);
-  const std::vector<double> got = carried.run(cases[46]);
+  (void)carried.run(unit[0]);
+  for (const int rep : {0, 2, 4}) (void)carried.run(find_case(cases, 1, 0, rep, 1));
+  const std::vector<double> got = carried.run(unit[1]);
   EXPECT_EQ(bits(got), bits(expected));
 }
 
 TEST(CaseExecutor, ExhaustSiblingsAsOneUnitEqualStandaloneRuns) {
-  // Cases 38 and 46 are the take and drop siblings of one K=15 cell and
-  // replication: run as one unit they solve one relaxation, and each
-  // must still equal a fresh standalone run bit for bit. So must 115
-  // and 123 (K=35, sum), whose take and drop G and LPRG ratios differ.
+  // The take and drop siblings of one K=15 cell and replication share a
+  // plan unit: run as one unit they solve one relaxation, and each must
+  // still equal a fresh standalone run bit for bit. So must the unit of
+  // K=35, sum, replication 3, whose take and drop G and LPRG ratios
+  // differ.
   const ScenarioSpec spec = read_campaign_file(
       {std::string(DLS_SOURCE_DIR) + "/data/table1_sweep.campaign"});
   CampaignReport report;
   const std::vector<CaseDef> cases = expand_cases(spec, report);
-  ASSERT_GT(cases.size(), 123u);
 
   std::vector<std::vector<double>> got;
-  for (const auto& [a, b] :
-       {std::pair<std::size_t, std::size_t>{38, 46}, {115, 123}}) {
-    ASSERT_NE(cases[a].exhaust, cases[b].exhaust);
+  std::vector<CaseDef> unit;
+  for (const auto& [cell, objective, rep] :
+       {std::tuple{1, 0, 6}, std::tuple{3, 1, 3}}) {
+    unit = unit_cases(cases, find_case(cases, cell, objective, rep, 0).unit);
+    ASSERT_EQ(unit.size(), 2u);
+    ASSERT_NE(unit[0].exhaust, unit[1].exhaust);
     CaseExecutor unit_exec(spec);
-    const std::vector<CaseDef> unit{cases[a], cases[b]};
     got = unit_exec.run_unit(unit);
     ASSERT_EQ(got.size(), 2u);
     for (std::size_t k = 0; k < unit.size(); ++k) {
@@ -74,14 +98,17 @@ TEST(CaseExecutor, ExhaustSiblingsAsOneUnitEqualStandaloneRuns) {
       EXPECT_EQ(bits(got[k]), bits(fresh.run(unit[k]))) << "case " << k;
     }
   }
-  EXPECT_NE(bits(got[0]), bits(got[1]));  // 115 and 123 differ
+  EXPECT_NE(bits(got[0]), bits(got[1]));  // the K=35 siblings differ
 
   // A single-case unit is run(): same values.
   CaseExecutor single(spec);
-  EXPECT_EQ(bits(single.run_unit({&cases[123], 1}).front()), bits(got[1]));
+  EXPECT_EQ(bits(single.run_unit({&unit[1], 1}).front()), bits(got[1]));
 
-  // Cases of different replications are not siblings.
-  const std::vector<CaseDef> mixed{cases[38], cases[47]};
+  // Cases of different units (here, replications) are not siblings.
+  const CaseDef& take6 = find_case(cases, 1, 0, 6, 0);
+  const CaseDef& drop7 = find_case(cases, 1, 0, 7, 1);
+  ASSERT_NE(take6.unit, drop7.unit);
+  const std::vector<CaseDef> mixed{take6, drop7};
   EXPECT_THROW((void)single.run_unit(mixed), Error);
 }
 

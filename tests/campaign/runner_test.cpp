@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/plan.hpp"
 #include "support/error.hpp"
 
 namespace dls::campaign {
@@ -331,16 +333,15 @@ TEST(CampaignRunner, ChunkSizeNeverChangesTheReport) {
   EXPECT_EQ(a.str(), b.str());
 }
 
-TEST(CampaignRunner, UnitSpanBeyondTheBaseReorderCapacity) {
-  // 80 replications with exhaust take/drop: each offline case runs with
-  // its drop sibling 80 positions later, past the reorder buffer's base
-  // capacity of 64 records. Every worker count and chunk must finish and
-  // reproduce the --jobs 1 report and case stream bit for bit, and so
-  // must a 2-way (siblings whole) and a 3-way (siblings split) shard
-  // union.
+TEST(CampaignRunner, ExhaustUnitsInvariantToJobsChunkAndShards) {
+  // 80 replications with exhaust take/drop: every offline case runs
+  // with its drop sibling as one two-case unit. Every worker count and
+  // chunk must reproduce the --jobs 1 report and case stream bit for
+  // bit, a 2-way and a 3-way shard union must reproduce the unsharded
+  // stream, and no shard may split a unit.
   const ScenarioSpec spec = from_text(
       "dls-campaign 1\n"
-      "name unit-span\n"
+      "name exhaust-units\n"
       "seed 11\n"
       "replications 80\n"
       "objective maxmin\n"
@@ -378,10 +379,22 @@ TEST(CampaignRunner, UnitSpanBeyondTheBaseReorderCapacity) {
     std::sort(lines.begin(), lines.end());
     return lines;
   };
+  CampaignReport shape;
+  const std::vector<CaseDef> defs = expand_cases(spec, shape);
   for (const int n : {2, 3}) {
     std::string unioned;
-    for (int shard = 0; shard < n; ++shard)
-      unioned += stream({.jobs = 3, .shard_index = shard, .shard_count = n}, nullptr);
+    std::map<std::size_t, int> unit_shard;
+    for (int shard = 0; shard < n; ++shard) {
+      const std::string part =
+          stream({.jobs = 3, .shard_index = shard, .shard_count = n}, nullptr);
+      unioned += part;
+      for (const std::string& line : sorted_lines(part)) {
+        const std::size_t index = std::stoul(line.substr(line.find(':') + 1));
+        const auto it = unit_shard.emplace(defs[index].unit, shard).first;
+        EXPECT_EQ(it->second, shard) << "unit " << it->first << " split";
+      }
+    }
+    EXPECT_EQ(unit_shard.size(), 80u) << n << "-way split";
     EXPECT_EQ(sorted_lines(unioned), sorted_lines(cases1)) << n << "-way split";
   }
 }

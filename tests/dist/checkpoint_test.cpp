@@ -119,6 +119,14 @@ TEST(Checkpoint, TornFileIsRefused) {
   text.resize(text.size() - 10);
   std::stringstream torn(text);
   EXPECT_THROW((void)read_checkpoint(torn), Error);
+
+  // A version-1 file numbered multi-exhaust cases in another order, so
+  // its frontier would name different cases: refused, not misread.
+  std::string whole = stream.str();
+  ASSERT_EQ(whole.rfind("dls-checkpoint 2\n", 0), 0u);
+  whole.replace(0, 16, "dls-checkpoint 1");
+  std::stringstream old_version(whole);
+  EXPECT_THROW((void)read_checkpoint(old_version), Error);
 }
 
 TEST(Checkpoint, ShapeMismatchIsRefused) {

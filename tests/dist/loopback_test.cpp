@@ -17,6 +17,7 @@
 #include "campaign/spec.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/worker.hpp"
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "temp_path.hpp"
 
@@ -133,6 +134,49 @@ TEST(DistLoopback, BitIdenticalToSingleProcess) {
   std::size_t cases = 0;
   for (const WorkerResult& w : out.workers) cases += w.cases_run;
   EXPECT_EQ(cases, out.result->report.total_cases);
+}
+
+/// Cold simplex solves so far (dls_lp_solves_total{start="cold"}).
+std::uint64_t cold_solves() {
+  for (const obs::SeriesSnapshot& s : obs::registry().snapshot().series)
+    if (s.name == "dls_lp_solves_total" && s.labels == "start=\"cold\"")
+      return s.counter;
+  return 0;
+}
+
+TEST(DistLoopback, ExhaustSiblingsSolveOnceUnderLeases) {
+  // Take and drop siblings share one relaxation. An odd range size
+  // would cut a unit in two; the coordinator extends the lease to the
+  // unit's end instead, and the worker runs the unit whole, so the fleet
+  // cold-solves exactly what the in-process runner does: one relaxation
+  // per unit, not one per case.
+  const ScenarioSpec spec = campaign::from_text(
+      "dls-campaign 1\n"
+      "name siblings\n"
+      "seed 5\n"
+      "replications 5\n"
+      "objective maxmin\n"
+      "method g lpr lprg\n"
+      "exhaust take drop\n"
+      "platform grid clusters=5\n"
+      "workload none\n");
+  const std::uint64_t before_single = cold_solves();
+  const std::string reference = single_process_json(spec);
+  const std::uint64_t single = cold_solves() - before_single;
+  EXPECT_EQ(single, 5u);
+
+  CoordinatorOptions copt;
+  copt.range_size = 3;
+  const std::uint64_t before_dist = cold_solves();
+  const DistOutcome out = run_distributed(spec, copt, {{.jobs = 2}, {.jobs = 1}});
+  const std::uint64_t dist = cold_solves() - before_dist;
+
+  ASSERT_FALSE(out.coordinator_error);
+  ASSERT_TRUE(out.result.has_value());
+  EXPECT_TRUE(out.result->complete);
+  EXPECT_EQ(report_json(out.result->report), reference);
+  for (const auto& err : out.worker_errors) EXPECT_FALSE(err);
+  EXPECT_EQ(dist, single);
 }
 
 TEST(DistLoopback, WorkerDeathRequeuesAndStaysBitIdentical) {

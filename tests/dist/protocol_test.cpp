@@ -1,18 +1,25 @@
 // Wire-protocol tests: frame encode/decode across arbitrary TCP chunk
-// boundaries, bit-exact double round trips, and rejection of malformed
-// or oversized length prefixes.
+// boundaries, bit-exact double round trips, rejection of malformed or
+// oversized length prefixes, and a coordinator refusing a peer that
+// speaks an older protocol version.
 #include "dist/protocol.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
+#include "campaign/spec.hpp"
+#include "dist/coordinator.hpp"
+#include "dist/worker.hpp"
 #include "support/error.hpp"
+#include "support/socket.hpp"
 
 namespace dls::dist {
 namespace {
@@ -119,6 +126,64 @@ TEST(Tokens, SplitsOnBlanks) {
   const std::vector<std::string> expected = {"CASE", "1", "2"};
   EXPECT_EQ(split_tokens("  CASE  1\t2 "), expected);
   EXPECT_TRUE(split_tokens("").empty());
+}
+
+TEST(Handshake, VersionOneWorkerIsAborted) {
+  // Version 2 renumbered the cases of multi-exhaust specs, so a version-1
+  // worker would read leases as other cases: the coordinator answers its
+  // HELLO with ABORT. A current worker then finishes the campaign.
+  EXPECT_EQ(kProtocolVersion, 2);
+  const campaign::ScenarioSpec spec = campaign::from_text(
+      "dls-campaign 1\nname hello\nseed 3\nreplications 1\n"
+      "objective maxmin\nmethod g lprg\nplatform grid clusters=3\n"
+      "workload none\n");
+  std::promise<std::uint16_t> port_promise;
+  std::future<std::uint16_t> port = port_promise.get_future();
+  CoordinatorOptions copt;
+  copt.on_listen = [&port_promise](std::uint16_t p) { port_promise.set_value(p); };
+  std::exception_ptr coordinator_error;
+  std::thread coordinator([&] {
+    try {
+      (void)serve_campaign(spec, copt);
+    } catch (...) {
+      coordinator_error = std::current_exception();
+      try {
+        port_promise.set_value(0);  // never listened: unblock the test
+      } catch (const std::future_error&) {
+      }
+    }
+  });
+  const std::uint16_t bound = port.get();
+  if (bound == 0) {
+    coordinator.join();
+    FAIL() << "coordinator never listened";
+  }
+
+  std::string reply;
+  {
+    const Socket sock = tcp_connect("127.0.0.1", bound);
+    const std::string hello = encode_frame("HELLO 1");
+    EXPECT_TRUE(send_all(sock, hello.data(), hello.size()));
+    std::string in;
+    char buf[4096];
+    for (Frame f = parse_frame(in); f.consumed == 0; f = parse_frame(in)) {
+      const long got = recv_some(sock, buf, sizeof buf);
+      if (got == 0) break;
+      if (got > 0) in.append(buf, static_cast<std::size_t>(got));
+    }
+    reply = parse_frame(in).payload;
+  }
+  EXPECT_EQ(reply.rfind("ABORT protocol version mismatch", 0), 0u) << reply;
+
+  WorkerOptions wopt;
+  wopt.host = "127.0.0.1";
+  wopt.port = bound;
+  wopt.jobs = 1;
+  const WorkerResult worker = run_worker(wopt);
+  coordinator.join();
+  EXPECT_FALSE(coordinator_error);
+  EXPECT_FALSE(worker.aborted);
+  EXPECT_EQ(worker.cases_run, 1u);
 }
 
 }  // namespace
