@@ -75,8 +75,15 @@ void greedy_fill(const SteadyStateProblem& problem, GreedyState& st,
   const std::vector<double>& payoff = problem.payoffs();
 
   std::vector<int> live;  // applications still in the candidate list L
-  for (int k = 0; k < n; ++k)
-    if (payoff[k] > 0.0) live.push_back(k);
+  // total[k] caches st.alloc.total_alpha(k): only add_alpha(k, .) moves
+  // it, so step 3 reads the cache and the one application that grew
+  // recomputes its own sum (the same ordered sum, hence the same bits).
+  std::vector<double> total(static_cast<std::size_t>(n), 0.0);
+  for (int k = 0; k < n; ++k) {
+    if (payoff[k] <= 0.0) continue;
+    live.push_back(k);
+    total[k] = st.alloc.total_alpha(k);
+  }
 
   // Generous termination guard; every iteration either consumes capacity
   // or removes an application, so this should never trigger.
@@ -93,7 +100,7 @@ void greedy_fill(const SteadyStateProblem& problem, GreedyState& st,
     int k = -1;
     double best_key = std::numeric_limits<double>::infinity();
     for (int cand : live) {
-      const double key = st.alloc.total_alpha(cand) * payoff[cand];
+      const double key = total[cand] * payoff[cand];
       if (key < best_key - kEps ||
           (key < best_key + kEps &&
            (k < 0 || payoff[cand] > payoff[k] + kEps))) {
@@ -163,6 +170,7 @@ void greedy_fill(const SteadyStateProblem& problem, GreedyState& st,
       st.res_speed[k] -= amount;
       st.alloc.add_alpha(k, k, amount);
     }
+    total[k] = st.alloc.total_alpha(k);
     // Clamp tolerance-level negatives so later mins stay clean.
     st.res_speed[l] = std::max(0.0, st.res_speed[l]);
     st.res_gateway[k] = std::max(0.0, st.res_gateway[k]);

@@ -18,9 +18,124 @@ constexpr double kThreshold = 0.1;
 
 /// How many minimum-count columns to examine per pivot choice. The
 /// Markowitz cost is monotone in the column count, so candidates beyond
-/// the first few smallest columns cannot win by much; bounding the scan
-/// keeps pivot selection O(1) amortized per elimination step.
+/// the first few smallest columns cannot win by much; bounding the
+/// window keeps the cost evaluation at kCandidateCols column scans per
+/// elimination step. Choosing the window is one sweep of the active
+/// columns (O(active), not O(m): finished columns are compacted out).
 constexpr int kCandidateCols = 8;
+
+/// Free room a column slice or row pattern starts with beyond its
+/// initial entries, so the first fill-ins land in place.
+constexpr int kSlack = 4;
+
+/// Grows a pool so [0, need) is addressable; capacity only ever grows,
+/// so a reused scratch stops allocating once it has seen its largest
+/// basis.
+template <typename T>
+void fit_pool(std::vector<T>& pool, int need) {
+  if (static_cast<int>(pool.size()) < need)
+    pool.resize(std::max(2 * pool.size(), static_cast<std::size_t>(need)));
+}
+
+/// Appends (i, v) to column j, first moving a full column to the pool's
+/// end with doubled capacity (its old room stays unused until the next
+/// factorize()). Entry order within the column is preserved.
+void push_col_entry(FactorScratch& s, int j, int i, double v) {
+  if (s.col_len[j] == s.col_cap[j]) {
+    const int from = s.col_start[j], to = s.col_end, len = s.col_len[j];
+    const int cap = 2 * len + kSlack;
+    fit_pool(s.col_row, to + cap);
+    fit_pool(s.col_val, to + cap);
+    std::copy_n(s.col_row.begin() + from, len, s.col_row.begin() + to);
+    std::copy_n(s.col_val.begin() + from, len, s.col_val.begin() + to);
+    s.col_start[j] = to;
+    s.col_cap[j] = cap;
+    s.col_end = to + cap;
+  }
+  const int at = s.col_start[j] + s.col_len[j]++;
+  s.col_row[at] = i;
+  s.col_val[at] = v;
+}
+
+/// Appends column j to row i's pattern; same relocation rule.
+void push_row_entry(FactorScratch& s, int i, int j) {
+  if (s.row_len[i] == s.row_cap[i]) {
+    const int from = s.row_start[i], to = s.row_end, len = s.row_len[i];
+    const int cap = 2 * len + kSlack;
+    fit_pool(s.row_col, to + cap);
+    std::copy_n(s.row_col.begin() + from, len, s.row_col.begin() + to);
+    s.row_start[i] = to;
+    s.row_cap[i] = cap;
+    s.row_end = to + cap;
+  }
+  s.row_col[s.row_start[i] + s.row_len[i]++] = j;
+}
+
+/// Loads the m x m CSC matrix into `s` as the initial active submatrix:
+/// each column keeps the input order (exact zeros dropped), each row
+/// pattern lists its columns ascending, and every finished-column and
+/// marker array is reset.
+void load_active(int m, std::span<const int> col_ptr, std::span<const int> rows,
+                 std::span<const double> values, FactorScratch& s) {
+  const auto um = static_cast<std::size_t>(m);
+  s.col_start.resize(um);
+  s.col_len.resize(um);
+  s.col_cap.resize(um);
+  s.row_start.resize(um);
+  s.row_len.resize(um);
+  s.row_cap.resize(um);
+  s.row_count.assign(um, 0);
+  for (int j = 0; j < m; ++j) {
+    int len = 0;
+    for (int p = col_ptr[j]; p < col_ptr[j + 1]; ++p) {
+      if (values[p] == 0.0) continue;
+      ++len;
+      ++s.row_count[rows[p]];
+    }
+    s.col_len[j] = len;
+  }
+  s.col_end = 0;
+  for (int j = 0; j < m; ++j) {
+    s.col_start[j] = s.col_end;
+    s.col_cap[j] = s.col_len[j] + kSlack;
+    s.col_end += s.col_cap[j];
+  }
+  s.row_end = 0;
+  for (int i = 0; i < m; ++i) {
+    s.row_start[i] = s.row_end;
+    s.row_len[i] = 0;
+    s.row_cap[i] = s.row_count[i] + kSlack;
+    s.row_end += s.row_cap[i];
+  }
+  fit_pool(s.col_row, s.col_end);
+  fit_pool(s.col_val, s.col_end);
+  fit_pool(s.row_col, s.row_end);
+
+  // l_pos doubles as a "last column seen" mark per row here, which
+  // catches a row repeated within one column (the Schur update's marker
+  // lookup assumes there is none).
+  s.l_pos.assign(um, -1);
+  for (int j = 0; j < m; ++j) {
+    int at = s.col_start[j];
+    for (int p = col_ptr[j]; p < col_ptr[j + 1]; ++p) {
+      const double v = values[p];
+      if (v == 0.0) continue;
+      const int i = rows[p];
+      DLS_ASSERT(s.l_pos[i] != j);
+      s.l_pos[i] = j;
+      s.col_row[at] = i;
+      s.col_val[at] = v;
+      ++at;
+      s.row_col[s.row_start[i] + s.row_len[i]++] = j;
+    }
+  }
+  std::fill(s.l_pos.begin(), s.l_pos.end(), -1);
+  s.l_hit.assign(um, 0);
+  s.col_done.assign(um, 0);
+  s.active.resize(um);
+  for (int j = 0; j < m; ++j) s.active[j] = j;
+  s.singletons.clear();
+}
 
 }  // namespace
 
@@ -50,30 +165,11 @@ void BasisLu::clear() {
 
 bool BasisLu::factorize(int m, std::span<const int> col_ptr,
                         std::span<const int> rows, std::span<const double> values,
-                        double abs_pivot_tol) {
+                        FactorScratch& s, double abs_pivot_tol) {
   clear();
   DLS_ASSERT(static_cast<int>(col_ptr.size()) == m + 1);
+  load_active(m, col_ptr, rows, values, s);
 
-  // Active submatrix, column-wise with exact per-row/column counts. The
-  // row lists are supersets (stale column ids are skipped on use).
-  std::vector<std::vector<int>> col_rows(m);
-  std::vector<std::vector<double>> col_vals(m);
-  std::vector<std::vector<int>> row_cols(m);
-  std::vector<int> row_count(m, 0), col_count(m, 0);
-  for (int j = 0; j < m; ++j) {
-    for (int p = col_ptr[j]; p < col_ptr[j + 1]; ++p) {
-      const int i = rows[p];
-      const double v = values[p];
-      if (v == 0.0) continue;
-      col_rows[j].push_back(i);
-      col_vals[j].push_back(v);
-      row_cols[i].push_back(j);
-      ++row_count[i];
-      ++col_count[j];
-    }
-  }
-
-  std::vector<char> row_done(m, 0), col_done(m, 0);
   pivot_row_.reserve(m);
   pivot_col_.reserve(m);
   pivot_val_.reserve(m);
@@ -87,25 +183,19 @@ bool BasisLu::factorize(int m, std::span<const int> col_ptr,
   // produces no fill. Simplex bases are largely triangularizable (slack
   // columns and the fronts they open), so most pivots come from this
   // stack in O(1) instead of a column scan. Lazily validated on pop.
-  std::vector<int> singletons;
   for (int j = 0; j < m; ++j)
-    if (col_count[j] == 1) singletons.push_back(j);
-
-  // Scratch for one elimination step: the U-row entries found in other
-  // active columns (column id + value + position inside that column).
-  std::vector<int> urow_cols;
-  std::vector<double> urow_vals;
+    if (s.col_len[j] == 1) s.singletons.push_back(j);
 
   for (int step = 0; step < m; ++step) {
     int best_row = -1, best_col = -1;
     double best_val = 0.0;
-    while (!singletons.empty()) {
-      const int j = singletons.back();
-      singletons.pop_back();
-      if (col_done[j] || col_count[j] != 1) continue;  // stale entry
-      const double v = col_vals[j].front();
+    while (!s.singletons.empty()) {
+      const int j = s.singletons.back();
+      s.singletons.pop_back();
+      if (s.col_done[j] || s.col_len[j] != 1) continue;  // stale entry
+      const double v = s.col_val[s.col_start[j]];
       if (std::fabs(v) < abs_pivot_tol) break;  // too small: full scan decides
-      best_row = col_rows[j].front();
+      best_row = s.col_row[s.col_start[j]];
       best_col = j;
       best_val = v;
       break;
@@ -121,33 +211,43 @@ bool BasisLu::factorize(int m, std::span<const int> col_ptr,
         // Pass 0 honors the stability threshold; pass 1 (rare) accepts
         // any entry above the absolute tolerance so near-singular bases
         // still factorize instead of stalling.
-        // Single sweep keeping the kCandidateCols smallest active
-        // columns (insertion into a fixed-size window).
+        // One ascending sweep of the active list keeps the
+        // kCandidateCols smallest columns by (count, index) — insertion
+        // into a fixed-size window — and drops finished columns from
+        // the list as it goes.
         int order[kCandidateCols];
         int filled = 0;
-        for (int j = 0; j < m; ++j) {
-          if (col_done[j]) continue;
+        std::size_t kept = 0;
+        for (std::size_t a = 0; a < s.active.size(); ++a) {
+          const int j = s.active[a];
+          if (s.col_done[j]) continue;
+          s.active[kept++] = j;
+          const int count = s.col_len[j];
           int pos = filled;
-          while (pos > 0 && col_count[order[pos - 1]] > col_count[j]) --pos;
+          while (pos > 0 && s.col_len[order[pos - 1]] > count) --pos;
           if (pos >= kCandidateCols) continue;
           if (filled < kCandidateCols) ++filled;
-          for (int s = filled - 1; s > pos; --s) order[s] = order[s - 1];
+          for (int t = filled - 1; t > pos; --t) order[t] = order[t - 1];
           order[pos] = j;
         }
+        s.active.resize(kept);
         for (int o = 0; o < filled; ++o) {
           const int j = order[o];
-          if (col_count[j] == 0) return false;  // structurally singular
+          const int count = s.col_len[j];
+          if (count == 0) return false;  // structurally singular
+          const int* cr = s.col_row.data() + s.col_start[j];
+          const double* cv = s.col_val.data() + s.col_start[j];
           double colmax = 0.0;
-          for (double v : col_vals[j]) colmax = std::max(colmax, std::fabs(v));
+          for (int p = 0; p < count; ++p) colmax = std::max(colmax, std::fabs(cv[p]));
           const double accept = pass == 0
                                     ? std::max(kThreshold * colmax, abs_pivot_tol)
                                     : abs_pivot_tol;
-          for (std::size_t p = 0; p < col_rows[j].size(); ++p) {
-            const int i = col_rows[j][p];
-            const double v = col_vals[j][p];
+          for (int p = 0; p < count; ++p) {
+            const int i = cr[p];
+            const double v = cv[p];
             if (std::fabs(v) < accept) continue;
-            const long long cost = static_cast<long long>(row_count[i] - 1) *
-                                   static_cast<long long>(col_count[j] - 1);
+            const long long cost = static_cast<long long>(s.row_count[i] - 1) *
+                                   static_cast<long long>(count - 1);
             if (cost < best_cost ||
                 (cost == best_cost && std::fabs(v) > std::fabs(best_val))) {
               best_cost = cost;
@@ -163,81 +263,78 @@ bool BasisLu::factorize(int m, std::span<const int> col_ptr,
 
     const int pr = best_row, pc = best_col;
     const double pval = best_val;
-    row_done[pr] = 1;
-    col_done[pc] = 1;
+    s.col_done[pc] = 1;
     pivot_row_.push_back(pr);
     pivot_col_.push_back(pc);
     pivot_val_.push_back(pval);
 
     // ---- L column: multipliers from the pivot column --------------------
-    for (std::size_t p = 0; p < col_rows[pc].size(); ++p) {
-      const int i = col_rows[pc][p];
+    // l_pos marks each L row with its position for the Schur update.
+    const int lbeg = l_start_[step];
+    for (int p = s.col_start[pc], e = p + s.col_len[pc]; p < e; ++p) {
+      const int i = s.col_row[p];
       if (i == pr) continue;
+      s.l_pos[i] = static_cast<int>(l_row_.size()) - lbeg;
       l_row_.push_back(i);
-      l_val_.push_back(col_vals[pc][p] / pval);
-      --row_count[i];
+      l_val_.push_back(s.col_val[p] / pval);
+      --s.row_count[i];
     }
-    l_start_.push_back(static_cast<int>(l_row_.size()));
-    col_rows[pc].clear();
-    col_rows[pc].shrink_to_fit();
-    col_vals[pc].clear();
-    col_vals[pc].shrink_to_fit();
+    const int lend = static_cast<int>(l_row_.size());
+    l_start_.push_back(lend);
+    s.col_len[pc] = 0;
 
     // ---- U row: remove row pr from the other active columns -------------
-    urow_cols.clear();
-    urow_vals.clear();
-    for (const int j : row_cols[pr]) {
-      if (col_done[j]) continue;
-      // Find (pr, j); the row list is a superset, so absence is fine.
-      auto& cr = col_rows[j];
-      auto& cv = col_vals[j];
-      for (std::size_t p = 0; p < cr.size(); ++p) {
-        if (cr[p] != pr) continue;
-        urow_cols.push_back(j);
-        urow_vals.push_back(cv[p]);
-        cr[p] = cr.back();
-        cr.pop_back();
-        cv[p] = cv.back();
-        cv.pop_back();
-        if (--col_count[j] == 1) singletons.push_back(j);
+    // In row-pattern order; each removal swaps the column's last entry
+    // into the hole.
+    const int ubeg = u_start_[step];
+    for (int q = s.row_start[pr], qe = q + s.row_len[pr]; q < qe; ++q) {
+      const int j = s.row_col[q];
+      if (s.col_done[j]) continue;
+      const int first = s.col_start[j], last = first + s.col_len[j] - 1;
+      for (int p = first; p <= last; ++p) {
+        if (s.col_row[p] != pr) continue;
+        u_col_.push_back(j);
+        u_val_.push_back(s.col_val[p]);
+        s.col_row[p] = s.col_row[last];
+        s.col_val[p] = s.col_val[last];
+        if (--s.col_len[j] == 1) s.singletons.push_back(j);
         break;
       }
     }
-    row_cols[pr].clear();
-    row_cols[pr].shrink_to_fit();
-    for (std::size_t q = 0; q < urow_cols.size(); ++q) {
-      u_col_.push_back(urow_cols[q]);
-      u_val_.push_back(urow_vals[q]);
-    }
-    u_start_.push_back(static_cast<int>(u_col_.size()));
+    s.row_len[pr] = 0;
+    const int uend = static_cast<int>(u_col_.size());
+    u_start_.push_back(uend);
 
     // ---- Schur update: cols[j] -= l * u_j for every U entry -------------
-    const int lbeg = l_start_[step], lend = l_start_[step + 1];
-    for (std::size_t q = 0; q < urow_cols.size(); ++q) {
-      const int j = urow_cols[q];
-      const double u = urow_vals[q];
-      auto& cr = col_rows[j];
-      auto& cv = col_vals[j];
-      for (int p = lbeg; p < lend; ++p) {
-        const int i = l_row_[p];
-        const double delta = l_val_[p] * u;
-        bool found = false;
-        for (std::size_t e = 0; e < cr.size(); ++e) {
-          if (cr[e] == i) {
-            cv[e] -= delta;
-            found = true;
-            break;
-          }
+    // Entries already in column j are updated where they sit (found via
+    // l_pos); the L rows column j lacks become fill, appended in L order.
+    // A pivot column with no other entry (most simplex pivots) has an
+    // empty L and changes nothing.
+    if (lend == lbeg) continue;
+    for (int q = ubeg; q < uend; ++q) {
+      const int j = u_col_[q];
+      const double u = u_val_[q];
+      for (int p = s.col_start[j], e = p + s.col_len[j]; p < e; ++p) {
+        const int k = s.l_pos[s.col_row[p]];
+        if (k < 0) continue;
+        const double delta = l_val_[lbeg + k] * u;
+        s.col_val[p] -= delta;
+        s.l_hit[k] = 1;
+      }
+      for (int k = 0; k < lend - lbeg; ++k) {
+        if (s.l_hit[k]) {
+          s.l_hit[k] = 0;
+          continue;
         }
-        if (!found && delta != 0.0) {  // fill-in
-          cr.push_back(i);
-          cv.push_back(-delta);
-          row_cols[i].push_back(j);
-          ++row_count[i];
-          ++col_count[j];
-        }
+        const double delta = l_val_[lbeg + k] * u;
+        if (delta == 0.0) continue;
+        const int i = l_row_[lbeg + k];
+        push_col_entry(s, j, i, -delta);
+        push_row_entry(s, i, j);
+        ++s.row_count[i];
       }
     }
+    for (int p = lbeg; p < lend; ++p) s.l_pos[l_row_[p]] = -1;
   }
 
   m_ = m;

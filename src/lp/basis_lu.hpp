@@ -33,6 +33,21 @@
 // the dense sweeps (the predicted bookkeeping would cost more than the
 // straight pass it replaces). The graphs (pivot permutation inverses
 // plus L/U transposes) are built once per factorize() in O(nnz).
+//
+// Factorization scratch: the active submatrix and the pivot search
+// state live in a FactorScratch the caller passes to factorize(), not
+// in BasisLu. The solver arena owns one beside its SolveScratch, so a
+// BasisLu moving into a warm-start capsule carries no scratch and a
+// reused arena refactorizes without allocating once its pools have
+// grown to the largest basis seen. Columns are pooled slices (start,
+// length, capacity) of one row/value pool; a full column moves to the
+// pool's end with doubled capacity. Per elimination step the cost is:
+// a singleton pop in O(1); otherwise a sweep of the still-active
+// columns (a list compacted as it is swept) to pick the kCandidateCols
+// sparsest; then O(nnz) of the pivot column, of each column in the
+// pivot row, and of the fill they take — the Schur update finds an
+// existing entry through a row -> L-position marker, not by searching
+// the column.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +58,38 @@
 
 namespace dls::lp {
 
+namespace testing {
+struct BasisLuAccess;  // reads the factors for the reference-oracle tests
+}  // namespace testing
+
+/// Reusable scratch of BasisLu::factorize(): the active submatrix in
+/// pooled column slices plus row pattern lists, and the pivot search
+/// state. Only capacity survives between calls — factorize()
+/// reinitializes everything it reads — so one instance serves any
+/// number of BasisLu objects sequentially, and the factors never depend
+/// on what it factorized before.
+struct FactorScratch {
+  // Column j of the active submatrix: col_row/col_val[col_start[j] ..
+  // col_start[j] + col_len[j]), room for col_cap[j] entries. col_len is
+  // the exact active count; pool entries past col_end are free.
+  std::vector<int> col_start, col_len, col_cap;
+  std::vector<int> col_row;
+  std::vector<double> col_val;
+  int col_end = 0;
+  // Row i's pattern: the columns that held an entry in row i, in the
+  // order they got it (a superset: finished columns are skipped on use).
+  // row_count[i] is the exact number of active entries in row i.
+  std::vector<int> row_start, row_len, row_cap;
+  std::vector<int> row_col;
+  int row_end = 0;
+  std::vector<int> row_count;
+  std::vector<char> col_done;
+  std::vector<int> active;      ///< unfinished columns, ascending; compacted lazily
+  std::vector<int> singletons;  ///< LIFO stack of count-1 columns, validated on pop
+  std::vector<int> l_pos;       ///< row -> position in the step's L column, else -1
+  std::vector<char> l_hit;      ///< per L position: entry found in the current column
+};
+
 class BasisLu {
 public:
   /// Outcome of one hypersparse solve.
@@ -52,12 +99,14 @@ public:
   };
 
   /// Factorizes the m x m basis given in compressed-sparse-column form
-  /// (column j's entries are rows[col_ptr[j]..col_ptr[j+1])). Discards
-  /// any previous factorization and eta file. Returns false — leaving
-  /// the object invalid — when the matrix is numerically singular
-  /// (no remaining pivot reaches `abs_pivot_tol`).
+  /// (column j's entries are rows[col_ptr[j]..col_ptr[j+1]), no row
+  /// repeated within a column). Discards any previous factorization and
+  /// eta file. `scratch` holds the elimination's working storage.
+  /// Returns false — leaving the object invalid — when the matrix is
+  /// numerically singular (no remaining pivot reaches `abs_pivot_tol`).
   bool factorize(int m, std::span<const int> col_ptr, std::span<const int> rows,
-                 std::span<const double> values, double abs_pivot_tol = 1e-12);
+                 std::span<const double> values, FactorScratch& scratch,
+                 double abs_pivot_tol = 1e-12);
 
   /// True once factorize() has succeeded (updates keep it true).
   [[nodiscard]] bool valid() const { return m_ > 0; }
@@ -134,6 +183,8 @@ public:
   void clear();
 
 private:
+  friend struct testing::BasisLuAccess;
+
   // Dense pass stages (bit-exact splits of ftran()/btran(); the
   // hypersparse solves re-enter them mid-solve on a crossover fallback).
   void ftran_l_dense(std::vector<double>& x) const;

@@ -39,11 +39,13 @@ struct ArenaImpl {
 
   // Iteration scratch. w/rho are the sparse-path FTRAN image and
   // pricing row; hs is the reach-set workspace their hypersparse solves
-  // share (arena-owned so BatchSolver stays allocation-free and warm
+  // share and fs the active submatrix every refactorization eliminates
+  // (both arena-owned so BatchSolver stays allocation-free and warm
   // capsules carry no scratch).
   std::vector<double> y, r;
   SparseVector w, rho;
   SolveScratch hs;
+  FactorScratch fs;
 
   // Incremental pricing state. movable lists the non-fixed (lb != ub)
   // structural and slack columns in ascending index order; seen is the
@@ -228,6 +230,7 @@ public:
         dense_ ? Factorization::DenseInverse : Factorization::SparseLu;
     sol.pricing_used = rule_;
     sol.refactorizations = refactor_count_;
+    sol.refactor_seconds = static_cast<double>(refactor_ns_) * 1e-9;
     sol.pricing_refreshes = refresh_count_;
     sol.eta_peak_nnz = eta_peak_;
     sol.column_cache_hit = cache_hit_;
@@ -1348,10 +1351,19 @@ private:
   }
 
   /// Rebuilds the basis factorization from scratch and recomputes the
-  /// basic values. SparseLu gathers the basic columns in CSC form and
-  /// runs the Markowitz LU; DenseInverse runs the legacy Gauss-Jordan
-  /// inversion. Returns false on a singular basis.
+  /// basic values, timing the whole rebuild once for
+  /// Solution::refactor_seconds. Returns false on a singular basis.
   bool refactor() {
+    const std::uint64_t start = now_ns();
+    const bool ok = rebuild_factorization();
+    refactor_ns_ += now_ns() - start;
+    return ok;
+  }
+
+  /// refactor()'s body. SparseLu gathers the basic columns in CSC form
+  /// and runs the Markowitz LU; DenseInverse runs the legacy
+  /// Gauss-Jordan inversion.
+  bool rebuild_factorization() {
     pivots_since_refactor_ = 0;
     ++refactor_count_;
     if (!dense_) {
@@ -1366,7 +1378,7 @@ private:
         });
         csc_ptr_[i + 1] = static_cast<int>(csc_row_.size());
       }
-      if (!lu_.factorize(m_, csc_ptr_, csc_row_, csc_val_)) return false;
+      if (!lu_.factorize(m_, csc_ptr_, csc_row_, csc_val_, a_.fs)) return false;
       recompute_basic_values();
       return true;
     }
@@ -1571,6 +1583,7 @@ private:
   bool weight_overflow_ = false;
   int iters_ = 0, stall_ = 0, pivots_since_refactor_ = 0;
   int refactor_count_ = 0;
+  std::uint64_t refactor_ns_ = 0;
   int refresh_count_ = 0;
   std::size_t eta_peak_ = 0;
 };

@@ -199,6 +199,7 @@ struct Solution {
   Factorization factorization_used = Factorization::SparseLu;
   Pricing pricing_used = Pricing::Dantzig;
   int refactorizations = 0;      ///< basis rebuilds during the solve
+  double refactor_seconds = 0.0; ///< wall time inside those rebuilds
   int pricing_refreshes = 0;     ///< full reduced-cost recomputations
   std::size_t eta_peak_nnz = 0;  ///< largest eta file reached between rebuilds
   bool column_cache_hit = false; ///< column structure came from a cache

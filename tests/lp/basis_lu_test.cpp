@@ -102,7 +102,8 @@ bool factorize(BasisLu& lu, const DenseMatrix& d) {
   std::vector<int> col_ptr, rows;
   std::vector<double> vals;
   d.to_csc(col_ptr, rows, vals);
-  return lu.factorize(d.m, col_ptr, rows, vals);
+  FactorScratch scratch;
+  return lu.factorize(d.m, col_ptr, rows, vals, scratch);
 }
 
 TEST(BasisLu, FtranBtranMatchDenseReference) {

@@ -413,6 +413,63 @@ TEST(SimplexLu, SparseCapsuleShrinksBelowDenseInverse) {
   EXPECT_LE(small_state.memory_bytes(), state.memory_bytes());
 }
 
+TEST(SimplexLu, CapsuleBytesCarryNoFactorizationScratch) {
+  // The elimination scratch lives in the solve arena, not in BasisLu, so
+  // a capsule's footprint is the factors alone. These byte counts were
+  // recorded before the scratch moved into the arena (LP64).
+  Rng rng(41);
+  Model m;
+  m.set_sense(Sense::Maximize);
+  const int rows = 120, vars = 240;
+  std::vector<std::vector<Term>> row_terms(rows);
+  for (int j = 0; j < vars; ++j) {
+    m.add_variable(0.0, kInf, rng.uniform(0.5, 3.0));
+    const int touches = 2 + static_cast<int>(rng.index(2));
+    for (int t = 0; t < touches; ++t)
+      row_terms[rng.index(rows)].push_back({j, rng.uniform(0.2, 2.0)});
+  }
+  for (int c = 0; c < rows; ++c) {
+    if (row_terms[c].empty()) row_terms[c].push_back({c % vars, 1.0});
+    m.add_constraint(std::move(row_terms[c]), Relation::LessEqual,
+                     rng.uniform(5.0, 50.0));
+  }
+  WarmState state;
+  ASSERT_EQ(SimplexSolver().solve(m, &state).status, SolveStatus::Optimal);
+  EXPECT_EQ(state.memory_bytes(), 9276u);
+
+  // The capsule chain of CapsuleChainsAcrossBoundAndCostChanges, forced
+  // onto the sparse LU (its 16 rows would otherwise pick the dense path).
+  Rng chain_rng(13);
+  Model chain = random_model(chain_rng, 30, 15);
+  std::vector<char> active(static_cast<std::size_t>(chain.num_variables()), 1);
+  for (int j = 0; j < chain.num_variables(); j += 2) {
+    chain.set_bounds(j, 0.0, 0.0);
+    chain.set_objective_coef(j, 0.0);
+    active[static_cast<std::size_t>(j)] = 0;
+  }
+  SimplexOptions sparse;
+  sparse.factorization = Factorization::SparseLu;
+  const SimplexSolver solver(sparse);
+  WarmState chain_state;
+  std::size_t bytes_sum = 0;
+  for (int step = 0; step < 40; ++step) {
+    const int j = static_cast<int>(chain_rng.index(chain.num_variables()));
+    if (active[static_cast<std::size_t>(j)]) {
+      chain.set_bounds(j, 0.0, 0.0);
+      chain.set_objective_coef(j, 0.0);
+      active[static_cast<std::size_t>(j)] = 0;
+    } else {
+      chain.set_bounds(j, 0.0, kInf);
+      chain.set_objective_coef(j, chain_rng.uniform(0.5, 5.0));
+      active[static_cast<std::size_t>(j)] = 1;
+    }
+    ASSERT_EQ(solver.solve(chain, &chain_state).status, SolveStatus::Optimal);
+    bytes_sum += chain_state.memory_bytes();
+  }
+  EXPECT_EQ(chain_state.memory_bytes(), 2066u);
+  EXPECT_EQ(bytes_sum, 82960u);
+}
+
 // ---- basis repair across matrix changes (ISSUE 4) --------------------------
 //
 // A capsule whose matrix fingerprint no longer matches is retried as a
