@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "lp/types.hpp"
@@ -66,17 +67,36 @@ SteadyStateProblem::SteadyStateProblem(const platform::Platform& plat,
 void SteadyStateProblem::build_load_table() {
   const int n = plat_->num_clusters();
   const int num_loads = loads_.size();
+  const RouteTable& table = *table_;
   auto lt = std::make_shared<LoadTable>();
   lt->lroute_id.assign(static_cast<std::size_t>(num_loads) * n, -1);
   lt->link_lroutes.assign(plat_->num_links(), {});
   lt->loads_at.assign(n, {});
   lt->lroute_begin.assign(num_loads + 1, 0);
+  // Count first, so every list is reserved exactly: a load sourced at
+  // cluster c owns one load-route per route leaving c, and a link
+  // carries each route through it once per load sourced at the route's
+  // source.
+  std::vector<int> sourced(n, 0), leaving(n, 0);
+  for (const LoadSpec& load : loads_.loads) ++sourced[load.source];
+  for (const Route& route : table.routes) ++leaving[route.k];
+  std::size_t num_lroutes = 0;
+  for (int c = 0; c < n; ++c) {
+    lt->loads_at[c].reserve(sourced[c]);
+    num_lroutes += static_cast<std::size_t>(sourced[c]) * leaving[c];
+  }
+  lt->lroutes.reserve(num_lroutes);
+  for (platform::LinkId li = 0; li < plat_->num_links(); ++li) {
+    std::size_t through = 0;
+    for (const int id : table.link_routes[li]) through += sourced[table.routes[id].k];
+    lt->link_lroutes[li].reserve(through);
+  }
   for (int j = 0; j < num_loads; ++j) {
     lt->lroute_begin[j] = static_cast<int>(lt->lroutes.size());
     const int src = loads_.loads[j].source;
     lt->loads_at[src].push_back(j);
     for (int l = 0; l < n; ++l) {
-      const int r = table_->route_id[static_cast<std::size_t>(src) * n + l];
+      const int r = table.route_id[static_cast<std::size_t>(src) * n + l];
       if (r < 0) continue;
       const int id = static_cast<int>(lt->lroutes.size());
       lt->lroute_id[static_cast<std::size_t>(j) * n + l] = id;
@@ -167,9 +187,14 @@ SteadyStateProblem::ReducedModel SteadyStateProblem::build_reduced(
     fixed[f.route] = f.value;
   }
 
-  // Alpha variables, one per (load, reachable destination).
-  out.alpha_var.resize(lroutes.size());
-  for (std::size_t r = 0; r < lroutes.size(); ++r) {
+  // Alpha variables, one per (load, reachable destination). Alpha r is
+  // variable r, so every row below gathers its alpha terms in ascending
+  // load-route order and reaches the model at its exact size, already
+  // in lp::Model's normal form (ascending, zero-free): it is stored
+  // without a sort.
+  const std::size_t num_lroutes = lroutes.size();
+  out.alpha_var.resize(num_lroutes);
+  for (std::size_t r = 0; r < num_lroutes; ++r) {
     const LoadSpec& load = loads_.loads[lroutes[r].load];
     const Route& route = table_->routes[lroutes[r].route];
     double ub = lp::kInf;
@@ -182,37 +207,58 @@ SteadyStateProblem::ReducedModel SteadyStateProblem::build_reduced(
     out.alpha_var[r] = m.add_variable(0.0, ub, 0.0);
   }
 
-  // (7b) compute capacity of each cluster, summed over every load.
-  out.speed_row.resize(n);
-  for (int l = 0; l < n; ++l) {
-    std::vector<lp::Term> terms;
-    for (int j = 0; j < num_loads(); ++j) {
-      const int r = load_route_id(j, l);
-      if (r >= 0) terms.push_back({out.alpha_var[r], 1.0});
+  // (7b) compute capacity of each cluster, summed over every load, and
+  // (7c) gateway capacity, from one ascending sweep over the load-routes:
+  // load-route r computes on its destination, and a remote one ships
+  // data_ratio bytes per unit through the gateways of both ends. So
+  // gateway row k holds every remote load-route leaving or entering k.
+  // A cluster with no remote routes (single-cluster or fully-
+  // disconnected platforms, churned-out clusters) sends no gateway
+  // traffic at all: emitting its row would add a degenerate 0 <= g_k
+  // constraint (and a slack column) per isolated cluster.
+  // The sweep fills two flat buffers at counted row offsets; each row
+  // is then copied out at its exact size as it is added, in row order.
+  // Building every row's own buffer up front instead kept the same live
+  // bytes but left about 0.4 MiB more heap at replay-k128's peak.
+  std::vector<int> speed_at(n + 1, 0), gateway_at(n + 1, 0);
+  for (const LoadRoute& lr : lroutes) {
+    const Route& route = table_->routes[lr.route];
+    ++speed_at[route.l + 1];
+    if (route.k != route.l) {
+      ++gateway_at[route.k + 1];
+      ++gateway_at[route.l + 1];
     }
-    out.speed_row[l] = m.add_constraint(std::move(terms), lp::Relation::LessEqual,
-                                        plat_->cluster(l).speed);
   }
-
-  // (7c) gateway capacity. A cluster with no remote routes (single-
-  // cluster or fully-disconnected platforms, churned-out clusters) sends
-  // no gateway traffic at all: emitting its row would add a degenerate
-  // 0 <= g_k constraint (and a slack column) per isolated cluster.
-  // Each unit of load j ships data_ratio_j bytes through both gateways.
+  std::partial_sum(speed_at.begin(), speed_at.end(), speed_at.begin());
+  std::partial_sum(gateway_at.begin(), gateway_at.end(), gateway_at.begin());
+  std::vector<lp::Term> speed_terms(speed_at[n]), gateway_terms(gateway_at[n]);
+  {
+    std::vector<int> speed_next(speed_at.begin(), speed_at.end() - 1);
+    std::vector<int> gateway_next(gateway_at.begin(), gateway_at.end() - 1);
+    for (std::size_t r = 0; r < num_lroutes; ++r) {
+      const Route& route = table_->routes[lroutes[r].route];
+      const int var = out.alpha_var[r];
+      speed_terms[speed_next[route.l]++] = {var, 1.0};
+      if (route.k == route.l) continue;
+      const double ratio = loads_.loads[lroutes[r].load].data_ratio;
+      gateway_terms[gateway_next[route.k]++] = {var, ratio};
+      gateway_terms[gateway_next[route.l]++] = {var, ratio};
+    }
+  }
+  const auto row_of = [](const std::vector<lp::Term>& flat,
+                         const std::vector<int>& at, int c) {
+    return std::vector<lp::Term>(flat.begin() + at[c], flat.begin() + at[c + 1]);
+  };
+  out.speed_row.resize(n);
+  for (int l = 0; l < n; ++l)
+    out.speed_row[l] = m.add_constraint(row_of(speed_terms, speed_at, l),
+                                        lp::Relation::LessEqual,
+                                        plat_->cluster(l).speed);
   out.gateway_row.assign(n, -1);
   for (int k = 0; k < n; ++k) {
-    std::vector<lp::Term> terms;
-    for (int l = 0; l < n; ++l) {
-      if (l == k) continue;
-      for (int j : ltable_->loads_at[k])
-        if (const int out_r = load_route_id(j, l); out_r >= 0)
-          terms.push_back({out.alpha_var[out_r], loads_.loads[j].data_ratio});
-      for (int j : ltable_->loads_at[l])
-        if (const int in_r = load_route_id(j, k); in_r >= 0)
-          terms.push_back({out.alpha_var[in_r], loads_.loads[j].data_ratio});
-    }
-    if (terms.empty()) continue;
-    out.gateway_row[k] = m.add_constraint(std::move(terms), lp::Relation::LessEqual,
+    if (gateway_at[k] == gateway_at[k + 1]) continue;
+    out.gateway_row[k] = m.add_constraint(row_of(gateway_terms, gateway_at, k),
+                                          lp::Relation::LessEqual,
                                           plat_->cluster(k).gateway_bw);
   }
 
@@ -220,10 +266,14 @@ SteadyStateProblem::ReducedModel SteadyStateProblem::build_reduced(
   // load-routes through the link, against the budget left by the fixed.
   out.maxcon_row.assign(plat_->num_links(), -1);
   for (platform::LinkId li = 0; li < plat_->num_links(); ++li) {
-    if (ltable_->link_lroutes[li].empty()) continue;
+    const std::vector<int>& through = ltable_->link_lroutes[li];
+    if (through.empty()) continue;
+    std::size_t free_count = 0;
+    for (const int r : through) free_count += fixed[r] < 0;
     std::vector<lp::Term> terms;
+    terms.reserve(free_count);
     double budget = plat_->link(li).max_connections;
-    for (int r : ltable_->link_lroutes[li]) {
+    for (const int r : through) {
       if (fixed[r] >= 0) {
         budget -= fixed[r];
       } else {
@@ -240,31 +290,33 @@ SteadyStateProblem::ReducedModel SteadyStateProblem::build_reduced(
 
   // Amdahl-like per-load caps: sum_l alpha_{j,l} <= cap_j. Absent for
   // canonical sets (cap = +inf), so the legacy layout is untouched.
+  const std::vector<int>& begin = ltable_->lroute_begin;
+  const auto load_terms = [&](int j, double coef, std::size_t extra) {
+    std::vector<lp::Term> terms;
+    terms.reserve(static_cast<std::size_t>(begin[j + 1] - begin[j]) + extra);
+    for (int r = begin[j]; r < begin[j + 1]; ++r)
+      terms.push_back({out.alpha_var[r], coef});
+    return terms;
+  };
   for (int j = 0; j < num_loads(); ++j) {
     if (!std::isfinite(loads_.loads[j].cap)) continue;
-    std::vector<lp::Term> terms;
-    for (int l = 0; l < n; ++l) {
-      const int r = load_route_id(j, l);
-      if (r >= 0) terms.push_back({out.alpha_var[r], 1.0});
-    }
-    if (terms.empty()) continue;
-    m.add_constraint(std::move(terms), lp::Relation::LessEqual, loads_.loads[j].cap);
+    if (begin[j] == begin[j + 1]) continue;
+    m.add_constraint(load_terms(j, 1.0, 0), lp::Relation::LessEqual,
+                     loads_.loads[j].cap);
   }
 
-  // Objective.
+  // Objective. A MaxMin fairness row lists its load's alphas, then t
+  // (the last variable), which is its sorted order.
   if (objective_ == Objective::Sum) {
-    for (std::size_t r = 0; r < lroutes.size(); ++r)
+    for (std::size_t r = 0; r < num_lroutes; ++r)
       m.set_objective_coef(out.alpha_var[r], loads_.loads[lroutes[r].load].weight);
   } else {
     out.t_var = m.add_variable(0.0, lp::kInf, 1.0);
     for (int j = 0; j < num_loads(); ++j) {
       const double w = loads_.loads[j].weight;
       if (w <= 0.0) continue;
-      std::vector<lp::Term> terms{{out.t_var, 1.0}};
-      for (int l = 0; l < n; ++l) {
-        const int r = load_route_id(j, l);
-        if (r >= 0) terms.push_back({out.alpha_var[r], -w});
-      }
+      std::vector<lp::Term> terms = load_terms(j, -w, 1);
+      terms.push_back({out.t_var, 1.0});
       m.add_constraint(std::move(terms), lp::Relation::LessEqual, 0.0);
     }
   }

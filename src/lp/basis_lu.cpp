@@ -206,55 +206,51 @@ bool BasisLu::factorize(int m, std::span<const int> col_ptr,
       // Scan the kCandidateCols smallest active columns; within each,
       // only entries above the stability threshold compete. Cost
       // estimate is the classical (row_count-1)*(col_count-1) fill bound.
+      // A column whose largest entry reaches abs_pivot_tol always offers
+      // that entry, so a window with no candidate lies wholly below the
+      // absolute tolerance: the basis is numerically singular, and no
+      // looser threshold could admit anything there.
       long long best_cost = std::numeric_limits<long long>::max();
-      for (int pass = 0; pass < 2 && best_col < 0; ++pass) {
-        // Pass 0 honors the stability threshold; pass 1 (rare) accepts
-        // any entry above the absolute tolerance so near-singular bases
-        // still factorize instead of stalling.
-        // One ascending sweep of the active list keeps the
-        // kCandidateCols smallest columns by (count, index) — insertion
-        // into a fixed-size window — and drops finished columns from
-        // the list as it goes.
-        int order[kCandidateCols];
-        int filled = 0;
-        std::size_t kept = 0;
-        for (std::size_t a = 0; a < s.active.size(); ++a) {
-          const int j = s.active[a];
-          if (s.col_done[j]) continue;
-          s.active[kept++] = j;
-          const int count = s.col_len[j];
-          int pos = filled;
-          while (pos > 0 && s.col_len[order[pos - 1]] > count) --pos;
-          if (pos >= kCandidateCols) continue;
-          if (filled < kCandidateCols) ++filled;
-          for (int t = filled - 1; t > pos; --t) order[t] = order[t - 1];
-          order[pos] = j;
-        }
-        s.active.resize(kept);
-        for (int o = 0; o < filled; ++o) {
-          const int j = order[o];
-          const int count = s.col_len[j];
-          if (count == 0) return false;  // structurally singular
-          const int* cr = s.col_row.data() + s.col_start[j];
-          const double* cv = s.col_val.data() + s.col_start[j];
-          double colmax = 0.0;
-          for (int p = 0; p < count; ++p) colmax = std::max(colmax, std::fabs(cv[p]));
-          const double accept = pass == 0
-                                    ? std::max(kThreshold * colmax, abs_pivot_tol)
-                                    : abs_pivot_tol;
-          for (int p = 0; p < count; ++p) {
-            const int i = cr[p];
-            const double v = cv[p];
-            if (std::fabs(v) < accept) continue;
-            const long long cost = static_cast<long long>(s.row_count[i] - 1) *
-                                   static_cast<long long>(count - 1);
-            if (cost < best_cost ||
-                (cost == best_cost && std::fabs(v) > std::fabs(best_val))) {
-              best_cost = cost;
-              best_row = i;
-              best_col = j;
-              best_val = v;
-            }
+      // One ascending sweep of the active list keeps the kCandidateCols
+      // smallest columns by (count, index) — insertion into a fixed-size
+      // window — and drops finished columns from the list as it goes.
+      int order[kCandidateCols];
+      int filled = 0;
+      std::size_t kept = 0;
+      for (std::size_t a = 0; a < s.active.size(); ++a) {
+        const int j = s.active[a];
+        if (s.col_done[j]) continue;
+        s.active[kept++] = j;
+        const int count = s.col_len[j];
+        int pos = filled;
+        while (pos > 0 && s.col_len[order[pos - 1]] > count) --pos;
+        if (pos >= kCandidateCols) continue;
+        if (filled < kCandidateCols) ++filled;
+        for (int t = filled - 1; t > pos; --t) order[t] = order[t - 1];
+        order[pos] = j;
+      }
+      s.active.resize(kept);
+      for (int o = 0; o < filled; ++o) {
+        const int j = order[o];
+        const int count = s.col_len[j];
+        if (count == 0) return false;  // structurally singular
+        const int* cr = s.col_row.data() + s.col_start[j];
+        const double* cv = s.col_val.data() + s.col_start[j];
+        double colmax = 0.0;
+        for (int p = 0; p < count; ++p) colmax = std::max(colmax, std::fabs(cv[p]));
+        const double accept = std::max(kThreshold * colmax, abs_pivot_tol);
+        for (int p = 0; p < count; ++p) {
+          const int i = cr[p];
+          const double v = cv[p];
+          if (std::fabs(v) < accept) continue;
+          const long long cost = static_cast<long long>(s.row_count[i] - 1) *
+                                 static_cast<long long>(count - 1);
+          if (cost < best_cost ||
+              (cost == best_cost && std::fabs(v) > std::fabs(best_val))) {
+            best_cost = cost;
+            best_row = i;
+            best_col = j;
+            best_val = v;
           }
         }
       }

@@ -22,8 +22,18 @@ int Model::add_variable(double lb, double ub, double obj) {
 
 namespace {
 // Sorts terms by variable, merges duplicate mentions and drops exact
-// zeros: the one normal form every stored row is in.
+// zeros: the one normal form every stored row is in. A row already in
+// normal form (strictly ascending, zero-free) is what the sort/merge
+// would return, so it is kept after one linear check; a stored row
+// carries no spare capacity either way.
 std::vector<Term> normalized(std::vector<Term> terms) {
+  bool normal = true;
+  for (std::size_t i = 0; i < terms.size() && normal; ++i)
+    normal = terms[i].coef != 0.0 && (i == 0 || terms[i - 1].var < terms[i].var);
+  if (normal) {
+    if (terms.capacity() == terms.size()) return terms;
+    return std::vector<Term>(terms.begin(), terms.end());
+  }
   std::sort(terms.begin(), terms.end(),
             [](const Term& a, const Term& b) { return a.var < b.var; });
   std::vector<Term> merged;

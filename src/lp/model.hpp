@@ -22,7 +22,10 @@ public:
   int add_variable(double lb, double ub, double obj);
 
   /// Adds a constraint Σ terms {<=,=,>=} rhs. Duplicate variable mentions
-  /// within one row are merged. Returns the row index.
+  /// within one row are merged and exact zeros dropped; a row already in
+  /// that form (strictly ascending variables, no zero coefficient) is
+  /// stored as given after one linear check, so a builder that emits its
+  /// rows ascending skips the sort. Returns the row index.
   int add_constraint(std::vector<Term> terms, Relation rel, double rhs);
 
   void set_sense(Sense sense) { sense_ = sense; }
@@ -51,6 +54,11 @@ public:
   [[nodiscard]] double upper_bound(int var) const { return ub_[var]; }
   [[nodiscard]] double objective_coef(int var) const { return obj_[var]; }
   [[nodiscard]] bool is_integer(int var) const { return integer_[var]; }
+  /// Every variable's bound or cost in index order: the solver loads a
+  /// model through these in one pass per array.
+  [[nodiscard]] std::span<const double> lower_bounds() const { return lb_; }
+  [[nodiscard]] std::span<const double> upper_bounds() const { return ub_; }
+  [[nodiscard]] std::span<const double> objective_coefs() const { return obj_; }
 
   [[nodiscard]] std::span<const Term> row(int c) const { return rows_[c]; }
   [[nodiscard]] Relation relation(int c) const { return rel_[c]; }

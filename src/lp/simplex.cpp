@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -37,13 +39,15 @@ struct ArenaImpl {
   std::vector<double> csc_val;
   std::vector<double> binv, scratch;  // dense path
 
-  // Iteration scratch. w/rho are the sparse-path FTRAN image and
-  // pricing row; hs is the reach-set workspace their hypersparse solves
-  // share and fs the active submatrix every refactorization eliminates
-  // (both arena-owned so BatchSolver stays allocation-free and warm
-  // capsules carry no scratch).
-  std::vector<double> y, r;
-  SparseVector w, rho;
+  // Iteration scratch. y holds the pricing multipliers (its pattern is
+  // c_B's support when they come from a hypersparse BTRAN); w/rho are
+  // the sparse-path FTRAN image and pricing row; hs is the reach-set
+  // workspace their hypersparse solves share and fs the active
+  // submatrix every refactorization eliminates (both arena-owned so
+  // BatchSolver stays allocation-free and warm capsules carry no
+  // scratch).
+  std::vector<double> r;
+  SparseVector y, w, rho;
   SolveScratch hs;
   FactorScratch fs;
 
@@ -118,7 +122,12 @@ constexpr int kDenseCrossoverRows = 112;
 /// remaining stages (the sort/scatter bookkeeping would cost more than
 /// the straight sweep). Deliberately strict: on the bench federations
 /// the dense sweeps win from a few percent density up, so only
-/// genuinely tiny reaches stay on the sparse route.
+/// genuinely tiny reaches stay on the sparse route. Measured on the
+/// Table-1 campaign, whose solves mostly fall back (traced
+/// campaign-table1, `lp.solve_s`, Release, 4-thread x86-64 host, two
+/// runs each): 1.08-1.11 s at 0.03, 1.12 s at 0.1, 1.32-1.37 s at 0.25
+/// and 1.64-1.69 s at 1.0. At 0.03 the symbolic pass gives up after
+/// 0.03 * m elimination steps, so a fallback wastes little.
 constexpr double kHypersparseCrossover = 0.03;
 
 /// Steepest-edge candidate cap: every pricing refresh keeps only the
@@ -195,7 +204,8 @@ public:
         csc_val_(arena.csc_val),
         binv_(arena.binv),
         scratch_(arena.scratch),
-        y_(arena.y),
+        y_(arena.y.values),
+        y_nz_(arena.y.pattern),
         w_(arena.w.values),
         w_nz_(arena.w.pattern),
         rho_(arena.rho.values),
@@ -369,16 +379,23 @@ private:
     }
   }
 
+  /// Loads the internal minimize form: structural bounds and costs are
+  /// copied in one pass per array (a Maximize cost is negated, which is
+  /// bit-identical to multiplying by -1), slack bounds carry the row
+  /// relations, artificials start pinned. O(n + m) at memory speed: a
+  /// warm re-solve of a wide model pays this per solve.
   void build_bounds_and_costs() {
     lb_.resize(total_);
     ub_.resize(total_);
-    cost_.assign(total_, 0.0);
-    const double sign = model_.sense() == Sense::Maximize ? -1.0 : 1.0;
-    for (int j = 0; j < n_; ++j) {
-      lb_[j] = model_.lower_bound(j);
-      ub_[j] = model_.upper_bound(j);
-      cost_[j] = sign * model_.objective_coef(j);
-    }
+    cost_.resize(total_);
+    std::ranges::copy(model_.lower_bounds(), lb_.begin());
+    std::ranges::copy(model_.upper_bounds(), ub_.begin());
+    const std::span<const double> obj = model_.objective_coefs();
+    if (model_.sense() == Sense::Maximize)
+      std::ranges::transform(obj, cost_.begin(), std::negate<>());
+    else
+      std::ranges::copy(obj, cost_.begin());
+    std::fill(cost_.begin() + n_, cost_.end(), 0.0);
     b_.resize(m_);
     rhs_scale_ = 1.0;
     for (int c = 0; c < m_; ++c) {
@@ -400,16 +417,21 @@ private:
       }
     }
     art_sign_.assign(m_, 1.0);
-    for (int i = 0; i < m_; ++i) {
-      const int a = n_ + m_ + i;
-      lb_[a] = ub_[a] = 0.0;  // widened per-row in init_basis when needed
-    }
+    // Widened per-row in init_basis when needed.
+    std::fill(lb_.begin() + n_ + m_, lb_.end(), 0.0);
+    std::fill(ub_.begin() + n_ + m_, ub_.end(), 0.0);
     // Structural and slack bounds never move during a solve, so the
     // movable set is fixed per solve. Artificials stay off it: they are
-    // basic or pinned at [0,0] whenever a scan could reach them.
-    movable_.clear();
-    for (int j = 0; j < n_ + m_; ++j)
-      if (lb_[j] != ub_[j]) movable_.push_back(j);
+    // basic or pinned at [0,0] whenever a scan could reach them. Written
+    // branch-free: every index is stored, and the cursor advances past
+    // the non-fixed ones only.
+    movable_.resize(static_cast<std::size_t>(n_ + m_));
+    std::size_t kept = 0;
+    for (int j = 0; j < n_ + m_; ++j) {
+      movable_[kept] = j;
+      kept += lb_[j] != ub_[j];
+    }
+    movable_.resize(kept);
   }
 
   /// Starting point: every structural variable nonbasic at its bound
@@ -564,13 +586,26 @@ private:
         static_cast<int>(state.basic_vars.size()) != m_ ||
         state.fingerprint != fingerprint_)
       return false;
-    status_.assign(total_, VarStatus::AtLower);
-    value_.assign(total_, 0.0);
-    for (int j = 0; j < n_; ++j) place_status(j, state.basis.variables[j], true);
-    for (int i = 0; i < m_; ++i)
-      place_status(n_ + i, state.basis.slacks[i], true);
+    status_.resize(total_);
+    value_.resize(total_);
+    // Most columns rest AtLower at a finite lower bound (an alpha at 0,
+    // an idle slot's pinned alpha); they restore directly. Every other
+    // status goes through place_status's sanitizing switch.
     int basics = 0;
-    for (int j = 0; j < n_ + m_; ++j) basics += status_[j] == VarStatus::Basic;
+    const auto restore = [&](int j, BasisStatus st) {
+      if (st == BasisStatus::AtLower && std::isfinite(lb_[j])) {
+        status_[j] = VarStatus::AtLower;
+        value_[j] = lb_[j];
+        return;
+      }
+      value_[j] = 0.0;
+      basics += st == BasisStatus::Basic;
+      place_status(j, st, true);
+    };
+    for (int j = 0; j < n_; ++j) restore(j, state.basis.variables[j]);
+    for (int i = 0; i < m_; ++i) restore(n_ + i, state.basis.slacks[i]);
+    std::fill(status_.begin() + n_ + m_, status_.end(), VarStatus::AtLower);
+    std::fill(value_.begin() + n_ + m_, value_.end(), 0.0);
     if (basics != m_) return false;
     // Each Basic-marked variable must appear in basic_vars exactly once;
     // a duplicate entry would desynchronize basis_ from the factorization.
@@ -692,7 +727,16 @@ private:
     return 0.0;
   }
 
-  /// BTRAN of the phase-aware basic costs: y_ = c_B' B^{-1}.
+  /// BTRAN of the phase-aware basic costs: y_ = c_B' B^{-1}. On the
+  /// hypersparse path c_B's support is gathered into y's pattern and the
+  /// solve runs through btran_sparse, whose nonzeros are bitwise those
+  /// of the dense pass (a zero comes back +0.0 where the dense pass may
+  /// leave -0.0, and no pricing test reads the sign of a zero). The
+  /// route follows what this solve has seen: a support already past the
+  /// crossover goes straight to the dense pass, and once one pricing
+  /// BTRAN falls back (wide reaches, as on the Table-1 bases) the rest
+  /// of the solve stays dense instead of paying the abandoned symbolic
+  /// pass and the O(m) pattern rescan again.
   void compute_pricing_y() {
     y_.resize(m_);
     if (dense_) {
@@ -703,9 +747,24 @@ private:
         const double* row = &binv_[static_cast<std::size_t>(i) * m_];
         for (int k = 0; k < m_; ++k) y_[k] += cb * row[k];
       }
-    } else {
+    } else if (!hyper_ || pricing_fell_back_) {
       for (int i = 0; i < m_; ++i) y_[i] = basis_cost(i);
       lu_.btran(y_);
+    } else {
+      std::fill(y_.begin(), y_.end(), 0.0);
+      y_nz_.clear();
+      for (int i = 0; i < m_; ++i) {
+        const double cb = basis_cost(i);
+        if (cb == 0.0) continue;
+        y_[i] = cb;
+        y_nz_.push_back(i);
+      }
+      if (static_cast<double>(y_nz_.size()) > kHypersparseCrossover * m_) {
+        lu_.btran(y_);
+        return;
+      }
+      pricing_fell_back_ =
+          lu_.btran_sparse(a_.y, hs_, kHypersparseCrossover).fallback;
     }
   }
 
@@ -1476,24 +1535,26 @@ private:
   }
 
   void extract(Solution& sol) const {
-    sol.x.assign(n_, 0.0);
-    for (int j = 0; j < n_; ++j) sol.x[j] = value_[j];
+    sol.x.assign(value_.begin(), value_.begin() + n_);
     for (int i = 0; i < m_; ++i)
       if (basis_[i] < n_) sol.x[basis_[i]] = xb_[i];
-    // Snap solver noise onto the bounds so downstream validation is clean.
+    // Snap solver noise onto the bounds so downstream validation is
+    // clean. The comparisons are the ones std::max(x, lb) and
+    // std::min(x, ub) make, so an infinite bound leaves x as it is
+    // (NaN and signed zeros included) without a finiteness test.
     for (int j = 0; j < n_; ++j) {
-      if (std::isfinite(lb_[j])) sol.x[j] = std::max(sol.x[j], lb_[j]);
-      if (std::isfinite(ub_[j])) sol.x[j] = std::min(sol.x[j], ub_[j]);
+      double v = sol.x[j];
+      v = v < lb_[j] ? lb_[j] : v;
+      v = ub_[j] < v ? ub_[j] : v;
+      sol.x[j] = v;
     }
     if (sol.status == SolveStatus::Optimal) {
+      // Indexed by VarStatus { Basic, AtLower, AtUpper, Free }.
+      static constexpr BasisStatus kPublic[] = {
+          BasisStatus::Basic, BasisStatus::AtLower, BasisStatus::AtUpper,
+          BasisStatus::Free};
       const auto public_status = [&](int j) {
-        switch (status_[j]) {
-          case VarStatus::Basic: return BasisStatus::Basic;
-          case VarStatus::AtUpper: return BasisStatus::AtUpper;
-          case VarStatus::Free: return BasisStatus::Free;
-          case VarStatus::AtLower: break;
-        }
-        return BasisStatus::AtLower;
+        return kPublic[static_cast<unsigned char>(status_[j])];
       };
       sol.basis.variables.resize(n_);
       sol.basis.slacks.resize(m_);
@@ -1545,7 +1606,8 @@ private:
   std::vector<double>& csc_val_;
   std::vector<double>& binv_;            // dense path
   std::vector<double>& scratch_;
-  std::vector<double>& y_;
+  std::vector<double>& y_;       // pricing multipliers (arena.y.values)
+  std::vector<int>& y_nz_;       // c_B's support on the sparse route (arena.y.pattern)
   std::vector<double>& w_;       // FTRAN image values (arena.w.values)
   std::vector<int>& w_nz_;       // its support when hyper_ (arena.w.pattern)
   std::vector<double>& rho_;     // pricing row values (arena.rho.values)
@@ -1581,6 +1643,7 @@ private:
   bool pricing_ready_ = false;     ///< incremental d_/weights_ initialized
   bool d_fresh_ = false;           ///< d_ recomputed since the last pivot
   bool weight_overflow_ = false;
+  bool pricing_fell_back_ = false; ///< a pricing BTRAN of this solve fell back
   int iters_ = 0, stall_ = 0, pivots_since_refactor_ = 0;
   int refactor_count_ = 0;
   std::uint64_t refactor_ns_ = 0;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/reference_reduced.hpp"
 #include "platform/generator.hpp"
 #include "support/rng.hpp"
 
@@ -20,39 +21,7 @@ namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-void expect_same_model(const lp::Model& got, const lp::Model& want) {
-  ASSERT_EQ(got.num_variables(), want.num_variables());
-  ASSERT_EQ(got.num_constraints(), want.num_constraints());
-  EXPECT_EQ(got.structure_fingerprint(), want.structure_fingerprint());
-  EXPECT_EQ(got.sense(), want.sense());
-  EXPECT_EQ(bits(got.objective_constant()), bits(want.objective_constant()));
-  for (int j = 0; j < want.num_variables(); ++j) {
-    EXPECT_EQ(bits(got.lower_bound(j)), bits(want.lower_bound(j))) << "var " << j;
-    EXPECT_EQ(bits(got.upper_bound(j)), bits(want.upper_bound(j))) << "var " << j;
-    EXPECT_EQ(bits(got.objective_coef(j)), bits(want.objective_coef(j))) << "var " << j;
-  }
-  for (int c = 0; c < want.num_constraints(); ++c) {
-    EXPECT_EQ(got.relation(c), want.relation(c)) << "row " << c;
-    EXPECT_EQ(bits(got.rhs(c)), bits(want.rhs(c))) << "row " << c;
-    const auto a = got.row(c);
-    const auto b = want.row(c);
-    ASSERT_EQ(a.size(), b.size()) << "row " << c;
-    for (std::size_t t = 0; t < b.size(); ++t) {
-      EXPECT_EQ(a[t].var, b[t].var) << "row " << c << " term " << t;
-      EXPECT_EQ(bits(a[t].coef), bits(b[t].coef)) << "row " << c << " term " << t;
-    }
-  }
-}
-
-void expect_same_reduced(const SteadyStateProblem::ReducedModel& got,
-                         const SteadyStateProblem::ReducedModel& want) {
-  EXPECT_EQ(got.alpha_var, want.alpha_var);
-  EXPECT_EQ(got.t_var, want.t_var);
-  EXPECT_EQ(got.speed_row, want.speed_row);
-  EXPECT_EQ(got.gateway_row, want.gateway_row);
-  EXPECT_EQ(got.maxcon_row, want.maxcon_row);
-  expect_same_model(got.model, want.model);
-}
+using testing::expect_same_reduced;
 
 platform::Platform test_platform(int k, std::uint64_t seed) {
   platform::GeneratorParams params;

@@ -45,6 +45,43 @@ TEST(Model, ConstraintDropsZeroCoefficients) {
   EXPECT_EQ(m.row(c).size(), 1u);
 }
 
+TEST(Model, NormalFormRowsAreStoredAsTheSortWouldStoreThem) {
+  // A strictly ascending, zero-free row skips the sort/merge; it must
+  // land exactly where the same terms shuffled do, through both
+  // add_constraint and set_row. Ascending rows with a duplicate or a
+  // signed zero are not in normal form and still merge or drop.
+  Model sorted, shuffled;
+  for (int j = 0; j < 6; ++j) {
+    sorted.add_variable(0, kInf, 0);
+    shuffled.add_variable(0, kInf, 0);
+  }
+  const std::vector<Term> row{{0, 0.5}, {2, -1.25}, {3, 3.0}, {5, 1e-300}};
+  const std::vector<Term> mixed{{3, 3.0}, {0, 0.5}, {5, 1e-300}, {2, -1.25}};
+  sorted.add_constraint(row, Relation::LessEqual, 1.0);
+  shuffled.add_constraint(mixed, Relation::LessEqual, 1.0);
+  sorted.add_constraint({{1, 1.0}}, Relation::LessEqual, 1.0);
+  shuffled.add_constraint({{1, 1.0}}, Relation::LessEqual, 1.0);
+  sorted.set_row(1, row);
+  shuffled.set_row(1, mixed);
+  for (int c = 0; c < 2; ++c) {
+    const auto a = sorted.row(c);
+    const auto b = shuffled.row(c);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t t = 0; t < a.size(); ++t) {
+      EXPECT_EQ(a[t].var, b[t].var);
+      EXPECT_EQ(a[t].coef, b[t].coef);
+    }
+  }
+  EXPECT_EQ(sorted.structure_fingerprint(), shuffled.structure_fingerprint());
+
+  const int dup = sorted.add_constraint({{1, 1.0}, {1, 2.0}, {4, 1.0}},
+                                        Relation::LessEqual, 1.0);
+  ASSERT_EQ(sorted.row(dup).size(), 2u);
+  EXPECT_EQ(sorted.row(dup)[0].coef, 3.0);
+  const int zero = sorted.add_constraint({{1, 1.0}, {4, -0.0}}, Relation::LessEqual, 1.0);
+  EXPECT_EQ(sorted.row(zero).size(), 1u);
+}
+
 TEST(Model, ConstraintRejectsBadInput) {
   Model m;
   m.add_variable(0, 1, 0);
