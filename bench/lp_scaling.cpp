@@ -68,6 +68,7 @@ struct PathResult {
   double objective = 0.0;
   int refactors = 0;
   double refactor_seconds = 0.0;  ///< of the fastest repeat
+  double pricing_y_seconds = 0.0; ///< of the fastest repeat
   std::size_t eta_peak = 0;
 };
 
@@ -90,6 +91,7 @@ PathResult cold_solve(const dls::lp::Model& model, dls::lp::Factorization f,
     if (seconds < out.seconds) {
       out.seconds = seconds;
       out.refactor_seconds = sol.refactor_seconds;
+      out.pricing_y_seconds = sol.pricing_y_seconds;
     }
     if (sol.status != dls::lp::SolveStatus::Optimal) {
       std::cerr << "lp_scaling: cold solve not optimal\n";
@@ -360,6 +362,8 @@ int main() try {
         se.seconds > 0.0 ? se_nohyper.seconds / se.seconds : 0.0;
     const double se_refactor_share =
         se.seconds > 0.0 ? se.refactor_seconds / se.seconds : 0.0;
+    const double se_pricing_y_share =
+        se.seconds > 0.0 ? se.pricing_y_seconds / se.seconds : 0.0;
     const double ftran_reach_median =
         median_reach(h1.bounds, h1.ftran_buckets, h0.ftran_buckets);
     const double btran_reach_median =
@@ -379,6 +383,7 @@ int main() try {
               << " ms/" << sparse.pivots << "p, steepest " << se.seconds * 1e3
               << " ms/" << se.pivots
               << "p (" << se.refactors << " refac, " << se_refactor_share
+              << " of time; pricing y " << se_pricing_y_share
               << " of time; eta peak " << se.eta_peak << "), auto "
               << autop.seconds * 1e3 << " ms/" << autop.pivots
               << "p\n  se vs dantzig: " << se_speedup << "x time, "
@@ -413,6 +418,7 @@ int main() try {
        << ",\"se_us_per_pivot\":" << us_per_pivot(se)
        << ",\"se_refactorizations\":" << se.refactors
        << ",\"se_refactor_share\":" << se_refactor_share
+       << ",\"se_pricing_y_share\":" << se_pricing_y_share
        << ",\"se_eta_peak_nnz\":" << se.eta_peak
        << ",\"se_nohyper_cold_seconds\":" << se_nohyper.seconds
        << ",\"se_nohyper_us_per_pivot\":" << us_per_pivot(se_nohyper)

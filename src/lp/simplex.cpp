@@ -39,8 +39,8 @@ struct ArenaImpl {
   std::vector<double> csc_val;
   std::vector<double> binv, scratch;  // dense path
 
-  // Iteration scratch. y holds the pricing multipliers (its pattern is
-  // c_B's support when they come from a hypersparse BTRAN); w/rho are
+  // Iteration scratch. y holds the pricing multipliers (with their
+  // support when they come from a hypersparse BTRAN); w/rho are
   // the sparse-path FTRAN image and pricing row; hs is the reach-set
   // workspace their hypersparse solves share and fs the active
   // submatrix every refactorization eliminates (both arena-owned so
@@ -57,6 +57,11 @@ struct ArenaImpl {
   std::vector<double> d, weights, alpha;
   std::vector<int> cand, touched, movable;
   std::vector<char> in_cand, seen;
+
+  // c_B's support on the hypersparse pricing route: the rows whose
+  // basic cost is nonzero (unordered), and row -> position in that
+  // list, else -1.
+  std::vector<int> cb_rows, cb_pos;
 };
 
 std::uint64_t matrix_fingerprint(const Model& model) {
@@ -218,7 +223,9 @@ public:
         cand_(arena.cand),
         touched_(arena.touched),
         movable_(arena.movable),
-        in_cand_(arena.in_cand) {
+        in_cand_(arena.in_cand),
+        cb_rows_(arena.cb_rows),
+        cb_pos_(arena.cb_pos) {
     n_ = model.num_variables();
     m_ = model.num_constraints();
     total_ = n_ + 2 * m_;
@@ -241,6 +248,7 @@ public:
     sol.pricing_used = rule_;
     sol.refactorizations = refactor_count_;
     sol.refactor_seconds = static_cast<double>(refactor_ns_) * 1e-9;
+    sol.pricing_y_seconds = static_cast<double>(pricing_y_ns_) * 1e-9;
     sol.pricing_refreshes = refresh_count_;
     sol.eta_peak_nnz = eta_peak_;
     sol.column_cache_hit = cache_hit_;
@@ -527,18 +535,16 @@ private:
     set_nonbasic_value(j, want);
   }
 
-  /// Shared tail of both warm paths: reset the iteration counters and
-  /// derive the basic values from the restored inverse. A restored basis
-  /// needs no artificial phase 1 (artificials stay pinned nonbasic at
-  /// zero); basic values pushed outside their bounds by bound changes
-  /// are flagged for the composite bound phase 1 instead.
+  /// Shared tail of both warm paths, run once xb_ holds the basic values
+  /// of the restored basis: reset the iteration counters. A restored
+  /// basis needs no artificial phase 1 (artificials stay pinned
+  /// nonbasic at zero); basic values pushed outside their bounds by
+  /// bound changes are flagged for the composite bound phase 1 instead.
   bool finish_warm_init() {
     iters_ = 0;
     stall_ = 0;
     use_bland_ = false;
     need_phase1_ = false;
-    xb_.resize(m_);
-    recompute_basic_values();
     const double tol = opt_.feas_tol * std::max(1.0, rhs_scale_);
     warm_infeasible_ = false;
     for (int i = 0; i < m_; ++i) {
@@ -565,9 +571,9 @@ private:
     if (static_cast<int>(basis_.size()) != m_) return false;
     // Artificials stay pinned at their [0,0] bounds from build_bounds_and_costs.
 
-    xb_.assign(m_, 0.0);
-    if (dense_) binv_.assign(static_cast<std::size_t>(m_) * m_, 0.0);
-    pivots_since_refactor_ = 0;
+    // The refactorization fills binv_ and recomputes xb_; the dense
+    // recompute writes into xb_, so it is sized first.
+    xb_.resize(m_);
     if (!refactor()) return false;
     return finish_warm_init();
   }
@@ -621,10 +627,9 @@ private:
     if (!dense_ && state.lu.dimension() == m_) {
       lu_ = std::move(state.lu);
       pivots_since_refactor_ = state.pivots_since_refactor;
+      recompute_basic_values();
     } else {
-      xb_.assign(m_, 0.0);
-      if (dense_) binv_.assign(static_cast<std::size_t>(m_) * m_, 0.0);
-      pivots_since_refactor_ = 0;
+      xb_.resize(m_);  // as in init_basis_warm
       if (!refactor()) return false;
     }
     return finish_warm_init();
@@ -727,17 +732,64 @@ private:
     return 0.0;
   }
 
-  /// BTRAN of the phase-aware basic costs: y_ = c_B' B^{-1}. On the
-  /// hypersparse path c_B's support is gathered into y's pattern and the
-  /// solve runs through btran_sparse, whose nonzeros are bitwise those
-  /// of the dense pass (a zero comes back +0.0 where the dense pass may
-  /// leave -0.0, and no pricing test reads the sign of a zero). The
-  /// route follows what this solve has seen: a support already past the
-  /// crossover goes straight to the dense pass, and once one pricing
-  /// BTRAN falls back (wide reaches, as on the Table-1 bases) the rest
-  /// of the solve stays dense instead of paying the abandoned symbolic
-  /// pass and the O(m) pattern rescan again.
+  /// True while c_B's support is kept as state (cb_rows_/cb_pos_): on
+  /// the hypersparse route, until a pricing BTRAN of this solve falls
+  /// back and the rest of the solve prices through the dense route.
+  bool tracks_cb_support() const { return hyper_ && !pricing_fell_back_; }
+
+  /// Rebuilds c_B's support in O(m): at each iterate() entry, where a
+  /// phase flag may have changed, and after every mid-phase
+  /// refactorization, which recomputes all of xb_.
+  void rebuild_cb_support() {
+    cb_rows_.clear();
+    cb_pos_.assign(static_cast<std::size_t>(m_), -1);
+    for (int i = 0; i < m_; ++i) {
+      if (basis_cost(i) == 0.0) continue;  // -0.0 too, as the gather skips it
+      cb_pos_[i] = static_cast<int>(cb_rows_.size());
+      cb_rows_.push_back(i);
+    }
+  }
+
+  /// O(1) update of c_B's support for row i, whose basic variable or
+  /// (composite bound phase 1) basic value just changed.
+  void update_cb_support(int i) {
+    int& pos = cb_pos_[i];
+    const bool in = basis_cost(i) != 0.0;
+    if (in == (pos >= 0)) return;
+    if (in) {
+      pos = static_cast<int>(cb_rows_.size());
+      cb_rows_.push_back(i);
+      return;
+    }
+    const int last = cb_rows_.back();
+    cb_rows_[pos] = last;
+    cb_pos_[last] = pos;
+    cb_rows_.pop_back();
+    pos = -1;
+  }
+
+  /// BTRAN of the phase-aware basic costs: y_ = c_B' B^{-1}, timed once
+  /// per call for Solution::pricing_y_seconds.
   void compute_pricing_y() {
+    const std::uint64_t start = now_ns();
+    solve_pricing_y();
+    pricing_y_ns_ += now_ns() - start;
+  }
+
+  /// compute_pricing_y()'s body. On the hypersparse route c_B's support
+  /// comes from cb_rows_, so a call costs O(|c_B|) plus the solve, not
+  /// O(m): y is cleared through its last pattern (in full only after a
+  /// dense-route BTRAN left it dense), the support's costs are
+  /// scattered in and btran_sparse runs. Its nonzeros are bitwise those
+  /// of the dense pass (a zero comes back +0.0 where the dense pass may
+  /// leave -0.0, and no pricing test reads the sign of a zero), and it
+  /// sorts its reach, so the unordered support gives the bits an
+  /// ascending one would. The route follows what this solve has seen:
+  /// a support already past the crossover goes straight to the dense
+  /// pass, and once one pricing BTRAN falls back (wide reaches, as on
+  /// the Table-1 bases) the rest of the solve gathers all m costs and
+  /// stays dense instead of paying the abandoned symbolic pass again.
+  void solve_pricing_y() {
     y_.resize(m_);
     if (dense_) {
       std::fill(y_.begin(), y_.end(), 0.0);
@@ -747,24 +799,24 @@ private:
         const double* row = &binv_[static_cast<std::size_t>(i) * m_];
         for (int k = 0; k < m_; ++k) y_[k] += cb * row[k];
       }
-    } else if (!hyper_ || pricing_fell_back_) {
+    } else if (!tracks_cb_support()) {
       for (int i = 0; i < m_; ++i) y_[i] = basis_cost(i);
       lu_.btran(y_);
     } else {
-      std::fill(y_.begin(), y_.end(), 0.0);
-      y_nz_.clear();
-      for (int i = 0; i < m_; ++i) {
-        const double cb = basis_cost(i);
-        if (cb == 0.0) continue;
-        y_[i] = cb;
-        y_nz_.push_back(i);
-      }
+      if (y_sparse_)
+        a_.y.clear_support();
+      else
+        a_.y.reset(m_);
+      y_nz_.assign(cb_rows_.begin(), cb_rows_.end());
+      for (const int i : y_nz_) y_[i] = basis_cost(i);
       if (static_cast<double>(y_nz_.size()) > kHypersparseCrossover * m_) {
         lu_.btran(y_);
+        y_sparse_ = false;
         return;
       }
       pricing_fell_back_ =
           lu_.btran_sparse(a_.y, hs_, kHypersparseCrossover).fallback;
+      y_sparse_ = true;
     }
   }
 
@@ -1176,6 +1228,12 @@ private:
     return total;
   }
 
+  /// Runs one phase (the flags in_phase1_/bound_phase1_ are fixed for
+  /// the call) until optimality, unboundedness or the iteration limit.
+  /// The hypersparse route keeps c_B's support as state across the
+  /// phase: rebuilt here at entry and after each refactorization, and
+  /// updated per pivot for the leaving row (and, in the composite bound
+  /// phase 1, for every row of w's pattern, whose xb_ moved).
   SolveStatus iterate(int max_iters) {
     y_.resize(m_);
     if (hyper_) {
@@ -1188,6 +1246,7 @@ private:
     } else {
       w_.resize(m_);
     }
+    if (tracks_cb_support()) rebuild_cb_support();
     pricing_ready_ = false;  // every phase starts from a fresh pricing pass
     while (true) {
       if (iters_ >= max_iters) return SolveStatus::IterationLimit;
@@ -1326,9 +1385,14 @@ private:
         use_bland_ = true;  // anti-cycling fallback; never switched back
       }
 
-      // Apply the step to the basic values (only w's support moves).
+      // Apply the step to the basic values (only w's support moves, so
+      // only those rows' bound-phase charges can change).
       if (hyper_) {
-        for (const int i : w_nz_) xb_[i] -= dir * t_best * w_[i];
+        const bool charges_move = bound_phase1_ && tracks_cb_support();
+        for (const int i : w_nz_) {
+          xb_[i] -= dir * t_best * w_[i];
+          if (charges_move) update_cb_support(i);
+        }
       } else {
         for (int i = 0; i < m_; ++i) xb_[i] -= dir * t_best * w_[i];
       }
@@ -1353,6 +1417,7 @@ private:
       basis_[leave] = q;
       status_[q] = VarStatus::Basic;
       xb_[leave] = enter_value;
+      if (tracks_cb_support()) update_cb_support(leave);
 
       // Pricing update needs the pre-update factorization for its BTRAN.
       if (!legacy) update_pricing(q, old_var, leave, leave_pivot);
@@ -1363,13 +1428,11 @@ private:
                         : !lu_.update(leave, w_, opt_.pivot_tol)) {
         // The ratio test guarantees a usable pivot, so this is a pure
         // numerical-drift escape hatch: rebuild from the updated basis.
-        if (!refactor()) return SolveStatus::NumericalError;
-        pricing_ready_ = false;
+        if (!refactor_mid_phase()) return SolveStatus::NumericalError;
       }
 
       if (++pivots_since_refactor_ >= refactor_cap() || eta_fill_exceeded()) {
-        if (!refactor()) return SolveStatus::NumericalError;
-        pricing_ready_ = false;
+        if (!refactor_mid_phase()) return SolveStatus::NumericalError;
       }
     }
   }
@@ -1407,6 +1470,15 @@ private:
       double* irow = &binv_[static_cast<std::size_t>(i) * m_];
       for (int k = 0; k < m_; ++k) irow[k] -= f * prow[k];
     }
+  }
+
+  /// A refactorization inside iterate(): the recomputed xb_ restarts the
+  /// incremental pricing and may move any bound-phase charge.
+  bool refactor_mid_phase() {
+    if (!refactor()) return false;
+    pricing_ready_ = false;
+    if (tracks_cb_support()) rebuild_cb_support();
+    return true;
   }
 
   /// Rebuilds the basis factorization from scratch and recomputes the
@@ -1621,6 +1693,8 @@ private:
   std::vector<int>& touched_;
   std::vector<int>& movable_;    // non-fixed structural + slack columns
   std::vector<char>& in_cand_;
+  std::vector<int>& cb_rows_;    // c_B's support, unordered (hypersparse route)
+  std::vector<int>& cb_pos_;     // row -> position in cb_rows_, else -1
 
   const detail::ColumnCache* cols_ = nullptr;
   bool cache_hit_ = false;
@@ -1644,9 +1718,11 @@ private:
   bool d_fresh_ = false;           ///< d_ recomputed since the last pivot
   bool weight_overflow_ = false;
   bool pricing_fell_back_ = false; ///< a pricing BTRAN of this solve fell back
+  bool y_sparse_ = false;          ///< arena.y keeps the SparseVector invariant
   int iters_ = 0, stall_ = 0, pivots_since_refactor_ = 0;
   int refactor_count_ = 0;
   std::uint64_t refactor_ns_ = 0;
+  std::uint64_t pricing_y_ns_ = 0;
   int refresh_count_ = 0;
   std::size_t eta_peak_ = 0;
 };

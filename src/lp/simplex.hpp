@@ -198,11 +198,12 @@ struct Solution {
   /// telemetry for bench/lp_scaling's per-rule columns.
   Factorization factorization_used = Factorization::SparseLu;
   Pricing pricing_used = Pricing::Dantzig;
-  int refactorizations = 0;      ///< basis rebuilds during the solve
-  double refactor_seconds = 0.0; ///< wall time inside those rebuilds
-  int pricing_refreshes = 0;     ///< full reduced-cost recomputations
-  std::size_t eta_peak_nnz = 0;  ///< largest eta file reached between rebuilds
-  bool column_cache_hit = false; ///< column structure came from a cache
+  int refactorizations = 0;       ///< basis rebuilds during the solve
+  double refactor_seconds = 0.0;  ///< wall time inside those rebuilds
+  double pricing_y_seconds = 0.0; ///< wall time computing the pricing y = c_B' B^-1
+  int pricing_refreshes = 0;      ///< full reduced-cost recomputations
+  std::size_t eta_peak_nnz = 0;   ///< largest eta file reached between rebuilds
+  bool column_cache_hit = false;  ///< column structure came from a cache
 };
 
 namespace detail {

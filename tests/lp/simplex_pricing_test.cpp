@@ -413,5 +413,93 @@ TEST(SimplexPricing, HypersparseToggleIsBitIdentical) {
   }
 }
 
+// The hypersparse route keeps c_B's support as state across pivots,
+// refactorizations and phases; the non-hypersparse route gathers all m
+// basic costs on every call. A slot-LP warm chain at K=40 drives that
+// state through the composite bound phase 1 (a departure clamps the
+// released slot's alpha bounds to zero while they may still be basic),
+// a basis repair after a re-pricing capacity event, and an arena that a
+// K=16 dense-inverse solve used in between: both arms must agree bit
+// for bit at every step.
+TEST(SimplexPricing, HypersparseToggleIsBitIdenticalOnSlotChain) {
+  constexpr int k = 40;
+  platform::GeneratorParams params;
+  params.num_clusters = k;
+  params.ensure_connected = true;
+  Rng prng(4242);
+  platform::Platform plat = generate_platform(params, prng);
+  core::LoadSet slots;
+  for (int c = 0; c < k; ++c)
+    for (int s = 0; s <= c % 3; ++s) {
+      core::LoadSpec spec;
+      spec.source = c;
+      spec.weight = (c + s) % 3 == 0 ? 0.0 : 1.0 + 0.25 * ((c + 2 * s) % 5);
+      slots.loads.push_back(spec);
+    }
+  core::SteadyStateProblem problem(plat, slots, core::Objective::Sum);
+  core::SteadyStateProblem::ReducedModel reduced = problem.build_reduced();
+  ASSERT_GT(reduced.model.num_constraints(), 112);
+  std::vector<double> weights = problem.loads().weights();
+  const Model small = make_steady_model(16, 77);
+
+  SimplexOptions hyper;
+  SimplexOptions dense = hyper;
+  dense.hypersparse = false;
+  SolveArena hyper_arena, dense_arena;
+  WarmState hyper_state, dense_state;
+  int bound_repairs = 0, basis_repairs = 0;
+  const auto solve = [&](const std::string& label) {
+    const Solution h =
+        SimplexSolver(hyper).solve(reduced.model, &hyper_state, &hyper_arena);
+    const Solution d =
+        SimplexSolver(dense).solve(reduced.model, &dense_state, &dense_arena);
+    EXPECT_EQ(h.factorization_used, Factorization::SparseLu) << label;
+    expect_same_solve(h, d, label);
+    bound_repairs += h.warm_kind == WarmKind::Capsule && h.phase1_iterations > 0;
+    basis_repairs += h.warm_kind == WarmKind::Basis;
+  };
+  const auto reweight = [&] {
+    problem.set_load_weights(weights);
+    problem.update_reduced_payoffs(reduced);
+  };
+
+  solve("cold");
+  Rng rng(4243);
+  for (int step = 0; step < 8; ++step) {
+    const std::string tag = std::to_string(step);
+    for (int d = 0; d < 3; ++d) {
+      std::size_t j = rng.index(weights.size());
+      while (weights[j] == 0.0) j = (j + 1) % weights.size();
+      weights[j] = 0.0;
+    }
+    reweight();
+    solve("depart " + tag);
+    for (int a = 0; a < 3; ++a) {
+      std::size_t j = rng.index(weights.size());
+      while (weights[j] != 0.0) j = (j + 1) % weights.size();
+      weights[j] = rng.uniform(0.5, 3.0);
+    }
+    reweight();
+    solve("arrive " + tag);
+    if (step == 3) {
+      // The dense-inverse route leaves the arena's pricing buffers in a
+      // state the hypersparse route must not trust.
+      const Solution hs = SimplexSolver(hyper).solve(small, nullptr, &hyper_arena);
+      const Solution ds = SimplexSolver(dense).solve(small, nullptr, &dense_arena);
+      ASSERT_EQ(hs.factorization_used, Factorization::DenseInverse);
+      expect_same_solve(hs, ds, "K=16 mid-chain");
+    }
+    if (step == 5) {
+      platform::LinkId li = 0;
+      while (plat.num_routes_through(li) == 0) ++li;
+      plat.set_link_bandwidth(li, plat.link(li).bw * 0.4);
+      problem.update_reduced_capacities(reduced, problem.refresh_route_bandwidths());
+      solve("link cut");
+    }
+  }
+  EXPECT_GT(bound_repairs, 0);  // the composite bound phase 1 ran warm
+  EXPECT_GT(basis_repairs, 0);  // the re-priced matrix repaired the basis
+}
+
 }  // namespace
 }  // namespace dls::lp
