@@ -36,8 +36,7 @@ namespace {
 /// That unit starts at the next position (its earlier positions would
 /// otherwise be folded, hence pushed), and its worker is never stuck on
 /// an earlier unit (units before it are already pushed), so the buffer
-/// cannot deadlock. Memory stays O(workers * chunk) instead of
-/// O(cases).
+/// cannot deadlock. Memory stays O(workers) instead of O(cases).
 class OrderedReducer {
 public:
   OrderedReducer(CampaignReport& report, const RunnerOptions& options,
@@ -108,7 +107,6 @@ CampaignReport run_campaign(const ScenarioSpec& spec, const RunnerOptions& optio
   require(options.shard_count >= 1 && options.shard_index >= 0 &&
               options.shard_index < options.shard_count,
           "run_campaign: shard index out of range");
-  require(options.chunk >= 1, "run_campaign: chunk must be >= 1");
 
   CampaignReport report;
   report.name = spec.name;
@@ -145,8 +143,7 @@ CampaignReport run_campaign(const ScenarioSpec& spec, const RunnerOptions& optio
   const std::size_t workers =
       options.jobs == 0 ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
                         : static_cast<std::size_t>(options.jobs);
-  OrderedReducer reducer(report, options,
-                         std::max<std::size_t>(64, 4 * workers * options.chunk));
+  OrderedReducer reducer(report, options, std::max<std::size_t>(64, 4 * workers));
 
   const auto body = [&](std::size_t u) {
     const std::size_t first = unit_begin[u];
@@ -180,7 +177,7 @@ CampaignReport run_campaign(const ScenarioSpec& spec, const RunnerOptions& optio
     for (std::size_t u = 0; u < units; ++u) body(u);
   } else {
     ThreadPool pool(workers);
-    parallel_for(pool, 0, units, body, options.chunk);
+    parallel_for(pool, 0, units, body, /*chunk=*/1);  // one unit per pull
   }
   if (first_error) std::rethrow_exception(first_error);
   if (reducer.sink_error()) std::rethrow_exception(reducer.sink_error());

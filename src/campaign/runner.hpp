@@ -93,17 +93,14 @@ struct RunnerOptions {
   int jobs = 0;       ///< worker threads; 0 = hardware, 1 = inline
   int shard_index = 0;
   int shard_count = 1;
-  /// Dynamic-scheduling chunk (execution units per pull; a unit is one
-  /// case or an offline case's exhaust siblings).
-  std::size_t chunk = 1;
   /// Streaming per-case sink, called in case order from the reduction
   /// path (one caller at a time). Leave empty to skip.
   std::function<void(const CampaignReport&, const CaseRecord&)> case_sink{};
 };
 
 /// Expands and runs the campaign. Deterministic: the report (and the
-/// case_sink stream) is a pure function of (spec, shard); jobs and
-/// chunk only change wall time. Throws dls::Error on invalid specs,
+/// case_sink stream) is a pure function of (spec, shard); jobs only
+/// change wall time. Throws dls::Error on invalid specs,
 /// unreadable referenced files, or solver failure.
 [[nodiscard]] CampaignReport run_campaign(const ScenarioSpec& spec,
                                           const RunnerOptions& options = {});

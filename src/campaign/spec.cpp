@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -197,13 +198,6 @@ core::Objective parse_objective(const std::string& token, int line) {
   fail(line, "unknown objective '" + token + "' (expected maxmin|sum)");
 }
 
-online::WarmPolicy parse_warm(const std::string& token, int line) {
-  if (token == "auto") return online::WarmPolicy::Auto;
-  if (token == "never") return online::WarmPolicy::Never;
-  if (token == "always") return online::WarmPolicy::Always;
-  fail(line, "unknown warm policy '" + token + "' (expected auto|never|always)");
-}
-
 core::LocalExhaustPolicy parse_exhaust(const std::string& token, int line) {
   if (token == "take") return core::LocalExhaustPolicy::TakeRemaining;
   if (token == "drop") return core::LocalExhaustPolicy::DropApplication;
@@ -252,6 +246,42 @@ const char* to_string(sim::SharingPolicy policy) {
     case sim::SharingPolicy::BoundedWindow: return "window";
   }
   return "?";
+}
+
+namespace {
+
+/// Looks `token` up among the spellings to_string gives `values`.
+template <class Enum>
+bool parse_spelling(const std::string& token, std::initializer_list<Enum> values,
+                    Enum& out) {
+  for (const Enum value : values) {
+    if (token != to_string(value)) continue;
+    out = value;
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+bool parse_warm(const std::string& token, online::WarmPolicy& out) {
+  return parse_spelling(token,
+                        {online::WarmPolicy::Auto, online::WarmPolicy::Never,
+                         online::WarmPolicy::Always},
+                        out);
+}
+
+bool parse_rate_model(const std::string& token, online::RateModel& out) {
+  return parse_spelling(token, {online::RateModel::Fluid, online::RateModel::Simulated},
+                        out);
+}
+
+bool parse_policy(const std::string& token, sim::SharingPolicy& out) {
+  return parse_spelling(token,
+                        {sim::SharingPolicy::Paced, sim::SharingPolicy::MaxMin,
+                         sim::SharingPolicy::TcpRttBias,
+                         sim::SharingPolicy::BoundedWindow},
+                        out);
 }
 
 void ScenarioSpec::validate() const {
@@ -509,11 +539,7 @@ ScenarioSpec read_campaign(std::istream& is) {
       singleton(keyword, line_no);
       std::string token;
       if (!(iss >> token)) fail(line_no, "expected fluid|sim");
-      if (token == "fluid") {
-        spec.rate_model = online::RateModel::Fluid;
-      } else if (token == "sim") {
-        spec.rate_model = online::RateModel::Simulated;
-      } else {
+      if (!parse_rate_model(token, spec.rate_model)) {
         fail(line_no, "unknown rate model '" + token + "' (expected fluid|sim)");
       }
       expect_line_end(iss, line_no);
@@ -521,15 +547,7 @@ ScenarioSpec read_campaign(std::istream& is) {
       singleton(keyword, line_no);
       std::string token;
       if (!(iss >> token)) fail(line_no, "expected paced|maxmin|tcp|window");
-      if (token == "paced") {
-        spec.sim_policy = sim::SharingPolicy::Paced;
-      } else if (token == "maxmin") {
-        spec.sim_policy = sim::SharingPolicy::MaxMin;
-      } else if (token == "tcp") {
-        spec.sim_policy = sim::SharingPolicy::TcpRttBias;
-      } else if (token == "window") {
-        spec.sim_policy = sim::SharingPolicy::BoundedWindow;
-      } else {
+      if (!parse_policy(token, spec.sim_policy)) {
         fail(line_no, "unknown sharing policy '" + token + "'");
       }
       expect_line_end(iss, line_no);
@@ -568,7 +586,11 @@ ScenarioSpec read_campaign(std::istream& is) {
       if (!spec.warm.empty()) fail(line_no, "duplicate 'warm'");
       std::string token;
       while (iss >> token) {
-        const online::WarmPolicy w = parse_warm(token, line_no);
+        online::WarmPolicy w{};
+        if (!parse_warm(token, w)) {
+          fail(line_no,
+               "unknown warm policy '" + token + "' (expected auto|never|always)");
+        }
         if (std::find(spec.warm.begin(), spec.warm.end(), w) != spec.warm.end()) {
           fail(line_no, "repeated warm policy '" + token + "'");
         }

@@ -78,6 +78,13 @@ enum class Method : unsigned char { G, Lpr, Lprg, Lprr, Lp };
 [[nodiscard]] const char* to_string(online::RateModel model);
 [[nodiscard]] const char* to_string(sim::SharingPolicy policy);
 
+// Their inverses: set `out` and return true when `token` is one of the
+// spellings above. The `.campaign` reader and the CLI flags parse
+// through these, each naming its own line or flag on failure.
+[[nodiscard]] bool parse_warm(const std::string& token, online::WarmPolicy& out);
+[[nodiscard]] bool parse_rate_model(const std::string& token, online::RateModel& out);
+[[nodiscard]] bool parse_policy(const std::string& token, sim::SharingPolicy& out);
+
 /// One cell of the platform axis.
 struct PlatformSource {
   enum class Kind : unsigned char {

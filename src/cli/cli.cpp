@@ -80,13 +80,22 @@ core::Objective resolve_objective(Args& args) {
   throw Error("--objective: expected 'maxmin' or 'sum'");
 }
 
-/// Shared by `simulate` and `online --rate-model sim`.
-sim::SharingPolicy parse_policy(const std::string& policy) {
-  if (policy == "paced") return sim::SharingPolicy::Paced;
-  if (policy == "maxmin") return sim::SharingPolicy::MaxMin;
-  if (policy == "tcp") return sim::SharingPolicy::TcpRttBias;
-  if (policy == "window") return sim::SharingPolicy::BoundedWindow;
-  throw Error("--policy: expected paced|maxmin|tcp|window");
+/// --policy, shared by `simulate` and `online --rate-model sim`.
+sim::SharingPolicy policy_from_args(Args& args, const std::string& fallback) {
+  sim::SharingPolicy policy{};
+  require(campaign::parse_policy(args.get_string("policy", fallback), policy),
+          "--policy: expected paced|maxmin|tcp|window");
+  return policy;
+}
+
+/// --warm, shared by `online`, `dynamics` and `serve`. `name` receives
+/// the spelling for reporting.
+online::WarmPolicy warm_from_args(Args& args, std::string* name = nullptr) {
+  const std::string warm = args.get_string("warm", "auto");
+  online::WarmPolicy policy{};
+  require(campaign::parse_warm(warm, policy), "--warm: expected auto|never|always");
+  if (name != nullptr) *name = warm;
+  return policy;
 }
 
 struct Solved {
@@ -227,14 +236,13 @@ int cmd_simulate(Args& args, std::ostream& out) {
   sim::SimOptions options;
   options.periods = args.get_int("periods", 10);
   options.window_units = args.get_double("window", options.window_units);
-  const std::string policy = args.get_string("policy", "paced");
-  options.policy = parse_policy(policy);
+  options.policy = policy_from_args(args, "paced");
   args.reject_unknown();
 
   const auto sched = core::build_periodic_schedule(problem, solved.allocation);
   const auto report = sim::simulate_schedule(problem, sched, options);
   out << "method " << solved.method << ", period " << sched.period << ", policy "
-      << policy << "\n";
+      << campaign::to_string(options.policy) << "\n";
   TextTable table({"application", "scheduled", "achieved"});
   for (int k = 0; k < plat.num_clusters(); ++k)
     table.add_row({"app" + std::to_string(k), TextTable::fmt(sched.throughput(k), 3),
@@ -644,18 +652,10 @@ online::Workload workload_from_args(Args& args, int num_clusters,
 /// receives the --warm spelling for reporting.
 online::OnlineOptions online_options_from_args(Args& args, std::string* warm_name) {
   online::OnlineOptions options;
-  const std::string warm = args.get_string("warm", "auto");
-  online::WarmPolicy warm_policy = online::WarmPolicy::Auto;
-  if (warm == "auto") {
-    warm_policy = online::WarmPolicy::Auto;
-  } else if (warm == "never") {
-    warm_policy = online::WarmPolicy::Never;
-  } else if (warm == "always") {
-    warm_policy = online::WarmPolicy::Always;
-  } else {
-    throw Error("--warm: expected auto|never|always");
-  }
-  if (warm_name != nullptr) *warm_name = warm;
+  const online::WarmPolicy warm_policy = warm_from_args(args, warm_name);
+  require(campaign::parse_rate_model(args.get_string("rate-model", "fluid"),
+                                     options.rate_model),
+          "--rate-model: expected fluid|sim");
 
   // --loads: shared multi-load LP mode. Every active arrival is a column
   // block of one joint program, so the per-app heuristic axis (--method)
@@ -666,7 +666,7 @@ online::OnlineOptions online_options_from_args(Args& args, std::string* warm_nam
     require(core::parse_multi_objective(obj, options.multi.solve.objective),
             "--objective: expected sum|maxmin|pf");
     options.multi.warm = warm_policy;
-    require(args.get_string("rate-model", "fluid") == "fluid",
+    require(options.rate_model == online::RateModel::Fluid,
             "--loads: requires --rate-model fluid "
             "(rates come from the shared LP, not the packet simulator)");
     return options;
@@ -686,16 +686,10 @@ online::OnlineOptions online_options_from_args(Args& args, std::string* warm_nam
   }
   options.sched.objective = resolve_objective(args);
   options.sched.warm = warm_policy;
-  const std::string rate_model = args.get_string("rate-model", "fluid");
-  if (rate_model == "fluid") {
-    options.rate_model = online::RateModel::Fluid;
-  } else if (rate_model == "sim") {
-    options.rate_model = online::RateModel::Simulated;
-    options.sim_policy = parse_policy(args.get_string("policy", "maxmin"));
+  if (options.rate_model == online::RateModel::Simulated) {
+    options.sim_policy = policy_from_args(args, "maxmin");
     options.sim_window_units =
         args.get_double("window", options.sim_window_units);
-  } else {
-    throw Error("--rate-model: expected fluid|sim");
   }
   return options;
 }
@@ -1052,23 +1046,15 @@ int cmd_serve(Args& args, std::ostream& out) {
   platform::Platform plat = platform_from_args(args, seed);
 
   serve::DaemonOptions options;
-  options.port = static_cast<std::uint16_t>(args.get_int("port", 0));
+  const int port = args.get_int("port", 0);
+  require(port >= 0 && port <= 65535, "--port: port out of range");
+  options.port = static_cast<std::uint16_t>(port);
   options.port_file = args.get_string("port-file", "");
   options.engine.max_loads = args.get_int("max-loads", 0);
-  options.engine.load_eps = args.get_double("load-eps", 1e-6);
   const std::string obj = args.get_string("objective", "sum");
   require(core::parse_multi_objective(obj, options.engine.sched.solve.objective),
           "--objective: expected sum|maxmin|pf");
-  const std::string warm = args.get_string("warm", "auto");
-  if (warm == "auto") {
-    options.engine.sched.warm = online::WarmPolicy::Auto;
-  } else if (warm == "never") {
-    options.engine.sched.warm = online::WarmPolicy::Never;
-  } else if (warm == "always") {
-    options.engine.sched.warm = online::WarmPolicy::Always;
-  } else {
-    throw Error("--warm: expected auto|never|always");
-  }
+  options.engine.sched.warm = warm_from_args(args);
 
   const std::string replay_path = args.get_string("replay", "");
   if (!replay_path.empty()) {
@@ -1088,8 +1074,6 @@ int cmd_serve(Args& args, std::ostream& out) {
   options.exit_after_replay = args.get_flag("exit-after-replay");
   options.drain_grace = args.get_double("drain-grace", 0.0);
   options.trace_file = args.get_string("trace-file", "");
-  options.trace_capacity =
-      static_cast<std::size_t>(args.get_int("trace-capacity", 1024));
   args.reject_unknown();
 
   g_serve_stop = 0;

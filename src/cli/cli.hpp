@@ -55,8 +55,7 @@
 //                 [--objective sum|maxmin|pf] [--warm auto|never|always]
 //                 [--replay FILE] [--events FILE] [--replay-speed X]
 //                 [--exit-after-replay] [--drain-grace S]
-//                 [--trace-file FILE] [--trace-capacity N]
-//                 [--load-eps e] [--seed n]
+//                 [--trace-file FILE] [--seed n]
 //                 (long-running scheduler daemon around the shared
 //                  multi-load LP: HTTP GET /metrics (Prometheus text),
 //                  /health, /stats; POST /arrive, /depart, /event; plus

@@ -151,7 +151,6 @@ struct LprrOptions {
   /// clean-up solve. The ablation bench shows the re-solve is what makes
   /// equal-probability rounding survivable.
   bool resolve_between_fixings = true;
-  lp::SimplexOptions lp;
   /// Optional solve arena shared across LPRR's ~K^2 relaxation solves
   /// (same contract as LpWarmStart::arena: faster, bit-identical).
   lp::SolveArena* arena = nullptr;

@@ -102,7 +102,7 @@ HeuristicResult run_lprg(const SteadyStateProblem& problem,
 
 HeuristicResult run_lprr(const SteadyStateProblem& problem, Rng& rng,
                          const LprrOptions& options) {
-  const lp::SimplexSolver solver(options.lp);
+  const lp::SimplexSolver solver;
 
   std::vector<SteadyStateProblem::BetaFixing> fixings;
   std::vector<char> is_fixed(problem.routes().size(), 0);

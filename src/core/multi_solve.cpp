@@ -7,6 +7,13 @@ namespace dls::core {
 
 namespace {
 
+/// PropFair iteration controls: at most kPfMaxRounds reweighted LPs,
+/// stopping once the largest relative throughput change drops below
+/// kPfTol; kPfFloor keeps the reweighting finite for starved loads.
+constexpr int kPfMaxRounds = 24;
+constexpr double kPfTol = 1e-7;
+constexpr double kPfFloor = 1e-9;
+
 /// Each load's throughput: its alphas summed in ascending destination
 /// order (load routes are load-major), negative solver noise clamped.
 void read_throughputs(const SteadyStateProblem& problem,
@@ -56,7 +63,6 @@ MultiLoadSolution solve_prop_fair(const SteadyStateProblem& problem,
 
   const LoadSet& loads = problem.loads();
   const int num_loads = problem.num_loads();
-  const double floor = options.pf_floor;
 
   lp::Solution sol = solve_warm(reduced.model, options.lp, &chain);
   MultiLoadSolution out;
@@ -71,19 +77,19 @@ MultiLoadSolution solve_prop_fair(const SteadyStateProblem& problem,
   read_throughputs(problem, reduced, sol, out);
 
   std::vector<double> ref = out.throughput;
-  for (int round = 1; round < options.pf_max_rounds; ++round) {
+  for (int round = 1; round < kPfMaxRounds; ++round) {
     // Linearize sum w_j log(x_j) at the reference point: coefficient
     // w_j / ref_j, floored so starved loads pull hard instead of
     // dividing by zero. The floor is RELATIVE to the best-served load:
     // round 1 optimizes a weighted sum whose vertex may starve a load
-    // outright, and w / pf_floor would put ~1e9-scale coefficients into
+    // outright, and w / kPfFloor would put ~1e9-scale coefficients into
     // the simplex (iteration-limit territory). A 1e-6 relative floor
     // still pulls the starved load up by six orders of magnitude while
     // keeping the objective's dynamic range factorable.
-    double ref_max = floor;
+    double ref_max = kPfFloor;
     for (int j = 0; j < num_loads; ++j)
       if (loads.loads[j].weight > 0.0) ref_max = std::max(ref_max, ref[j]);
-    const double lin_floor = std::max(floor, 1e-6 * ref_max);
+    const double lin_floor = std::max(kPfFloor, 1e-6 * ref_max);
     for (std::size_t r = 0; r < reduced.alpha_var.size(); ++r) {
       const double w = loads.loads[problem.load_routes()[r].load].weight;
       reduced.model.set_objective_coef(
@@ -104,9 +110,9 @@ MultiLoadSolution solve_prop_fair(const SteadyStateProblem& problem,
     for (int j = 0; j < num_loads; ++j) {
       if (loads.loads[j].weight <= 0.0) continue;
       delta = std::max(delta, std::fabs(out.throughput[j] - ref[j]) /
-                                  std::max(ref[j], floor));
+                                  std::max(ref[j], kPfFloor));
     }
-    if (delta < options.pf_tol) break;
+    if (delta < kPfTol) break;
     // Damped reference update: averaging prevents two-cycle oscillation
     // between vertices of a degenerate optimum face.
     for (int j = 0; j < num_loads; ++j)
@@ -117,7 +123,7 @@ MultiLoadSolution solve_prop_fair(const SteadyStateProblem& problem,
   for (int j = 0; j < num_loads; ++j) {
     const double w = loads.loads[j].weight;
     if (w <= 0.0) continue;
-    out.objective += w * std::log(std::max(out.throughput[j], floor));
+    out.objective += w * std::log(std::max(out.throughput[j], kPfFloor));
   }
   return out;
 }

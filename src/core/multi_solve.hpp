@@ -29,18 +29,12 @@ namespace dls::core {
 struct MultiLoadSolveOptions {
   MultiObjective objective = MultiObjective::WeightedSum;
   lp::SimplexOptions lp;
-  /// PropFair iteration controls: at most pf_max_rounds reweighted LPs,
-  /// stopping when the largest relative throughput change drops below
-  /// pf_tol; pf_floor keeps the reweighting finite for starved loads.
-  int pf_max_rounds = 24;
-  double pf_tol = 1e-7;
-  double pf_floor = 1e-9;
 };
 
 struct MultiLoadSolution {
   lp::SolveStatus status = lp::SolveStatus::Infeasible;
   /// Objective value under the requested MultiObjective (for PropFair:
-  /// sum_j w_j log(max(throughput_j, pf_floor)) over positive weights).
+  /// sum_j w_j log(max(throughput_j, 1e-9)) over positive weights).
   double objective = 0.0;
   std::vector<double> throughput;  ///< per load: sum_l alpha_{j,l}
   int lp_solves = 0;

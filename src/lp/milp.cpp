@@ -9,6 +9,10 @@ namespace dls::lp {
 
 namespace {
 
+/// How close to an integer a relaxation value must lie to count as
+/// integral.
+constexpr double kIntTol = 1e-6;
+
 struct Node {
   std::vector<double> lb, ub;
   int depth = 0;
@@ -25,7 +29,7 @@ MilpResult BranchAndBound::solve(const Model& model) const {
   };
 
   Model work = model;  // bounds are mutated per node; rows are shared copies
-  SimplexSolver solver(options_.lp);
+  const SimplexSolver solver;
 
   const int n = model.num_variables();
   std::vector<int> int_vars;
@@ -79,7 +83,7 @@ MilpResult BranchAndBound::solve(const Model& model) const {
 
     // Most-fractional branching variable.
     int branch_var = -1;
-    double branch_frac = options_.int_tol;
+    double branch_frac = kIntTol;
     for (int j : int_vars) {
       const double v = rel.x[j];
       const double frac = std::fabs(v - std::round(v));

@@ -20,8 +20,6 @@
 namespace dls::lp {
 
 struct MilpOptions {
-  SimplexOptions lp;            ///< options for the relaxation solves
-  double int_tol = 1e-6;        ///< how close to an integer counts as integral
   std::int64_t max_nodes = 200000;  ///< search-tree size cap
   double gap_tol = 1e-9;        ///< prune nodes within this of the incumbent
 };

@@ -104,6 +104,14 @@ namespace {
 
 using detail::VarStatus;
 
+/// Bound or row violation treated as zero (scaled by the rhs magnitude
+/// where a check says so).
+constexpr double kFeasTol = 1e-7;
+/// Reduced-cost threshold for optimality.
+constexpr double kOptTol = 1e-9;
+/// Smallest acceptable pivot magnitude.
+constexpr double kPivotTol = 1e-9;
+
 /// Scores that are mathematically tied differ only by representation
 /// noise (dense inverse vs LU arithmetic), so a candidate must beat the
 /// incumbent by this relative margin to take over — ties then resolve by
@@ -295,10 +303,11 @@ private:
       in_phase1_ = true;
       bound_phase1_ = true;
       const SolveStatus st = iterate(max_iters);
+      if (st == SolveStatus::Optimal) check_cb_support();
       in_phase1_ = false;
       bound_phase1_ = false;
       if (st != SolveStatus::Optimal ||
-          bound_infeasibility() > opt_.feas_tol * rhs_scale_)
+          bound_infeasibility() > kFeasTol * rhs_scale_)
         warm_ok = false;
       else
         sol.phase1_iterations = iters_;
@@ -317,7 +326,7 @@ private:
         return sol;
       }
       // Unbounded cannot occur: the phase-1 objective is bounded below by 0.
-      if (infeasibility() > opt_.feas_tol * rhs_scale_) {
+      if (infeasibility() > kFeasTol * rhs_scale_) {
         sol.status = SolveStatus::Infeasible;
         sol.iterations = iters_;
         return sol;
@@ -472,7 +481,7 @@ private:
     need_phase1_ = false;
     for (int i = 0; i < m_; ++i) {
       const int s = n_ + i;
-      const bool fits = r_[i] >= lb_[s] - opt_.feas_tol && r_[i] <= ub_[s] + opt_.feas_tol;
+      const bool fits = r_[i] >= lb_[s] - kFeasTol && r_[i] <= ub_[s] + kFeasTol;
       if (fits) {
         basis_[i] = s;
         xb_[i] = r_[i];
@@ -545,7 +554,7 @@ private:
     stall_ = 0;
     use_bland_ = false;
     need_phase1_ = false;
-    const double tol = opt_.feas_tol * std::max(1.0, rhs_scale_);
+    const double tol = kFeasTol * std::max(1.0, rhs_scale_);
     warm_infeasible_ = false;
     for (int i = 0; i < m_; ++i) {
       const int bvar = basis_[i];
@@ -726,7 +735,7 @@ private:
     if (!in_phase1_) return cost_[basis_[i]];
     if (!bound_phase1_) return basis_[i] >= n_ + m_ ? 1.0 : 0.0;
     const int b = basis_[i];
-    const double tol = opt_.feas_tol * std::max(1.0, rhs_scale_);
+    const double tol = kFeasTol * std::max(1.0, rhs_scale_);
     if (xb_[i] > ub_[b] + tol) return 1.0;
     if (xb_[i] < lb_[b] - tol) return -1.0;
     return 0.0;
@@ -748,6 +757,16 @@ private:
       cb_pos_[i] = static_cast<int>(cb_rows_.size());
       cb_rows_.push_back(i);
     }
+  }
+
+  /// Asserts that every row on the tracked support still carries a
+  /// charge, as the composite bound phase 1 ends: the charges follow the
+  /// basic values, and the support with them (a step's w-pattern rows,
+  /// every mid-phase refactorization). Out of line and cold, so the
+  /// check stays off the solve's hot code.
+  [[gnu::noinline, gnu::cold]] void check_cb_support() const {
+    if (!tracks_cb_support()) return;
+    for (const int i : cb_rows_) DLS_ASSERT(basis_cost(i) != 0.0);
   }
 
   /// O(1) update of c_B's support for row i, whose basic variable or
@@ -827,7 +846,7 @@ private:
   void pick_entering_full(int& q, bool& increase) {
     q = -1;
     increase = true;
-    double best_score = opt_.opt_tol;
+    double best_score = kOptTol;
     for (const int j : movable_) {
       if (status_[j] == VarStatus::Basic) continue;
       double d = current_cost(j);
@@ -835,8 +854,8 @@ private:
       const bool can_up = status_[j] != VarStatus::AtUpper;
       const bool can_down = status_[j] != VarStatus::AtLower;
       if (use_bland_) {
-        if (can_up && d < -opt_.opt_tol) { q = j; increase = true; break; }
-        if (can_down && d > opt_.opt_tol) { q = j; increase = false; break; }
+        if (can_up && d < -kOptTol) { q = j; increase = true; break; }
+        if (can_down && d > kOptTol) { q = j; increase = false; break; }
       } else {
         const double bar = best_score * (1.0 + kTieMargin);
         if (can_up && -d > bar) { best_score = -d; q = j; increase = true; }
@@ -861,7 +880,7 @@ private:
     const int nn = total_;
     int start = phase1_cursor_;
     int examined = 0;
-    double best_score = opt_.opt_tol;
+    double best_score = kOptTol;
     while (examined < nn) {
       const int count = std::min(window_, nn - examined);
       for_each_movable_in_window(start, count, nn, [&](int j) {
@@ -941,8 +960,8 @@ private:
   /// Profitable to move in some allowed direction at the opt tolerance.
   bool attractive(int j) const {
     const double d = d_[j];
-    return (status_[j] != VarStatus::AtUpper && d < -opt_.opt_tol) ||
-           (status_[j] != VarStatus::AtLower && d > opt_.opt_tol);
+    return (status_[j] != VarStatus::AtUpper && d < -kOptTol) ||
+           (status_[j] != VarStatus::AtLower && d > kOptTol);
   }
 
   /// Recomputes the whole reduced-cost vector (one BTRAN + one sweep of
@@ -1324,7 +1343,7 @@ private:
       // pricing step only selects directions that shrink the total
       // violation.
       const double btol =
-          bound_phase1_ ? opt_.feas_tol * std::max(1.0, rhs_scale_) : 0.0;
+          bound_phase1_ ? kFeasTol * std::max(1.0, rhs_scale_) : 0.0;
       double t_best = kInf;
       int leave = -1;  // row index; -1 = entering flips to its other bound
       bool leave_upper = false;  // which bound the leaving basic rests at
@@ -1337,7 +1356,7 @@ private:
       for (int k = 0; k < wn; ++k) {
         const int i = hyper_ ? w_nz_[k] : k;
         const double delta = -dir * w_[i];  // d(x_B[i]) / dt
-        if (std::fabs(delta) <= opt_.pivot_tol) continue;
+        if (std::fabs(delta) <= kPivotTol) continue;
         const int bvar = basis_[i];
         double limit = kInf;
         bool at_upper = false;
@@ -1424,8 +1443,8 @@ private:
 
       if (dense_) {
         update_binv(leave, w_);
-      } else if (hyper_ ? !lu_.update(leave, a_.w, opt_.pivot_tol)
-                        : !lu_.update(leave, w_, opt_.pivot_tol)) {
+      } else if (hyper_ ? !lu_.update(leave, a_.w, kPivotTol)
+                        : !lu_.update(leave, w_, kPivotTol)) {
         // The ratio test guarantees a usable pivot, so this is a pure
         // numerical-drift escape hatch: rebuild from the updated basis.
         if (!refactor_mid_phase()) return SolveStatus::NumericalError;

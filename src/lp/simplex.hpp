@@ -75,9 +75,6 @@ enum class Pricing : unsigned char {
 };
 
 struct SimplexOptions {
-  double feas_tol = 1e-7;    ///< bound/row violation considered zero
-  double opt_tol = 1e-9;     ///< reduced-cost threshold for optimality
-  double pivot_tol = 1e-9;   ///< smallest acceptable pivot magnitude
   int max_iterations = 0;    ///< 0 = automatic (scales with model size)
   /// Pivot cap between refactorizations: numerical-drift bound for the
   /// dense path (which refactors on this fixed interval) and the safety

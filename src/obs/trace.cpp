@@ -15,13 +15,6 @@ TraceRing::~TraceRing() {
   if (sink_ != nullptr) std::fclose(static_cast<std::FILE*>(sink_));
 }
 
-void TraceRing::set_capacity(std::size_t capacity) {
-  std::scoped_lock lock(mutex_);
-  ring_.assign(capacity, TraceSpan{});
-  capacity_ = capacity;
-  head_ = size_ = 0;
-}
-
 void TraceRing::set_sink(const std::string& path) {
   std::scoped_lock lock(mutex_);
   if (sink_ != nullptr) {

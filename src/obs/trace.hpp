@@ -30,9 +30,6 @@ public:
   explicit TraceRing(std::size_t capacity = 1024);
   ~TraceRing();
 
-  /// Drops buffered spans and resizes the ring.
-  void set_capacity(std::size_t capacity);
-
   /// Mirrors subsequent spans to `path` as JSON lines (append mode).
   /// Empty path closes the sink. Throws dls::Error if unwritable.
   void set_sink(const std::string& path);

@@ -10,6 +10,10 @@ namespace dls::online {
 
 namespace {
 
+/// Measured periods of the schedule segment RateModel::Simulated runs
+/// per reschedule (after one warm-up period).
+constexpr int kSimPeriods = 2;
+
 // Single-load mode: a cluster runs at most one application, later
 // arrivals for a busy cluster wait in its FIFO queue, and rates come
 // from the rescheduler over the canonical LP — verbatim (Fluid) or as
@@ -18,11 +22,11 @@ namespace {
 class SingleLoadCore final : public EventCore {
 public:
   SingleLoadCore(const platform::Platform& plat, const OnlineOptions& options)
-      : EventCore(plat, options.load_eps, options.sched),
+      : EventCore(plat, options.sched),
         options_(&options),
         queue_(static_cast<std::size_t>(plat.num_clusters())) {
     sim_options_.policy = options.sim_policy;
-    sim_options_.periods = options.sim_periods;
+    sim_options_.periods = kSimPeriods;
     sim_options_.window_units = options.sim_window_units;
     sim_options_.warmup_periods = 1;
   }
@@ -107,8 +111,6 @@ OnlineReport report_of(const EventCore& core, int arrivals) {
 OnlineEngine::OnlineEngine(const platform::Platform& plat, OnlineOptions options)
     : plat_(&plat), options_(options) {
   require(plat.num_clusters() >= 1, "OnlineEngine: platform has no clusters");
-  require(options_.sim_periods >= 1, "OnlineEngine: sim_periods must be >= 1");
-  require(options_.load_eps > 0.0, "OnlineEngine: load_eps must be positive");
 }
 
 OnlineReport OnlineEngine::run(const Workload& workload) const {
@@ -123,8 +125,8 @@ OnlineReport OnlineEngine::run(const Workload& workload,
   workload.validate(plat_->num_clusters());
   trace.validate(*plat_);
   for (const AppArrival& a : workload.arrivals) {
-    require(a.load > options_.load_eps,
-            "OnlineEngine: application loads must exceed load_eps");
+    require(a.load > kLoadEps,
+            "OnlineEngine: application loads must exceed 1e-6");
     require(!options_.multi_load || a.payoff > 0.0,
             "OnlineEngine: multi-load mode uses payoffs as objective "
             "weights; they must be positive");
@@ -133,7 +135,6 @@ OnlineReport OnlineEngine::run(const Workload& workload,
   if (options_.multi_load) {
     CoreOptions core_options;
     core_options.sched = options_.multi;
-    core_options.load_eps = options_.load_eps;
     MultiLoadCore core(*plat_, core_options);
     ReplayCursor(core, workload, trace).run_to_end();
     return report_of(core, workload.size());

@@ -53,14 +53,11 @@ enum class RateModel {
 struct OnlineOptions {
   ReschedulerOptions sched;
   RateModel rate_model = RateModel::Fluid;
-  /// Sharing policy, segment length and per-connection window (used by
-  /// SharingPolicy::BoundedWindow) for RateModel::Simulated.
+  /// Sharing policy and per-connection window (used by
+  /// SharingPolicy::BoundedWindow) for RateModel::Simulated, which runs
+  /// two measured periods per reschedule.
   sim::SharingPolicy sim_policy = sim::SharingPolicy::MaxMin;
-  int sim_periods = 2;
   double sim_window_units = 50.0;
-  /// Remaining load at or below this is treated as drained (absolute;
-  /// loads are O(100) so this absorbs accumulated drain rounding).
-  double load_eps = 1e-6;
   /// Multi-load mode: every arrival is admitted immediately as a load
   /// in ONE shared LP (the rescheduler's multi-load mode) — clusters
   /// host any number of concurrent applications and no FIFO queues form

@@ -121,7 +121,7 @@ void EventCore::complete_due() {
   std::size_t keep = 0;
   for (std::size_t i = 0; i < active_ids_.size(); ++i) {
     const int app = active_ids_[i];
-    if (remaining_[app] > load_eps_) {
+    if (remaining_[app] > kLoadEps) {
       active_ids_[keep++] = app;
       continue;
     }

@@ -45,6 +45,11 @@
 
 namespace dls::online {
 
+/// Remaining load at or below this counts as drained (absolute: loads
+/// are O(100), so this absorbs accumulated drain rounding). An arrival
+/// must bring more.
+inline constexpr double kLoadEps = 1e-6;
+
 /// Monotonic lifecycle counters (the daemon exports them 1:1).
 struct CoreCounters {
   std::uint64_t arrivals = 0;
@@ -73,9 +78,8 @@ public:
   /// for one application per cluster, MultiReschedulerOptions for the
   /// shared multi-load LP.
   template <class SchedOptions>
-  EventCore(platform::Platform base, double load_eps, const SchedOptions& sched)
-      : dyn_(std::move(base)), load_eps_(load_eps), scheduler_(dyn_.plat(), sched) {
-    require(load_eps_ > 0.0, "load_eps must be positive");
+  EventCore(platform::Platform base, const SchedOptions& sched)
+      : dyn_(std::move(base)), scheduler_(dyn_.plat(), sched) {
     refresh_total_speed();
   }
   virtual ~EventCore() = default;
@@ -147,7 +151,6 @@ protected:
   void retire(int app, AppOutcome outcome);
 
   dynamics::DynamicPlatform dyn_;
-  double load_eps_;
   MultiLoadRescheduler scheduler_;  ///< watches dyn_'s platform
   double now_ = 0.0;
   bool dirty_ = false;  ///< active set or platform changed since the last solve

@@ -18,7 +18,7 @@ const char* to_string(Admit a) {
 }
 
 MultiLoadCore::MultiLoadCore(platform::Platform base, CoreOptions options)
-    : EventCore(std::move(base), options.load_eps, options.sched),
+    : EventCore(std::move(base), options.sched),
       options_(std::move(options)) {
   require(options_.max_loads >= 0, "max_loads cannot be negative");
 }
@@ -29,7 +29,7 @@ MultiLoadCore::ArriveResult MultiLoadCore::arrive(double vt, int cluster,
   require(cluster >= 0 && cluster < plat().num_clusters(),
           "arrival cluster out of range");
   require(payoff > 0.0, "arrival payoff must be positive");
-  require(load > load_eps_, "arrival load must exceed load_eps");
+  require(load > kLoadEps, "arrival load must exceed 1e-6");
   advance_to(vt);
   const int id = record_arrival(vt, cluster, payoff, load);
   names_.push_back(std::move(name));

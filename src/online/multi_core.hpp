@@ -36,8 +36,6 @@ struct CoreOptions {
   /// Admission budget: reject arrivals once this many loads are active.
   /// 0 means unlimited.
   int max_loads = 0;
-  /// A load counts as drained when remaining <= load_eps.
-  double load_eps = 1e-6;
 };
 
 class MultiLoadCore : public EventCore {
@@ -51,7 +49,7 @@ public:
 
   /// A load arrives at vt with `load` units homed on `cluster`,
   /// objective weight `payoff`. Throws dls::Error on invalid arguments
-  /// (out-of-range cluster, non-positive payoff, load <= load_eps).
+  /// (out-of-range cluster, non-positive payoff, load <= kLoadEps).
   ArriveResult arrive(double vt, int cluster, double payoff, double load,
                       std::string name = "");
   void replay_arrival(const AppArrival& a) override {

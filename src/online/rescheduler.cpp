@@ -68,7 +68,6 @@ MultiLoadRescheduler::MultiLoadRescheduler(const platform::Platform& plat,
 namespace {
 MultiReschedulerOptions single_load_posture(const ReschedulerOptions& options) {
   MultiReschedulerOptions out;
-  out.solve.lp = options.lp;
   out.warm = options.warm;
   return out;
 }

@@ -81,7 +81,6 @@ struct ReschedulerOptions {
   Method method = Method::Greedy;
   core::Objective objective = core::Objective::MaxMin;
   WarmPolicy warm = WarmPolicy::Auto;
-  lp::SimplexOptions lp;
   core::GreedyOptions greedy;
 };
 
@@ -196,7 +195,7 @@ private:
   const platform::Platform* plat_;
   MultiReschedulerOptions options_;
   /// Single-load mode's method, objective and greedy controls; empty in
-  /// multi-load mode. (Its lp controls live in options_.solve.lp.)
+  /// multi-load mode. (The solver runs on options_.solve.lp.)
   std::optional<ReschedulerOptions> single_;
   /// Slot universe (every mode but multi-load MaxMin): per-cluster slot
   /// counts, the cluster-major base index of each cluster's slots, and

@@ -381,10 +381,7 @@ DaemonReport Daemon::run() {
   require(options_.replay_speed >= 0.0, "serve: --replay-speed cannot be negative");
   options_.replay.validate(engine_.plat().num_clusters());
   options_.events.validate(engine_.plat());
-  if (!options_.trace_file.empty()) {
-    obs::trace_ring().set_capacity(options_.trace_capacity);
-    obs::trace_ring().set_sink(options_.trace_file);
-  }
+  if (!options_.trace_file.empty()) obs::trace_ring().set_sink(options_.trace_file);
   daemon_obs().draining.set(0.0);
 
   EventLoop loop(options_.port, options_.port_file);

@@ -47,7 +47,6 @@ struct DaemonOptions {
   bool exit_after_replay = false;  ///< drain and stop once the replay is done
 
   std::string trace_file;        ///< JSONL span sink ("" = none)
-  std::size_t trace_capacity = 1024;
   double drain_grace = 0.0;  ///< min wall seconds to keep serving while draining
 
   /// Polled once per loop; true requests a drain (the CLI wires this to

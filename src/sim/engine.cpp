@@ -1,22 +1,12 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace dls::sim {
 
-namespace {
-
-/// Completion slack mirroring the pre-refactor loop: an item whose
-/// remaining work dips below this is considered done.
-inline bool is_done(double remaining, double rate) {
-  return remaining <= 1e-9 * (1.0 + rate);
-}
-
-}  // namespace
-
-SimEngine::SimEngine(std::vector<double> capacities, EngineKind kind)
-    : capacities_(std::move(capacities)), kind_(kind) {
+SimEngine::SimEngine(std::vector<double> capacities)
+    : capacities_(std::move(capacities)) {
   for (double c : capacities_)
     require(c > 0.0 && std::isfinite(c), "SimEngine: bad resource capacity");
   res_live_.resize(capacities_.size());
@@ -67,9 +57,8 @@ void SimEngine::begin_period(const std::vector<EngineItem>& items) {
   if (num_live_ == 0) return;
 
   solve_every_live();
-  if (kind_ == EngineKind::Incremental)
-    for (int i = 0; i < n; ++i)
-      if (ents_[i].alive) push_event(i);
+  for (int i = 0; i < n; ++i)
+    if (ents_[i].alive) push_event(i);
 }
 
 void SimEngine::solve_every_live() {
@@ -92,37 +81,6 @@ void SimEngine::push_event(int item) {
   Entity& e = ents_[item];
   DLS_ASSERT(e.rate > 0.0);  // max-min gives every live item positive rate
   calendar_.push({e.last_sync + e.remaining / e.rate, item, e.version});
-}
-
-std::optional<double> SimEngine::step() {
-  return kind_ == EngineKind::Incremental ? step_incremental() : step_rescan();
-}
-
-std::optional<double> SimEngine::step_rescan() {
-  if (num_live_ == 0) return std::nullopt;
-  // Earliest completion at current rates (full O(live) scan, as the
-  // pre-refactor loop did).
-  double dt = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < static_cast<int>(items_.size()); ++i)
-    if (ents_[i].alive && ents_[i].rate > 0.0)
-      dt = std::min(dt, ents_[i].remaining / ents_[i].rate);
-  DLS_ASSERT(std::isfinite(dt));
-  now_ += dt;
-
-  // Advance everyone; batch all simultaneous completions into this step.
-  for (int i = 0; i < static_cast<int>(items_.size()); ++i) {
-    Entity& e = ents_[i];
-    if (!e.alive) continue;
-    e.remaining -= e.rate * dt;
-    e.last_sync = now_;
-    if (is_done(e.remaining, e.rate)) {
-      e.alive = false;
-      --num_live_;
-      ++stats_.events;
-    }
-  }
-  if (num_live_ > 0) solve_every_live();
-  return now_;
 }
 
 void SimEngine::collect_component(int seed_item) {
@@ -153,7 +111,7 @@ void SimEngine::collect_component(int seed_item) {
   }
 }
 
-std::optional<double> SimEngine::step_incremental() {
+std::optional<double> SimEngine::step() {
   // Pop the next valid event; skip entries invalidated by rate changes.
   int completed = -1;
   while (!calendar_.empty()) {

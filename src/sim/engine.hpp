@@ -1,8 +1,8 @@
 // Reusable simulation engine for fluid bandwidth-sharing execution.
 //
-// This layer replaces the original per-event from-scratch loop (rebuild a
-// FairShareProblem and re-run progressive filling after every completion)
-// with persistent solver state:
+// The engine keeps solver state alive across the events of a period
+// instead of rebuilding a FairShareProblem and re-running progressive
+// filling after every completion:
 //
 //   * per-resource tables of the live entities (and their total weight)
 //     are kept alive across events and updated by deltas when an entity
@@ -18,16 +18,14 @@
 //     (dirty-set propagation) and skips the solve outright when every
 //     affected entity already sits at its individual cap.
 //
-// The original algorithm is preserved as EngineKind::Rescan, both as a
-// cross-check oracle for tests and as the reference the incremental
-// engine's counters are compared against.
+// The from-scratch loop (one full progressive-filling pass per event)
+// lives in tests/sim as the oracle this engine is checked against.
 //
-// Sharing models (how items translate into rate caps and weights) are
-// policy objects (SharingModel), so new models — bounded-window TCP,
-// RTT-biased variants — plug in without touching the engine.
+// How items translate into rate caps and weights (the sharing policy) is
+// the simulator's business (simulator.cpp); the engine sees only sizes,
+// resources, caps and weights.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -59,95 +57,6 @@ struct PeriodStats {
   std::int64_t partial_solves = 0;
 };
 
-/// Which execution core drives a period.
-enum class EngineKind {
-  /// Pre-refactor reference: full progressive-filling pass per event.
-  Rescan,
-  /// Event calendar + component-limited delta re-solves (the default).
-  Incremental,
-};
-
-// ---- sharing-model policy ---------------------------------------------------
-
-/// What the simulator knows about an item when shaping it for the engine.
-struct ItemContext {
-  bool is_flow = false;
-  double reserved_rate = 0.0;  ///< units / T_p, the schedule's fluid rate
-  double rtt = 0.0;            ///< 2 * one-way route latency (flows only)
-  int connections = 0;         ///< opened connections (flows only)
-  /// Effective per-connection bottleneck bandwidth along the route (after
-  /// max-connect admission scaling); +inf when no backbone link is crossed.
-  double pbw = FairShareProblem::kNoCap;
-};
-
-/// Extra rate cap and share weight a sharing model assigns to one item.
-/// The engine enforces cap in addition to the structural connection cap
-/// (connections * pbw).
-struct ItemShaping {
-  double weight = 1.0;
-  double cap = FairShareProblem::kNoCap;
-};
-
-/// A sharing model decides how items draw rate within a period. Stateless
-/// and const: one instance may shape many simulations concurrently.
-class SharingModel {
-public:
-  virtual ~SharingModel() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
-  [[nodiscard]] virtual ItemShaping shape(const ItemContext& ctx) const = 0;
-};
-
-/// Every item throttled to its reserved fluid rate (§3.2 feasibility
-/// argument): a valid schedule completes exactly at the period boundary.
-class PacedSharing final : public SharingModel {
-public:
-  [[nodiscard]] const char* name() const override { return "paced"; }
-  [[nodiscard]] ItemShaping shape(const ItemContext& ctx) const override {
-    return {1.0, ctx.reserved_rate};
-  }
-};
-
-/// Work-conserving max-min fair sharing (TCP-like, no bias).
-class MaxMinSharing final : public SharingModel {
-public:
-  [[nodiscard]] const char* name() const override { return "maxmin"; }
-  [[nodiscard]] ItemShaping shape(const ItemContext&) const override { return {}; }
-};
-
-/// Max-min sharing with TCP's RTT bias: flow weight 1 / max(rtt, floor).
-class TcpRttBiasSharing final : public SharingModel {
-public:
-  explicit TcpRttBiasSharing(double rtt_floor) : rtt_floor_(rtt_floor) {}
-  [[nodiscard]] const char* name() const override { return "tcp-rtt-bias"; }
-  [[nodiscard]] ItemShaping shape(const ItemContext& ctx) const override {
-    if (!ctx.is_flow) return {};
-    return {1.0 / std::max(ctx.rtt, rtt_floor_), FairShareProblem::kNoCap};
-  }
-
-private:
-  double rtt_floor_;
-};
-
-/// Bounded-window TCP: each connection keeps at most `window` units in
-/// flight, so a flow's rate is additionally capped at
-/// connections * window / rtt — the classical W/RTT throughput ceiling.
-/// On latency-free routes the cap is governed by the RTT floor alone.
-class BoundedWindowSharing final : public SharingModel {
-public:
-  BoundedWindowSharing(double window, double rtt_floor)
-      : window_(window), rtt_floor_(rtt_floor) {}
-  [[nodiscard]] const char* name() const override { return "bounded-window"; }
-  [[nodiscard]] ItemShaping shape(const ItemContext& ctx) const override {
-    if (!ctx.is_flow) return {};
-    const double rtt = std::max(ctx.rtt, rtt_floor_);
-    return {1.0, ctx.connections * window_ / rtt};
-  }
-
-private:
-  double window_;
-  double rtt_floor_;
-};
-
 // ---- engine -----------------------------------------------------------------
 
 /// Executes periods of work items over a fixed set of shared resources.
@@ -159,18 +68,16 @@ private:
 /// every event; simulate_schedule uses run_period().
 class SimEngine {
 public:
-  explicit SimEngine(std::vector<double> capacities,
-                     EngineKind kind = EngineKind::Incremental);
+  explicit SimEngine(std::vector<double> capacities);
 
   /// Loads one period of work and computes initial rates. Items of zero
   /// size complete immediately. Items with positive size must have a
   /// positive cap or use at least one resource.
   void begin_period(const std::vector<EngineItem>& items);
 
-  /// Advances to the next completion event; returns its absolute time
-  /// within the period, or nullopt when no live work remains. (Rescan
-  /// batches simultaneous completions into one step, matching the
-  /// pre-refactor loop; Incremental pops one completion per step.)
+  /// Advances to the next completion event (one completion per step);
+  /// returns its absolute time within the period, or nullopt when no
+  /// live work remains.
   std::optional<double> step();
 
   /// Drives the loaded period to completion and returns its stats.
@@ -185,7 +92,6 @@ public:
   void set_capacity(int resource, double value);
 
   [[nodiscard]] const std::vector<double>& capacities() const { return capacities_; }
-  [[nodiscard]] EngineKind kind() const { return kind_; }
   [[nodiscard]] int num_items() const { return static_cast<int>(items_.size()); }
   [[nodiscard]] int num_live() const { return num_live_; }
   [[nodiscard]] bool is_live(int item) const { return ents_[item].alive; }
@@ -213,14 +119,11 @@ private:
 
   void solve_every_live();
   void push_event(int item);
-  std::optional<double> step_incremental();
-  std::optional<double> step_rescan();
   /// Collects the connected component around `seed_item`'s resources into
   /// comp_items_/comp_resources_ (excluding completed entities).
   void collect_component(int seed_item);
 
   std::vector<double> capacities_;
-  EngineKind kind_;
 
   // ---- per-period state (buffers persist across periods) ----
   std::vector<EngineItem> items_;

@@ -14,6 +14,41 @@ namespace {
 /// period; its overrun then diverges, which is the observable symptom.
 constexpr double kMinAdmission = 1e-6;
 
+/// Minimum RTT under TcpRttBias/BoundedWindow: keeps the weight and the
+/// cap finite on zero-latency routes and models host processing delay.
+constexpr double kRttFloor = 1e-3;
+
+/// The share weight and extra rate cap the sharing policy gives one
+/// item. The engine enforces the cap on top of a flow's connection cap
+/// (connections * pbw).
+struct Shaping {
+  double weight = 1.0;
+  double cap = FairShareProblem::kNoCap;
+};
+
+/// A flow of `connections` connections over a route of round-trip time
+/// `rtt`, reserved `reserved_rate` units / T_p by the schedule.
+Shaping shape_flow(const SimOptions& options, double reserved_rate, double rtt,
+                   int connections) {
+  switch (options.policy) {
+    case SharingPolicy::Paced:
+      return {1.0, reserved_rate};
+    case SharingPolicy::MaxMin:
+      return {};
+    case SharingPolicy::TcpRttBias:
+      return {1.0 / std::max(rtt, kRttFloor), FairShareProblem::kNoCap};
+    case SharingPolicy::BoundedWindow:
+      return {1.0, connections * options.window_units / std::max(rtt, kRttFloor)};
+  }
+  throw Error("simulate_schedule: unknown policy");
+}
+
+/// A compute job: only Paced throttles it, to its reserved rate.
+Shaping shape_job(const SimOptions& options, double reserved_rate) {
+  if (options.policy == SharingPolicy::Paced) return {1.0, reserved_rate};
+  return {};
+}
+
 std::vector<double> link_admission_factors(const platform::Platform& plat,
                                            const core::PeriodicSchedule& schedule,
                                            const std::vector<double>& link_maxcon) {
@@ -63,29 +98,14 @@ void check_revisions(const SimOptions& options, const platform::Platform& plat) 
 
 }  // namespace
 
-std::unique_ptr<SharingModel> make_sharing_model(SharingPolicy policy,
-                                                 const SimOptions& options) {
-  switch (policy) {
-    case SharingPolicy::Paced:
-      return std::make_unique<PacedSharing>();
-    case SharingPolicy::MaxMin:
-      return std::make_unique<MaxMinSharing>();
-    case SharingPolicy::TcpRttBias:
-      return std::make_unique<TcpRttBiasSharing>(options.rtt_floor);
-    case SharingPolicy::BoundedWindow:
-      require(options.window_units > 0.0 && std::isfinite(options.window_units),
-              "make_sharing_model: window_units must be positive");
-      return std::make_unique<BoundedWindowSharing>(options.window_units,
-                                                    options.rtt_floor);
-  }
-  throw Error("make_sharing_model: unknown policy");
-}
-
 SimReport simulate_schedule(const core::SteadyStateProblem& problem,
                             const core::PeriodicSchedule& schedule,
                             const SimOptions& options) {
   require(options.periods >= 1 && options.warmup_periods >= 0,
           "simulate_schedule: invalid options");
+  require(options.policy != SharingPolicy::BoundedWindow ||
+              (options.window_units > 0.0 && std::isfinite(options.window_units)),
+          "simulate_schedule: window_units must be positive");
   const platform::Platform& plat = problem.plat();
   const int n = plat.num_clusters();
   check_revisions(options, plat);
@@ -109,12 +129,6 @@ SimReport simulate_schedule(const core::SteadyStateProblem& problem,
     capacities[n + k] = std::max(plat.cluster(k).speed, 1e-12);
   }
 
-  std::unique_ptr<SharingModel> preset;
-  const SharingModel* model = options.model;
-  if (model == nullptr) {
-    preset = make_sharing_model(options.policy, options);
-    model = preset.get();
-  }
   const auto period_length = static_cast<double>(schedule.period);
 
   // Template work items for one period, priced at the current link
@@ -132,13 +146,9 @@ SimReport simulate_schedule(const core::SteadyStateProblem& problem,
       double pbw = std::numeric_limits<double>::infinity();
       for (platform::LinkId li : plat.route(tr.from, tr.to))
         pbw = std::min(pbw, link_bw[li] * admission[li]);
-      ItemContext ctx;
-      ctx.is_flow = true;
-      ctx.reserved_rate = item.size / period_length;
-      ctx.rtt = 2.0 * plat.route_latency(tr.from, tr.to);
-      ctx.connections = tr.connections;
-      ctx.pbw = pbw;
-      const ItemShaping shaping = model->shape(ctx);
+      const Shaping shaping =
+          shape_flow(options, item.size / period_length,
+                     2.0 * plat.route_latency(tr.from, tr.to), tr.connections);
       const double connection_cap =
           std::isfinite(pbw) ? tr.connections * pbw : FairShareProblem::kNoCap;
       item.cap = std::min(connection_cap, shaping.cap);
@@ -149,9 +159,7 @@ SimReport simulate_schedule(const core::SteadyStateProblem& problem,
       EngineItem item;
       item.size = static_cast<double>(ct.units);
       item.resources = {n + ct.on_cluster};
-      ItemContext ctx;
-      ctx.reserved_rate = item.size / period_length;
-      const ItemShaping shaping = model->shape(ctx);
+      const Shaping shaping = shape_job(options, item.size / period_length);
       item.cap = shaping.cap;
       item.weight = shaping.weight;
       period_items.push_back(std::move(item));
@@ -162,7 +170,7 @@ SimReport simulate_schedule(const core::SteadyStateProblem& problem,
   SimReport report;
   report.throughput.assign(n, 0.0);
 
-  SimEngine engine(std::move(capacities), options.engine);
+  SimEngine engine(std::move(capacities));
   const int total_periods = options.warmup_periods + options.periods;
   double measured_time = 0.0;
   double max_duration = 0.0;

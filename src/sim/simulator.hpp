@@ -6,9 +6,10 @@
 // max-min fair share of the two gateway links it crosses) and every
 // compute chunk becomes a job sharing its cluster's CPU. Events are flow
 // and job completions; rates are re-solved at each event (progressive
-// filling, see fair_share.hpp) by the engine layer (engine.hpp), which by
-// default applies component-limited delta re-solves driven by an event
-// calendar instead of a from-scratch pass per event.
+// filling, see fair_share.hpp) by the engine layer (engine.hpp), which
+// applies component-limited delta re-solves driven by an event calendar
+// instead of a from-scratch pass per event. The sharing policy decides
+// each item's rate cap and share weight before the engine sees it.
 //
 // Backbone max-connect limits are enforced: when a schedule opens more
 // connections across a link than the link admits, every connection on
@@ -22,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -31,9 +31,7 @@
 
 namespace dls::sim {
 
-/// How flows and jobs draw rate within a period. These are presets for
-/// the SharingModel policy objects in engine.hpp; pass a custom model via
-/// SimOptions::model to go beyond them.
+/// How flows and jobs draw rate within a period.
 enum class SharingPolicy {
   /// Every item is throttled to its reserved rate units/T_p — the fluid
   /// execution the paper's §3.2 feasibility argument implies. A valid
@@ -46,14 +44,14 @@ enum class SharingPolicy {
   /// bench_sim_validation experiment quantifies.
   MaxMin,
   /// Max-min sharing with TCP's RTT bias: each flow's share weight is
-  /// 1 / (2 * route latency + rtt_floor), so long-haul flows lose
+  /// 1 / max(2 * route latency, 1 ms), so long-haul flows lose
   /// gateway contention the way long-RTT TCP connections do. This is the
   /// paper's §7 "more realistic network model" direction. Identical to
   /// MaxMin on latency-free platforms.
   TcpRttBias,
   /// Max-min sharing with the classical W/RTT ceiling: each connection
   /// keeps at most SimOptions::window_units in flight, capping a flow at
-  /// connections * window / rtt on top of fair sharing.
+  /// connections * window / max(rtt, 1 ms) on top of fair sharing.
   BoundedWindow,
 };
 
@@ -83,17 +81,8 @@ struct SimOptions {
   /// Capacity revisions applied at period boundaries, sorted by
   /// at_period (simulate_schedule validates the order).
   std::vector<CapacityRevision> revisions;
-  /// Minimum RTT under TcpRttBias/BoundedWindow (avoids infinite weight
-  /// or cap on zero-latency routes and models host processing delay).
-  double rtt_floor = 1e-3;
   /// Per-connection in-flight load under BoundedWindow.
   double window_units = 50.0;
-  /// Execution core (see engine.hpp); Rescan reproduces the pre-refactor
-  /// full-pass-per-event loop for cross-checking.
-  EngineKind engine = EngineKind::Incremental;
-  /// Custom sharing model; overrides `policy` when set (non-owning, must
-  /// outlive the call).
-  const SharingModel* model = nullptr;
 };
 
 struct SimReport {
@@ -106,19 +95,13 @@ struct SimReport {
   double worst_overrun_ratio = 0.0;
   std::int64_t flows_completed = 0;
   std::int64_t jobs_completed = 0;
-  /// Full progressive-filling passes over every live item (under the
-  /// incremental engine: period-start solves plus dirty sets that spanned
-  /// the whole live set).
+  /// Full progressive-filling passes over every live item: period-start
+  /// solves plus dirty sets that spanned the whole live set.
   std::int64_t rate_recomputations = 0;
-  /// Component-limited re-solves done instead of full passes (always 0
-  /// under EngineKind::Rescan).
+  /// Component-limited re-solves done instead of full passes.
   std::int64_t partial_recomputations = 0;
   std::int64_t events = 0;  ///< item completions across all periods
 };
-
-/// The SharingModel preset behind a SharingPolicy value.
-[[nodiscard]] std::unique_ptr<SharingModel> make_sharing_model(
-    SharingPolicy policy, const SimOptions& options);
 
 /// Executes the schedule for warmup + measured periods and reports
 /// achieved steady-state throughput per application. The schedule should

@@ -202,9 +202,6 @@ TEST(CampaignRunner, RejectsBadRunnerOptions) {
   opt = {};
   opt.jobs = -1;
   EXPECT_THROW((void)run_campaign(spec, opt), Error);
-  opt = {};
-  opt.chunk = 0;
-  EXPECT_THROW((void)run_campaign(spec, opt), Error);
 }
 
 TEST(CampaignRunner, MissingReferencedFileThrows) {
@@ -321,23 +318,10 @@ TEST(CampaignRunner, SimWindowUnitsReachTheEngine) {
   EXPECT_NE(a.str(), b.str());
 }
 
-TEST(CampaignRunner, ChunkSizeNeverChangesTheReport) {
-  const ScenarioSpec spec = mixed_spec();
-  std::ostringstream a, b;
-  RunnerOptions opt;
-  opt.jobs = 4;
-  opt.chunk = 1;
-  write_report_json(run_campaign(spec, opt), a);
-  opt.chunk = 5;
-  write_report_json(run_campaign(spec, opt), b);
-  EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(CampaignRunner, ExhaustUnitsInvariantToJobsChunkAndShards) {
+TEST(CampaignRunner, ExhaustUnitsInvariantToJobsAndShards) {
   // 80 replications with exhaust take/drop: every offline case runs
-  // with its drop sibling as one two-case unit. Every worker count and
-  // chunk must reproduce the --jobs 1 report and case stream bit for
-  // bit, a 2-way and a 3-way shard union must reproduce the unsharded
+  // with its drop sibling as one two-case unit. Every worker count must
+  // reproduce the --jobs 1 report and case stream bit for bit, a 2-way and a 3-way shard union must reproduce the unsharded
   // stream, and no shard may split a unit.
   const ScenarioSpec spec = from_text(
       "dls-campaign 1\n"
@@ -366,10 +350,10 @@ TEST(CampaignRunner, ExhaustUnitsInvariantToJobsChunkAndShards) {
   std::string json1;
   const std::string cases1 = stream({.jobs = 1}, &json1);
   EXPECT_EQ(std::count(cases1.begin(), cases1.end(), '\n'), 160);
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
-    std::string json3;
-    EXPECT_EQ(stream({.jobs = 3, .chunk = chunk}, &json3), cases1) << chunk;
-    EXPECT_EQ(json3, json1) << "chunk " << chunk;
+  for (const int jobs : {2, 3}) {
+    std::string json_n;
+    EXPECT_EQ(stream({.jobs = jobs}, &json_n), cases1) << "jobs " << jobs;
+    EXPECT_EQ(json_n, json1) << "jobs " << jobs;
   }
 
   const auto sorted_lines = [](const std::string& text) {

@@ -469,6 +469,15 @@ TEST(Cli, DynamicsRejectsBadOptions) {
                  "--frobnicate", "1"}).code, 1);
 }
 
+TEST(Cli, ServeRejectsOutOfRangePort) {
+  // A port outside 0..65535 fails instead of wrapping to another port.
+  for (const char* port : {"65536", "-1"}) {
+    const CliRun r = run({"serve", "--clusters", "3", "--port", port});
+    EXPECT_EQ(r.code, 1) << port;
+    EXPECT_NE(r.err.find("--port: port out of range"), std::string::npos) << r.err;
+  }
+}
+
 TEST(Cli, ServeSpeedIsClusterSpeedAndReplaySpeedPacesReplay) {
   // `--speed` is the generated clusters' speed on `dls serve` exactly as
   // on `dls online`; the replay pace has its own flag. A generated

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -499,6 +500,119 @@ TEST(SimplexPricing, HypersparseToggleIsBitIdenticalOnSlotChain) {
   }
   EXPECT_GT(bound_repairs, 0);  // the composite bound phase 1 ran warm
   EXPECT_GT(basis_repairs, 0);  // the re-priced matrix repaired the basis
+}
+
+// ---- c_B's support on the hypersparse route --------------------------------
+//
+// The hypersparse pricing route keeps the rows of nonzero basic cost as
+// solver state. In the composite bound phase 1 a charge follows its
+// basic value, so two updates keep the support exact besides the
+// leaving row's: each row of w's pattern after a step, and a rebuild
+// after a mid-phase refactorization recomputes every basic value. The
+// phase checks when it ends that every support row still carries a
+// charge. The two tests below reach each update; without it the stale
+// row trips the check. Both arms run the same capsule chain with hypersparse on and
+// off, which must stay bit-identical.
+
+/// Solves `base` cold into a capsule, then `cut` warm from it, under
+/// `opt` with the hypersparse toggle on and off.
+std::pair<Solution, Solution> warm_pair(const Model& base, const Model& cut,
+                                        SimplexOptions base_opt, SimplexOptions opt) {
+  Solution out[2];
+  for (const bool hyper : {true, false}) {
+    base_opt.hypersparse = opt.hypersparse = hyper;
+    WarmState state;
+    EXPECT_EQ(SimplexSolver(base_opt).solve(base, &state).status, SolveStatus::Optimal);
+    out[hyper ? 0 : 1] = SimplexSolver(opt).solve(cut, &state);
+  }
+  return {out[0], out[1]};
+}
+
+TEST(SimplexCbSupport, BoundPhase1StepDropsANonLeavingCharge) {
+  // max x1 + x2 with z competing for both rows: the optimum x1 = x2 = 10
+  // leaves z nonbasic. Tightened to x1, x2 <= 6, both basics sit 4 over
+  // their bounds. z lowers them at the same rate, so the step that lets
+  // x1 leave at its bound lands x2 on its bound too: row 1 is in w's
+  // pattern, does not leave, and loses its charge.
+  Model m;
+  m.set_sense(Sense::Maximize);
+  const int x1 = m.add_variable(0.0, kInf, 1.0);
+  const int x2 = m.add_variable(0.0, kInf, 1.0);
+  const int z = m.add_variable(0.0, kInf, 0.0);
+  m.add_constraint({{x1, 1.0}, {z, 1.0}}, Relation::LessEqual, 10.0);
+  m.add_constraint({{x2, 1.0}, {z, 1.0}}, Relation::LessEqual, 10.0);
+  Model cut = m;
+  cut.set_bounds(x1, 0.0, 6.0);
+  cut.set_bounds(x2, 0.0, 6.0);
+
+  SimplexOptions opt;
+  opt.factorization = Factorization::SparseLu;
+  const auto [hyper, dense] = warm_pair(m, cut, opt, opt);
+  expect_same_solve(hyper, dense, "tie step");
+  EXPECT_EQ(hyper.warm_kind, WarmKind::Capsule);
+  EXPECT_EQ(hyper.phase1_iterations, 1);  // one step repairs both rows
+  EXPECT_EQ(hyper.x, (std::vector<double>{6.0, 6.0, 4.0}));
+}
+
+TEST(SimplexCbSupport, MidPhaseRefactorizationMovesACharge) {
+  // x1 + x2 = 10 and x1 + (1 + d) x2 = 10 + 3d pin x1 = 7, x2 = 3 through
+  // an ill-conditioned block; y + u <= 5 is separate. The capsule keeps
+  // its eta file, so a warm restore computes x2 through the etas; a
+  // refactorization after every pivot recomputes it through a fresh LU,
+  // a few ulps away. Tightening y to 2 starts the composite bound phase
+  // 1, whose one pivot (u enters) leaves x2's row alone; the
+  // refactorization after it is the only thing that moves x2.
+  const double d = 1e-7;
+  const double rhs = 10.0 + 3.0 * d;
+  Model m;
+  m.set_sense(Sense::Maximize);
+  const int x1 = m.add_variable(0.0, kInf, 1.0);
+  const int x2 = m.add_variable(0.0, kInf, 1.0);
+  const int y = m.add_variable(0.0, kInf, 1.0);
+  const int u = m.add_variable(0.0, kInf, 0.0);
+  m.add_constraint({{x1, 1.0}, {x2, 1.0}}, Relation::Equal, 10.0);
+  m.add_constraint({{x1, 1.0}, {x2, 1.0 + d}}, Relation::Equal, rhs);
+  m.add_constraint({{y, 1.0}, {u, 1.0}}, Relation::LessEqual, 5.0);
+  Model cut = m;
+  cut.set_bounds(y, 0.0, 2.0);
+
+  SimplexOptions base_opt;
+  base_opt.factorization = Factorization::SparseLu;
+  base_opt.capsule_eta_fill = -1.0;  // the capsule carries its etas
+  SimplexOptions opt = base_opt;
+  opt.refactor_fill = 1e-9;  // refactorize after every pivot
+
+  // Calibration: x2 as restored (the capsule's basic value, which the
+  // cold solve reports) and as recomputed (the warm solve ends on the
+  // refactorization).
+  WarmState state;
+  const double restored = SimplexSolver(base_opt).solve(m, &state).x[x2];
+  const double recomputed = SimplexSolver(opt).solve(cut, &state).x[x2];
+  ASSERT_NE(restored, recomputed) << "the refactorization no longer moves x2";
+
+  // Put x2's violation threshold (bound -/+ 1e-7 * largest rhs) exactly
+  // on the recomputed value: the restored value lies beyond it, so x2
+  // starts charged and the refactorization clears the charge. The
+  // bound keeps the recomputed violation within tolerance, so the
+  // repair succeeds.
+  const double tol = 1e-7 * rhs;
+  const bool above = restored > recomputed;
+  double bound = above ? recomputed - tol : recomputed + tol;
+  if ((above ? recomputed - bound : bound - recomputed) > tol)
+    bound = std::nextafter(bound, recomputed);
+  ASSERT_EQ(above ? bound + tol : bound - tol, recomputed);
+  if (above) {
+    cut.set_bounds(x2, 0.0, bound);
+  } else {
+    cut.set_bounds(x2, bound, kInf);
+  }
+
+  const auto [hyper, dense] = warm_pair(m, cut, base_opt, opt);
+  expect_same_solve(hyper, dense, "mid-phase refactorization");
+  EXPECT_EQ(hyper.warm_kind, WarmKind::Capsule);
+  EXPECT_EQ(hyper.phase1_iterations, 1);
+  EXPECT_EQ(hyper.x[x2], bound);  // within tolerance, reported on its bound
+  EXPECT_EQ(hyper.x[u], 3.0);
 }
 
 }  // namespace

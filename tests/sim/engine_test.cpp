@@ -2,12 +2,15 @@
 // its live allocation must stay weighted-max-min fair after every event
 // (progressive filling is only re-run over dirty components, so this is
 // the property the component decomposition has to preserve), and the
-// Rescan reference engine must agree with it end to end.
+// from-scratch rescan loop below must agree with it end to end, on
+// random workloads, on pipeline-shaped ones and through simulate_schedule.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/heuristics.hpp"
 #include "core/schedule.hpp"
@@ -53,6 +56,99 @@ RandomWorkload random_workload(Rng& rng) {
   return w;
 }
 
+/// Pipeline-shaped engine workload, the items simulate_schedule builds:
+/// clusters own a gateway resource (index c) and a CPU resource (index
+/// n + c); flows cross two distinct gateways under a connection cap
+/// (connections * pbw) and an RTT share weight 1 / max(rtt, 1 ms), some
+/// with a window cap; jobs use one CPU, some paced to a reserved rate.
+RandomWorkload pipeline_workload(Rng& rng) {
+  RandomWorkload w;
+  const int n = static_cast<int>(rng.uniform_int(2, 7));
+  for (int c = 0; c < n; ++c) w.capacities.push_back(rng.uniform(50.0, 250.0));
+  for (int c = 0; c < n; ++c) w.capacities.push_back(rng.uniform(20.0, 120.0));
+  const int num_flows = static_cast<int>(rng.uniform_int(1, 3 * n));
+  for (int i = 0; i < num_flows; ++i) {
+    EngineItem flow;
+    flow.size = rng.uniform(1.0, 60.0);
+    const int from = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
+    const int to = (from + 1 + static_cast<int>(rng.index(static_cast<std::size_t>(n - 1)))) % n;
+    flow.resources = {from, to};
+    const int connections = static_cast<int>(rng.uniform_int(1, 8));
+    flow.cap = connections * rng.uniform(2.0, 30.0);
+    const double rtt = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.002, 0.2);
+    if (rng.bernoulli(0.5)) flow.weight = 1.0 / std::max(rtt, 1e-3);
+    if (rng.bernoulli(0.2))
+      flow.cap = std::min(flow.cap, connections * 5.0 / std::max(rtt, 1e-3));
+    w.items.push_back(std::move(flow));
+  }
+  for (int c = 0; c < n; ++c) {
+    if (rng.bernoulli(0.2)) continue;
+    EngineItem job;
+    job.size = rng.uniform(1.0, 100.0);
+    job.resources = {n + c};
+    if (rng.bernoulli(0.3)) job.cap = job.size;  // paced: T_p = 1
+    w.items.push_back(std::move(job));
+  }
+  return w;
+}
+
+/// The from-scratch loop the incremental engine replaced, kept as its
+/// oracle: every step advances to the earliest completion at current
+/// rates (an O(live) scan), batches all simultaneous completions into
+/// that step and re-runs progressive filling over every live item.
+PeriodStats rescan_period(const std::vector<double>& capacities,
+                          const std::vector<EngineItem>& items) {
+  const std::size_t n = items.size();
+  std::vector<double> remaining(n), rate(n, 0.0);
+  std::vector<char> alive(n, 0);
+  int live = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    remaining[i] = items[i].size;
+    if (items[i].size > 0.0) {
+      alive[i] = 1;
+      ++live;
+    }
+  }
+  PeriodStats stats;
+  const auto solve_every_live = [&] {
+    FairShareProblem p;
+    p.capacity = capacities;
+    std::vector<std::size_t> ids;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!alive[i]) continue;
+      ids.push_back(i);
+      p.entities.push_back({items[i].resources, items[i].cap, items[i].weight});
+    }
+    const std::vector<double> rates = max_min_fair_rates(p);
+    for (std::size_t j = 0; j < ids.size(); ++j) rate[ids[j]] = rates[j];
+    ++stats.full_solves;
+  };
+  if (live > 0) solve_every_live();
+  double now = 0.0;
+  while (live > 0) {
+    double dt = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i)
+      if (alive[i] && rate[i] > 0.0) dt = std::min(dt, remaining[i] / rate[i]);
+    if (!std::isfinite(dt)) {
+      ADD_FAILURE() << "rescan oracle: live work with no rate";
+      break;
+    }
+    now += dt;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!alive[i]) continue;
+      remaining[i] -= rate[i] * dt;
+      if (remaining[i] <= 1e-9 * (1.0 + rate[i])) {
+        alive[i] = 0;
+        --live;
+        ++stats.events;
+      }
+    }
+    if (live > 0) solve_every_live();
+  }
+  stats.duration = now;
+  return stats;
+}
+
 /// Builds the from-scratch rate problem over the engine's live items.
 FairShareProblem live_problem(const SimEngine& engine, const RandomWorkload& w,
                               std::vector<int>& live_ids) {
@@ -76,7 +172,7 @@ class EngineFairnessTest : public ::testing::TestWithParam<int> {};
 TEST_P(EngineFairnessTest, LiveRatesStayMaxMinFairAfterEveryEvent) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
   const RandomWorkload w = random_workload(rng);
-  SimEngine engine(w.capacities, EngineKind::Incremental);
+  SimEngine engine(w.capacities);
   engine.begin_period(w.items);
 
   std::vector<int> live_ids;
@@ -100,22 +196,35 @@ TEST_P(EngineFairnessTest, LiveRatesStayMaxMinFairAfterEveryEvent) {
 INSTANTIATE_TEST_SUITE_P(RandomWorkloads, EngineFairnessTest,
                          ::testing::Range(0, 25));
 
-/// Both engines execute identical workloads to identical completion
-/// times, event counts, and (for the incremental engine) strictly fewer
-/// full progressive-filling passes once the workload has any parallelism.
+/// The engine and the rescan oracle execute identical workloads to
+/// identical completion times and event counts, and the engine never
+/// needs more full progressive-filling passes than the oracle.
 class EngineEquivalenceTest : public ::testing::TestWithParam<int> {};
+
+void expect_matches_rescan(const RandomWorkload& w) {
+  SimEngine engine(w.capacities);
+  const PeriodStats a = engine.run_period(w.items);
+  const PeriodStats b = rescan_period(w.capacities, w.items);
+  EXPECT_NEAR(a.duration, b.duration, 1e-6 * (1.0 + b.duration));
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_LE(a.full_solves, b.full_solves);
+}
 
 TEST_P(EngineEquivalenceTest, IncrementalMatchesRescan) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 11);
-  const RandomWorkload w = random_workload(rng);
-  SimEngine incremental(w.capacities, EngineKind::Incremental);
-  SimEngine rescan(w.capacities, EngineKind::Rescan);
-  const PeriodStats a = incremental.run_period(w.items);
-  const PeriodStats b = rescan.run_period(w.items);
-  EXPECT_NEAR(a.duration, b.duration, 1e-6 * (1.0 + b.duration));
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(b.partial_solves, 0);
-  EXPECT_LE(a.full_solves, b.full_solves);
+  expect_matches_rescan(random_workload(rng));
+}
+
+TEST_P(EngineEquivalenceTest, IncrementalMatchesRescanOnPipelineShapes) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7727 + 41);
+  const RandomWorkload w = pipeline_workload(rng);
+  expect_matches_rescan(w);
+  // Reused across periods, the engine repeats the period exactly.
+  SimEngine engine(w.capacities);
+  const PeriodStats first = engine.run_period(w.items);
+  const PeriodStats again = engine.run_period(w.items);
+  EXPECT_EQ(first.duration, again.duration);
+  EXPECT_EQ(first.events, again.events);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomWorkloads, EngineEquivalenceTest,
@@ -132,8 +241,71 @@ platform::Platform random_pipeline_platform(Rng& rng) {
   return generate_platform(params, rng);
 }
 
-/// End-to-end equivalence on the real pipeline: simulate_schedule under
-/// both engines must agree on throughput and overrun for every policy.
+/// simulate_schedule's outcome recomputed from the model simulator.hpp
+/// documents: per-period items built here (a gateway and a CPU resource
+/// per cluster, max-connect admission scaling, connection caps, the
+/// policy's cap and weight) and executed by the rescan oracle. No
+/// revisions, so every period carries the same work and one oracle
+/// period stands for all of them.
+SimReport rescan_simulation(const SteadyStateProblem& problem,
+                            const core::PeriodicSchedule& sched,
+                            const SimOptions& opt) {
+  const platform::Platform& plat = problem.plat();
+  const int n = plat.num_clusters();
+  std::vector<double> capacities(2 * static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) {
+    capacities[k] = plat.cluster(k).gateway_bw;
+    capacities[n + k] = std::max(plat.cluster(k).speed, 1e-12);
+  }
+  std::vector<double> opened(plat.num_links(), 0.0);
+  for (const core::Transfer& tr : sched.transfers)
+    for (platform::LinkId li : plat.route(tr.from, tr.to)) opened[li] += tr.connections;
+  const auto period = static_cast<double>(sched.period);
+  const bool paced = opt.policy == SharingPolicy::Paced;
+
+  std::vector<EngineItem> items;
+  for (const core::Transfer& tr : sched.transfers) {
+    EngineItem flow;
+    flow.size = static_cast<double>(tr.units);
+    flow.resources = {tr.from, tr.to};
+    double pbw = std::numeric_limits<double>::infinity();
+    for (platform::LinkId li : plat.route(tr.from, tr.to)) {
+      const double budget = plat.link(li).max_connections;
+      const double admitted =
+          opened[li] > budget ? std::max(budget / opened[li], 1e-6) : 1.0;
+      pbw = std::min(pbw, plat.link(li).bw * admitted);
+    }
+    if (std::isfinite(pbw)) flow.cap = tr.connections * pbw;
+    const double rtt = std::max(2.0 * plat.route_latency(tr.from, tr.to), 1e-3);
+    if (paced) flow.cap = std::min(flow.cap, flow.size / period);
+    if (opt.policy == SharingPolicy::TcpRttBias) flow.weight = 1.0 / rtt;
+    if (opt.policy == SharingPolicy::BoundedWindow)
+      flow.cap = std::min(flow.cap, tr.connections * opt.window_units / rtt);
+    items.push_back(std::move(flow));
+  }
+  for (const core::ComputeTask& ct : sched.compute) {
+    EngineItem job;
+    job.size = static_cast<double>(ct.units);
+    job.resources = {n + ct.on_cluster};
+    if (paced) job.cap = job.size / period;
+    items.push_back(std::move(job));
+  }
+
+  const PeriodStats one = rescan_period(capacities, items);
+  SimReport report;
+  report.events = (opt.warmup_periods + opt.periods) * one.events;
+  report.worst_overrun_ratio = one.duration / period;
+  const double measured_time = opt.periods * std::max(one.duration, period);
+  report.throughput.assign(n, 0.0);
+  for (const core::ComputeTask& ct : sched.compute)
+    report.throughput[ct.app] += opt.periods * static_cast<double>(ct.units);
+  for (double& t : report.throughput) t /= measured_time;
+  return report;
+}
+
+/// End-to-end equivalence on the real pipeline: for every policy,
+/// simulate_schedule (the incremental engine over the simulator's own
+/// items) agrees with the rescan oracle over the items built above.
 class PipelineEngineTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PipelineEngineTest, SimulateScheduleAgreesAcrossEngines) {
@@ -151,10 +323,8 @@ TEST_P(PipelineEngineTest, SimulateScheduleAgreesAcrossEngines) {
     opt.periods = 4;
     opt.warmup_periods = 1;
     opt.policy = policy;
-    SimOptions rescan = opt;
-    rescan.engine = EngineKind::Rescan;
     const SimReport a = simulate_schedule(problem, sched, opt);
-    const SimReport b = simulate_schedule(problem, sched, rescan);
+    const SimReport b = rescan_simulation(problem, sched, opt);
     EXPECT_NEAR(a.worst_overrun_ratio, b.worst_overrun_ratio,
                 1e-6 * (1.0 + b.worst_overrun_ratio));
     EXPECT_EQ(a.events, b.events);
@@ -229,8 +399,8 @@ TEST(Simulator, OversubscribedMaxConnectionsOverruns) {
   EXPECT_NEAR(ok_report.worst_overrun_ratio, 1.0, 1e-6);
 }
 
-/// The bounded-window policy plugs in through the SharingModel interface
-/// and caps long-haul flows at connections * window / rtt.
+/// The bounded-window policy caps long-haul flows at
+/// connections * window / rtt.
 TEST(Simulator, BoundedWindowThrottlesLongRttFlows) {
   platform::Platform p;
   const auto r0 = p.add_router();
@@ -257,29 +427,6 @@ TEST(Simulator, BoundedWindowThrottlesLongRttFlows) {
   opt.window_units = 1000.0;  // window no longer binds: gateway/beta govern
   const SimReport open = simulate_schedule(problem, sched, opt);
   EXPECT_NEAR(open.worst_overrun_ratio, 1.0, 1e-6);
-}
-
-/// A custom SharingModel plugs in without touching engine or simulator.
-TEST(Simulator, CustomSharingModelOverride) {
-  class HalfRate final : public SharingModel {
-  public:
-    [[nodiscard]] const char* name() const override { return "half"; }
-    [[nodiscard]] ItemShaping shape(const ItemContext& ctx) const override {
-      return {1.0, ctx.reserved_rate * 0.5};
-    }
-  };
-  const auto plat = two_clusters();
-  SteadyStateProblem problem(plat, {1.0, 1.0}, Objective::Sum);
-  core::PeriodicSchedule sched;
-  sched.period = 1;
-  sched.compute.push_back({0, 0, 50});
-  const HalfRate model;
-  SimOptions opt;
-  opt.periods = 2;
-  opt.warmup_periods = 0;
-  opt.model = &model;
-  const SimReport report = simulate_schedule(problem, sched, opt);
-  EXPECT_NEAR(report.worst_overrun_ratio, 2.0, 1e-6);
 }
 
 TEST(SimEngine, EmptyPeriodHasZeroDuration) {
