@@ -134,8 +134,8 @@ void MultiLoadRescheduler::rebuild_slots(const std::vector<int>& needed) {
   const int n = plat_->num_clusters();
   if (static_cast<int>(slots_per_cluster_.size()) != n)
     slots_per_cluster_.assign(n, 1);
-  // Geometric growth: doubling amortizes rebuilds to O(log max-concurrency)
-  // cold solves per cluster over a whole run.
+  // Geometric growth: doubling amortizes model rebuilds to
+  // O(log max-concurrency) per cluster over a whole run.
   for (int c = 0; c < n; ++c)
     if (needed[c] > slots_per_cluster_[c])
       slots_per_cluster_[c] = std::max(needed[c], 2 * slots_per_cluster_[c]);
@@ -147,11 +147,10 @@ void MultiLoadRescheduler::rebuild_slots(const std::vector<int>& needed) {
   }
   slot_app_.assign(total_slots_, -1);
   slot_of_.clear();
-  // The model reshapes: a capsule saved against the old slot universe
-  // cannot fit and rejecting it eagerly keeps the stats honest. The slot
-  // problem keeps its route table; seat() re-derives it with with_loads
-  // and the reduced model is rebuilt.
-  warm_state_.invalidate();
+  // The model gains columns: seat() re-derives the slot problem with
+  // with_loads (keeping its route table) and either carries the capsule's
+  // statuses over to it (carry_basis) or drops the capsule; the reduced
+  // model is rebuilt.
   reduced_cache_.reset();
   resched_obs().slot_grow.inc();
   resched_obs().slots.set(static_cast<double>(total_slots_));
@@ -170,6 +169,18 @@ void MultiLoadRescheduler::seat(const std::vector<ActiveLoad>& loads) {
 
   bool grown = static_cast<int>(slots_per_cluster_.size()) != n;
   for (int c = 0; !grown && c < n; ++c) grown = needed_[c] > slots_per_cluster_[c];
+  // A growth over a warm capsule (which only a solve over a seated slot
+  // universe leaves) hands its basis to the grown LP; the old layout says
+  // which load held each old slot. Anything else starts cold.
+  const bool carry =
+      grown && warm_state_.valid && options_.warm != WarmPolicy::Never;
+  std::vector<int> old_app, old_base;
+  if (carry) {
+    old_app = slot_app_;
+    old_base = slot_base_;
+  } else if (grown) {
+    warm_state_.invalidate();
+  }
   if (grown) rebuild_slots(needed_);
 
   // Release slots of departed loads, then seat new arrivals on the
@@ -220,7 +231,9 @@ void MultiLoadRescheduler::seat(const std::vector<ActiveLoad>& loads) {
         slots.loads.push_back(std::move(spec));
       }
     if (problem_) {
-      problem_ = problem_->with_loads(std::move(slots));
+      core::SteadyStateProblem grown_problem = problem_->with_loads(std::move(slots));
+      if (carry) carry_basis(grown_problem, old_app, old_base);
+      problem_ = std::move(grown_problem);
     } else {
       problem_.emplace(*plat_, std::move(slots),
                        single_ ? single_->objective : core::Objective::Sum);
@@ -228,6 +241,63 @@ void MultiLoadRescheduler::seat(const std::vector<ActiveLoad>& loads) {
   } else {
     problem_->set_load_weights(weights_);
   }
+}
+
+void MultiLoadRescheduler::carry_basis(const core::SteadyStateProblem& grown,
+                                       const std::vector<int>& old_app,
+                                       const std::vector<int>& old_base) {
+  const core::SteadyStateProblem& old = *problem_;
+  const auto& old_lroutes = old.load_routes();
+  lp::Basis& basis = warm_state_.basis;
+  DLS_ASSERT(basis.variables.size() == old_lroutes.size());
+  // Old slot -> new slot of the same cluster. A slot whose load is still
+  // active follows it to the seat it was just given; the others (idle, or
+  // released by a departure whose alpha may still be basic) take the
+  // cluster's remaining new slots in ascending order.
+  const int n = plat_->num_clusters();
+  const int old_total = static_cast<int>(old_app.size());
+  std::vector<int> slot_map(old_app.size(), -1);
+  std::vector<char> taken(static_cast<std::size_t>(total_slots_), 0);
+  for (int c = 0; c < n; ++c) {
+    const int begin = old_base[c];
+    const int end = c + 1 < n ? old_base[c + 1] : old_total;
+    const int new_begin = slot_base_[c];
+    const int new_end = new_begin + slots_per_cluster_[c];
+    for (int s = begin; s < end; ++s) {
+      if (old_app[s] < 0) continue;
+      const auto it = slot_of_.find(old_app[s]);
+      if (it == slot_of_.end() || it->second < new_begin || it->second >= new_end)
+        continue;
+      slot_map[s] = it->second;
+      taken[it->second] = 1;
+    }
+    int next = new_begin;
+    for (int s = begin; s < end; ++s) {
+      if (slot_map[s] >= 0) continue;
+      while (taken[next]) ++next;
+      DLS_ASSERT(next < new_end);
+      slot_map[s] = next++;
+    }
+  }
+  // Growth only adds columns: every row (cluster speed and gateway, link
+  // max-connect) is there before and after, so the slack statuses stay,
+  // and each alpha status moves to its (new slot, destination) column.
+  // New idle slots rest at their pinned zero bound.
+  std::vector<lp::BasisStatus> variables(grown.load_routes().size(),
+                                         lp::BasisStatus::AtLower);
+  for (std::size_t r = 0; r < old_lroutes.size(); ++r) {
+    const int to = grown.load_route_id(slot_map[old_lroutes[r].load],
+                                       old.routes()[old_lroutes[r].route].l);
+    DLS_ASSERT(to >= 0);
+    variables[to] = basis.variables[r];
+  }
+  basis.variables = std::move(variables);
+  // A statuses-only capsule under a stale fingerprint: the simplex
+  // refactorizes the basic set against the grown matrix (basis repair,
+  // lp::WarmKind::Basis), and its composite bound phase 1 absorbs the
+  // departed loads' alphas.
+  warm_state_.basic_vars.clear();
+  warm_state_.lu.clear();
 }
 
 MultiReschedule MultiLoadRescheduler::solve_single(

@@ -37,15 +37,18 @@
 // enforced by the simplex itself:
 //   1. the saved basis must still fit the model — over a slot universe
 //      (any Sum objective) arrivals and departures only move column
-//      bounds and costs, so this always holds between slot growths,
-//      while a MaxMin model adds one fairness row per active load and
-//      therefore reshapes whenever the active count changes
-//      (warm-starts then only survive paired arrival+departure events);
+//      bounds and costs, so this always holds between slot growths, and
+//      a growth, which only adds columns, gets the basis remapped onto
+//      the grown columns (see MultiLoadRescheduler); a MaxMin model adds
+//      one fairness row per active load and therefore reshapes whenever
+//      the active count changes (warm-starts then only survive paired
+//      arrival+departure events);
 //   2. the basis must still be primal feasible — a departure that leaves
-//      load allocated to now-forbidden routes fails this check inside
-//      the solver and falls back to a cold start automatically.
-// The rescheduler itself drops the capsule only under WarmPolicy::Never,
-// on slot growth and on topology events.
+//      load allocated to now-forbidden routes is repaired inside the
+//      solver (composite bound phase 1), which falls back to a cold
+//      start when the repair fails.
+// The rescheduler itself drops the capsule only under WarmPolicy::Never
+// and on topology events.
 #pragma once
 
 #include <cstdint>
@@ -107,10 +110,10 @@ struct MultiReschedule {
   double objective = 0.0;
   bool warm = false;
   /// True when the warm start went through the basis-repair path: the
-  /// platform changed under the capsule (capacity event) and its
-  /// statuses were refactorized against the patched model instead of
-  /// being restored whole (lp::WarmKind::Basis). Always false for
-  /// greedy and for cold solves.
+  /// constraint matrix changed under the capsule (a capacity event
+  /// re-priced it, or a slot growth added columns) and its statuses were
+  /// refactorized against the new model instead of being restored whole
+  /// (lp::WarmKind::Basis). Always false for greedy and for cold solves.
   bool repaired = false;
   double seconds = 0.0;    ///< wall time of this solve
   int lp_iterations = 0;   ///< simplex pivots (0 for greedy)
@@ -124,8 +127,10 @@ struct MultiReschedule {
 /// and objective coefficients. The constraint matrix, and therefore the
 /// lp::WarmState capsule keyed on its fingerprint, survive every such
 /// event whole. Platform capacity events re-price the matrix under the
-/// capsule, which the simplex then repairs as a statuses-only start;
-/// only topology events and slot growth force a cold start.
+/// capsule, which the simplex then repairs as a statuses-only start.
+/// Slot growth only adds columns, so the capsule's statuses move to the
+/// grown LP's columns of the same (slot, destination) and are repaired
+/// the same way; only topology events force a cold start.
 class MultiLoadRescheduler {
 public:
   MultiLoadRescheduler(const platform::Platform& plat,
@@ -184,6 +189,12 @@ public:
 private:
   void seat(const std::vector<ActiveLoad>& loads);
   void rebuild_slots(const std::vector<int>& needed);
+  /// Remaps the capsule's statuses from the current (pre-growth) slot
+  /// problem onto `grown`, given the old slot -> load ids and cluster
+  /// bases, once seat() has seated the grown universe.
+  void carry_basis(const core::SteadyStateProblem& grown,
+                   const std::vector<int>& old_app,
+                   const std::vector<int>& old_base);
   void derive_active_problem(const std::vector<ActiveLoad>& loads);
   /// Whether the solve reads reduced_cache_ (see its comment).
   [[nodiscard]] bool caches_reduced() const;

@@ -124,11 +124,198 @@ TEST(MultiRescheduler, SlotUniverseGrowsGeometricallyAndStaysCorrect) {
     if (sched.slot_count() != slots_before) {
       ++rebuilds;
       slots_before = sched.slot_count();
+      // Every growth after the first solve carries the basis over.
+      if (i > 0) {
+        EXPECT_TRUE(r.warm && r.repaired) << "growth at arrival " << i;
+      }
     }
   }
   EXPECT_GE(sched.slot_count(), 12);
   // Geometric growth: far fewer rebuilds than arrivals.
   EXPECT_LE(rebuilds, 6);
+}
+
+/// One slot of the slot universe MultiLoadRescheduler lays out: its
+/// cluster and the id of the load seated on it (-1 idle).
+struct SlotOwner {
+  int cluster = -1;
+  int id = -1;
+};
+
+/// The slot problem over `slots` (cluster-major, as the rescheduler lays
+/// it out), each slot weighted by its load's weight (0 when idle).
+core::SteadyStateProblem slot_problem(const platform::Platform& plat,
+                                      const std::vector<SlotOwner>& slots,
+                                      const std::vector<ActiveLoad>& loads) {
+  core::LoadSet set;
+  for (const SlotOwner& slot : slots) {
+    core::LoadSpec spec;
+    spec.source = slot.cluster;
+    spec.weight = 0.0;
+    for (const ActiveLoad& load : loads)
+      if (load.id == slot.id) spec.weight = load.weight;
+    set.loads.push_back(spec);
+  }
+  return core::SteadyStateProblem(plat, std::move(set), core::Objective::Sum);
+}
+
+/// Whether any alpha of `slot` is basic in `basis`.
+bool slot_basic(const core::SteadyStateProblem& problem, const lp::Basis& basis,
+                int slot) {
+  for (int l = 0; l < problem.num_clusters(); ++l) {
+    const int r = problem.load_route_id(slot, l);
+    if (r >= 0 && basis.variables[r] == lp::BasisStatus::Basic) return true;
+  }
+  return false;
+}
+
+/// A growth event on test_platform(6, 23): clusters 0 and 1 each need
+/// four slots and double from 2 to 4. Seats go in call order, so the
+/// arrivals take the first slots and the survivors B, G and H move; A
+/// departs in the same event.
+constexpr int A = 0, B = 1, G = 2, H = 3, F = 5, C = 10, D = 11, E = 12, I = 13,
+              J = 14;
+const std::vector<ActiveLoad> kBeforeGrowth = {
+    {A, 0, 1.6}, {B, 0, 0.8}, {G, 1, 0.7}, {H, 1, 1.5}, {F, 2, 1.0}};
+const std::vector<ActiveLoad> kAfterGrowth = {
+    {C, 0, 1.2}, {D, 0, 0.9}, {B, 0, 0.8}, {E, 0, 1.4}, {I, 1, 0.6},
+    {J, 1, 0.5}, {H, 1, 1.5}, {G, 1, 0.7}, {F, 2, 1.0}};
+
+/// Slot growth hands the optimal basis to the grown slot LP. The oracle
+/// rebuilds the pre-growth LP from scratch, solves it cold (as the
+/// rescheduler's first solve is), moves each status to the grown LP's
+/// column of the same (load, destination), and solves the freshly built
+/// grown model from that statuses-only basis. The rescheduler must return
+/// its rates, objective and pivot count bit for bit. The growth event
+/// also retires load A, whose alpha is basic at the pre-growth optimum,
+/// and moves the basic survivor H to another offset within its cluster.
+TEST(MultiRescheduler, SlotGrowthCarriesTheBasisOverBitForBit) {
+  const platform::Platform plat = test_platform(6, 23);
+  core::MultiLoadSolveOptions options;
+  options.lp.compute_duals = false;  // as the rescheduler solves
+  const std::vector<ActiveLoad>& before = kBeforeGrowth;
+  const std::vector<ActiveLoad>& after = kAfterGrowth;
+  const std::vector<SlotOwner> old_slots = {{0, A}, {0, B},  {1, G},  {1, H},
+                                            {2, F}, {3, -1}, {4, -1}, {5, -1}};
+  const std::vector<SlotOwner> new_slots = {
+      {0, C}, {0, D}, {0, B}, {0, E},  {1, I},  {1, J},
+      {1, H}, {1, G}, {2, F}, {3, -1}, {4, -1}, {5, -1}};
+
+  // Pre-growth optimum, solved cold.
+  const core::SteadyStateProblem old_problem = slot_problem(plat, old_slots, before);
+  const core::SteadyStateProblem::ReducedModel old_reduced = old_problem.build_reduced();
+  lp::WarmState old_state;
+  core::LpWarmStart old_warm;
+  old_warm.state = &old_state;
+  old_warm.reduced = &old_reduced;
+  const core::MultiLoadSolution old_sol =
+      core::solve_loads(old_problem, options, &old_warm);
+  ASSERT_EQ(old_sol.status, lp::SolveStatus::Optimal);
+  ASSERT_TRUE(old_state.valid);
+  const lp::Basis& old_basis = old_state.basis;
+  ASSERT_TRUE(slot_basic(old_problem, old_basis, 0)) << "departing A";
+  ASSERT_TRUE(slot_basic(old_problem, old_basis, 3)) << "moving survivor H";
+
+  // Who inherits each old slot's statuses: a surviving load keeps its
+  // own; the departed A's go to C, on the lowest cluster-0 slot no
+  // survivor holds; an idle cluster's one slot stays its idle slot.
+  const auto heir = [](const SlotOwner& slot) {
+    return slot.id == A ? SlotOwner{slot.cluster, C} : slot;
+  };
+  const core::SteadyStateProblem grown = slot_problem(plat, new_slots, after);
+  lp::Basis expected;
+  expected.slacks = old_basis.slacks;
+  expected.variables.assign(grown.load_routes().size(), lp::BasisStatus::AtLower);
+  for (std::size_t o = 0; o < old_slots.size(); ++o) {
+    const SlotOwner want = heir(old_slots[o]);
+    const auto it = std::find_if(new_slots.begin(), new_slots.end(),
+                                 [&](const SlotOwner& s) {
+                                   return s.cluster == want.cluster && s.id == want.id;
+                                 });
+    ASSERT_NE(it, new_slots.end());
+    const int n = static_cast<int>(it - new_slots.begin());
+    for (int l = 0; l < plat.num_clusters(); ++l) {
+      const int from = old_problem.load_route_id(static_cast<int>(o), l);
+      const int to = grown.load_route_id(n, l);
+      ASSERT_EQ(from < 0, to < 0);
+      if (from >= 0) expected.variables[to] = old_basis.variables[from];
+    }
+  }
+
+  // The grown model, built fresh, solved from the expected statuses alone.
+  const core::SteadyStateProblem::ReducedModel grown_reduced = grown.build_reduced();
+  lp::WarmState carried;
+  carried.basis = expected;
+  carried.fingerprint = old_state.fingerprint;
+  carried.valid = true;
+  core::LpWarmStart warm;
+  warm.state = &carried;
+  warm.reduced = &grown_reduced;
+  const core::MultiLoadSolution want = core::solve_loads(grown, options, &warm);
+  ASSERT_EQ(want.status, lp::SolveStatus::Optimal);
+  ASSERT_TRUE(want.repaired);
+
+  MultiLoadRescheduler sched(plat, MultiReschedulerOptions{});
+  const MultiReschedule first = sched.reschedule(before);
+  EXPECT_FALSE(first.warm);
+  ASSERT_EQ(sched.slot_count(), static_cast<int>(old_slots.size()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(first.objective),
+            std::bit_cast<std::uint64_t>(old_sol.objective));
+  EXPECT_EQ(first.lp_iterations, old_sol.lp_iterations);
+
+  const MultiReschedule got = sched.reschedule(after);
+  ASSERT_EQ(sched.slot_count(), static_cast<int>(new_slots.size()));
+  EXPECT_TRUE(got.warm);
+  EXPECT_TRUE(got.repaired);
+  EXPECT_EQ(got.lp_iterations, want.lp_iterations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.objective),
+            std::bit_cast<std::uint64_t>(want.objective));
+  ASSERT_EQ(got.rate.size(), after.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    const auto seat = std::find_if(new_slots.begin(), new_slots.end(),
+                                   [&](const SlotOwner& s) { return s.id == after[i].id; });
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.rate[i]),
+              std::bit_cast<std::uint64_t>(want.throughput[seat - new_slots.begin()]))
+        << "load " << after[i].id;
+  }
+  EXPECT_EQ(sched.stats().cold_solves, 1);
+  EXPECT_EQ(sched.stats().repaired_solves, 1);
+
+  // Under WarmPolicy::Never the growth stays cold and reaches the same
+  // optimum; so does a cold solve of the grown model.
+  MultiReschedulerOptions never;
+  never.warm = WarmPolicy::Never;
+  MultiLoadRescheduler cold(plat, never);
+  (void)cold.reschedule(before);
+  const MultiReschedule cold_got = cold.reschedule(after);
+  EXPECT_FALSE(cold_got.warm);
+  EXPECT_FALSE(cold_got.repaired);
+  EXPECT_EQ(cold.stats().cold_solves, 2);
+  EXPECT_LT(got.lp_iterations, cold_got.lp_iterations);
+  const core::MultiLoadSolution cold_want = core::solve_loads(grown, options);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cold_got.objective),
+            std::bit_cast<std::uint64_t>(cold_want.objective));
+  EXPECT_EQ(cold_got.lp_iterations, cold_want.lp_iterations);
+  EXPECT_NEAR(got.objective, cold_got.objective,
+              1e-9 * (1.0 + std::fabs(cold_got.objective)));
+}
+
+/// PropFair's slot LP has the WeightedSum layout, so its growth carries
+/// the basis over too and still reaches the cold optimum.
+TEST(MultiRescheduler, PropFairSlotGrowthStaysWarm) {
+  const platform::Platform plat = test_platform(6, 23);
+  MultiReschedulerOptions options;
+  options.solve.objective = core::MultiObjective::PropFair;
+  MultiReschedulerOptions never = options;
+  never.warm = WarmPolicy::Never;
+  MultiLoadRescheduler warm(plat, options), cold(plat, never);
+  for (const auto* loads : {&kBeforeGrowth, &kAfterGrowth}) {
+    const MultiReschedule rw = warm.reschedule(*loads);
+    const MultiReschedule rc = cold.reschedule(*loads);
+    EXPECT_EQ(rw.warm, loads == &kAfterGrowth);
+    EXPECT_NEAR(rw.objective, rc.objective, 1e-4 * (1.0 + std::fabs(rc.objective)));
+  }
+  EXPECT_EQ(warm.slot_count(), 12);
 }
 
 TEST(MultiRescheduler, RejectsInvalidActiveSets) {

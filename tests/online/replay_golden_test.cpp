@@ -11,6 +11,7 @@
 //   DLS_UPDATE_GOLDEN=1 ./dls_tests --gtest_filter='*LoadGolden.*'
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -18,6 +19,8 @@
 #include <string>
 
 #include "online/engine.hpp"
+#include "online/event_core.hpp"
+#include "online/multi_core.hpp"
 #include "platform/generator.hpp"
 
 #ifndef DLS_SOURCE_DIR
@@ -232,6 +235,73 @@ std::string idle_slot_pins() {
   EXPECT_GT(report.queued_arrivals, 0);
   out += "method lp objective SUM\n" + pin(report);
   return out;
+}
+
+/// A multi-load core that checks every reschedule of its replay against
+/// a cold solve (a fresh WarmPolicy::Never rescheduler) of the same
+/// active set on the same platform.
+class ColdCheckedCore final : public MultiLoadCore {
+public:
+  ColdCheckedCore(const platform::Platform& plat, const CoreOptions& options)
+      : MultiLoadCore(plat, options), cold_(options.sched) {
+    cold_.warm = WarmPolicy::Never;
+  }
+  int checked = 0, warm = 0, repaired = 0;
+
+protected:
+  void on_settled(const MultiReschedule* r) override {
+    if (r == nullptr) return;
+    std::vector<ActiveLoad> loads;
+    for (const int app : active_ids())
+      loads.push_back({app, apps()[app].cluster, apps()[app].payoff});
+    MultiLoadRescheduler cold(plat(), cold_);
+    const MultiReschedule c = cold.reschedule(loads);
+    EXPECT_NEAR(r->objective, c.objective, 1e-9 * std::fabs(c.objective))
+        << "reschedule " << checked << " at t=" << now();
+    ++checked;
+    warm += r->warm;
+    repaired += r->repaired;
+  }
+
+private:
+  MultiReschedulerOptions cold_;
+};
+
+/// Every reschedule the pinned multi-load replays run (each objective of
+/// the dynamics trace and each slot-universe objective of the idle-slot
+/// trace) reaches the cold objective within 1e-9 relative, whether it was
+/// restored whole, repaired across a capacity event or slot growth, or
+/// solved cold.
+TEST(MultiLoadGolden, EveryPinnedRescheduleReachesTheColdObjective) {
+  struct Arm {
+    Inputs in;
+    std::vector<core::MultiObjective> objectives;
+    bool growth_only;  ///< no topology event resets the slot universe
+  };
+  const Arm arms[] = {
+      {inputs(),
+       {core::MultiObjective::WeightedSum, core::MultiObjective::MaxMin,
+        core::MultiObjective::PropFair},
+       false},
+      {idle_slot_inputs(),
+       {core::MultiObjective::WeightedSum, core::MultiObjective::PropFair},
+       true},
+  };
+  for (const Arm& arm : arms) {
+    for (const core::MultiObjective objective : arm.objectives) {
+      CoreOptions options;
+      options.sched.solve.objective = objective;
+      ColdCheckedCore core(arm.in.plat, options);
+      ReplayCursor(core, arm.in.wl, arm.in.trace).run_to_end();
+      EXPECT_GT(core.checked, 20);
+      EXPECT_GT(core.repaired, 0);
+      // The idle-slot trace has no topology event: after the first solve
+      // its slot growths and capacity events all stay warm.
+      if (arm.growth_only) {
+        EXPECT_EQ(core.warm, core.checked - 1) << core::to_string(objective);
+      }
+    }
+  }
 }
 
 /// Compares `got` with the committed file, or re-records it when

@@ -198,6 +198,48 @@ TEST(Simulator, GatewayRevisionAppliesBetweenPeriods) {
   EXPECT_THROW(simulate_schedule(problem, sched, bad), dls::Error);
 }
 
+/// The four sharing policies on a platform whose schedule ships load:
+/// slow clusters (speed 50) behind long, uneven routes (mean latency 20,
+/// heterogeneity 0.8), as `dls generate --clusters 5 --seed 11 --connected
+/// --latency 20 --heterogeneity 0.8 --speed 50` builds it. Every policy
+/// runs flows, and no two policies report the same execution: pacing
+/// holds the period, max-min sharing does not, the RTT bias reweights
+/// the flows and the window caps them.
+TEST(Simulator, PoliciesDivergeOnAPlatformThatShipsLoad) {
+  platform::GeneratorParams params;
+  params.num_clusters = 5;
+  params.ensure_connected = true;
+  params.mean_latency = 20.0;
+  params.heterogeneity = 0.8;
+  params.cluster_speed = 50.0;
+  Rng rng(11);
+  const auto plat = generate_platform(params, rng);
+  SteadyStateProblem problem(plat, std::vector<double>(plat.num_clusters(), 1.0),
+                             Objective::MaxMin);
+  const auto h = core::run_lprg(problem, core::solve_relaxation(problem));
+  ASSERT_EQ(h.status, lp::SolveStatus::Optimal);
+  const auto sched = core::build_periodic_schedule(problem, h.allocation);
+  ASSERT_FALSE(sched.transfers.empty());
+
+  const SharingPolicy policies[] = {SharingPolicy::Paced, SharingPolicy::MaxMin,
+                                    SharingPolicy::TcpRttBias,
+                                    SharingPolicy::BoundedWindow};
+  std::vector<SimReport> reports;
+  for (const SharingPolicy policy : policies) {
+    SimOptions opt;
+    opt.periods = 3;
+    opt.policy = policy;
+    reports.push_back(simulate_schedule(problem, sched, opt));
+    EXPECT_GT(reports.back().flows_completed, 0) << static_cast<int>(policy);
+  }
+  EXPECT_LE(reports[0].worst_overrun_ratio, 1.0 + 1e-9);
+  for (std::size_t a = 0; a < reports.size(); ++a)
+    for (std::size_t b = a + 1; b < reports.size(); ++b)
+      EXPECT_FALSE(reports[a].throughput == reports[b].throughput &&
+                   reports[a].worst_overrun_ratio == reports[b].worst_overrun_ratio)
+          << "policies " << a << " and " << b << " report the same execution";
+}
+
 /// End-to-end property: for random platforms, the full pipeline
 /// (generate -> LPRG -> schedule -> simulate) under *paced* execution
 /// meets the period exactly — the analytical steady-state model is
