@@ -254,7 +254,7 @@ int main() try {
     (void)warm_solver.solve(model, &state, &warm_arena);
     std::vector<double> departed = payoffs;
     departed[static_cast<std::size_t>((k / 2) & ~1)] = 0.0;  // an active cluster
-    const core::SteadyStateProblem after = problem.with_payoffs(departed);
+    const auto after = problem.with_loads(core::LoadSet::from_payoffs(departed));
     after.update_reduced_payoffs(reduced);
     const HyperSnap hw0 = hyper_snap();
     WallTimer warm_timer;
@@ -318,7 +318,7 @@ int main() try {
       std::vector<double> p = payoffs;
       for (std::size_t c = 0; c < p.size(); c += 2)
         p[c] = 1.0 + 0.07 * static_cast<double>((v + static_cast<int>(c)) % 7);
-      variants.push_back(problem.with_payoffs(p).build_reduced());
+      variants.push_back(problem.with_loads(core::LoadSet::from_payoffs(p)).build_reduced());
     }
     std::vector<const lp::Model*> batch_ptrs;
     for (const auto& v : variants) batch_ptrs.push_back(&v.model);

@@ -110,24 +110,6 @@ void SteadyStateProblem::build_load_table() {
   ltable_ = std::move(lt);
 }
 
-SteadyStateProblem SteadyStateProblem::with_payoffs(
-    std::vector<double> payoffs) const {
-  require(canonical_, "with_payoffs: canonical problems only; use with_loads");
-  require(payoffs.size() == payoffs_.size(),
-          "with_payoffs: one payoff per cluster required");
-  bool any_positive = false;
-  for (double p : payoffs) {
-    require(p >= 0.0 && std::isfinite(p), "with_payoffs: payoffs must be >= 0");
-    any_positive |= p > 0.0;
-  }
-  require(any_positive, "with_payoffs: at least one positive payoff required");
-  SteadyStateProblem copy = *this;
-  for (std::size_t k = 0; k < payoffs.size(); ++k)
-    copy.loads_.loads[k].weight = payoffs[k];
-  copy.payoffs_ = std::move(payoffs);
-  return copy;
-}
-
 SteadyStateProblem SteadyStateProblem::with_loads(LoadSet loads) const {
   loads.validate(num_clusters());
   SteadyStateProblem copy = *this;

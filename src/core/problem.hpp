@@ -68,13 +68,6 @@ public:
   SteadyStateProblem(const platform::Platform& plat, LoadSet loads,
                      Objective objective);
 
-  /// A copy of this problem with the payoff vector replaced. The route
-  /// table, per-route bottleneck bandwidths and link incidence lists do
-  /// not depend on payoffs, so they are copied instead of recomputed —
-  /// the cheap path the online rescheduler takes on every arrival or
-  /// departure event. Same validation as the constructor. Canonical only.
-  [[nodiscard]] SteadyStateProblem with_payoffs(std::vector<double> payoffs) const;
-
   /// A copy with a different load set. Shares the platform route table;
   /// the per-load route bindings are rebuilt (O(N*K + links)).
   [[nodiscard]] SteadyStateProblem with_loads(LoadSet loads) const;
@@ -217,8 +210,8 @@ public:
 private:
   /// Route structure derived from the platform alone. Immutable once
   /// built and shared between problems over the same platform
-  /// (with_payoffs, with_loads), so deriving a problem costs O(K) instead
-  /// of re-copying K^2 routes and the per-link incidence lists.
+  /// (with_loads), so deriving a problem does not re-copy K^2 routes
+  /// and the per-link incidence lists.
   struct RouteTable {
     std::vector<Route> routes;
     std::vector<int> route_id;  // dense K*K -> route id or -1
@@ -226,8 +219,8 @@ private:
   };
 
   /// Per-load route bindings derived from (load sources, route table).
-  /// Weight changes don't touch it, so with_payoffs/set_load_weights
-  /// keep it; with_loads rebuilds it against the shared route table.
+  /// Weight changes don't touch it, so set_load_weights keeps it;
+  /// with_loads rebuilds it against the shared route table.
   struct LoadTable {
     std::vector<LoadRoute> lroutes;   // load-major, ascending l per load
     std::vector<int> lroute_begin;    // load j's ids: [begin[j], begin[j+1])

@@ -33,12 +33,12 @@ namespace {
 /// options, so they run once; G and LPRG run once per entry. Entry i
 /// holds what a one-entry call on greedy[i] returns, bit for bit: the
 /// rng is drawn in the same order, and an entry stops where its own
-/// standalone run would. When `arena` is non-null every LP solve goes
-/// through it (shared column analysis, zero steady-state allocation);
-/// the numbers are identical either way.
+/// standalone run would. Every LP solve goes through `arena` (shared
+/// column analysis, zero steady-state allocation); a solve's numbers do
+/// not depend on the arena's history.
 std::vector<CaseResult> run_case_on(const CaseConfig& config,
                                     const platform::Platform& plat, Rng& rng,
-                                    lp::SolveArena* arena,
+                                    lp::SolveArena& arena,
                                     std::span<const core::GreedyOptions> greedy) {
   std::vector<double> payoffs(plat.num_clusters());
   for (double& p : payoffs)
@@ -46,7 +46,7 @@ std::vector<CaseResult> run_case_on(const CaseConfig& config,
   const core::SteadyStateProblem problem(plat, payoffs, config.objective);
 
   core::LpWarmStart warm;  // no capsule: the arena only
-  warm.arena = arena;
+  warm.arena = &arena;
 
   std::vector<CaseResult> out(greedy.size());
   // live[i]: entry i has not stopped on a failed solve.
@@ -105,7 +105,7 @@ std::vector<CaseResult> run_case_on(const CaseConfig& config,
   if (config.with_lprr) {
     Rng coin = rng.split();
     core::LprrOptions options;
-    options.arena = arena;
+    options.arena = &arena;
     timer.reset();
     const auto lprr = core::run_lprr(problem, coin, options);
     const Timing t_lprr{timer.seconds(), lprr.lp_solves};
@@ -118,7 +118,7 @@ std::vector<CaseResult> run_case_on(const CaseConfig& config,
     Rng coin = rng.split();
     core::LprrOptions options;
     options.equal_probability = true;
-    options.arena = arena;
+    options.arena = &arena;
     const auto lprr_eq = core::run_lprr(problem, coin, options);
     if (lprr_eq.status != lp::SolveStatus::Optimal) return out;
     check_valid(problem, lprr_eq, "LPRR-EQ");
@@ -127,7 +127,7 @@ std::vector<CaseResult> run_case_on(const CaseConfig& config,
   if (config.with_lprr_oneshot) {
     core::LprrOptions options;
     options.resolve_between_fixings = false;
-    options.arena = arena;
+    options.arena = &arena;
     {
       Rng coin = rng.split();
       const auto lprr = core::run_lprr(problem, coin, options);
@@ -160,20 +160,8 @@ CaseResult run_case(const CaseConfig& config) {
   require_spread(config);
   Rng rng(config.seed);
   const platform::Platform plat = generate_platform(config.params, rng);
-  return run_case_on(config, plat, rng, nullptr, {&config.greedy, 1}).front();
-}
-
-CaseResult run_case(const CaseConfig& config, const platform::Platform& plat) {
-  require_spread(config);
-  Rng rng(config.seed);
-  return run_case_on(config, plat, rng, nullptr, {&config.greedy, 1}).front();
-}
-
-CaseResult run_case(const CaseConfig& config, lp::BatchSolver& lps) {
-  require_spread(config);
-  Rng rng(config.seed);
-  const platform::Platform plat = generate_platform(config.params, rng);
-  return run_case_on(config, plat, rng, &lps.local_arena(), {&config.greedy, 1})
+  lp::BatchSolver lps;
+  return run_case_on(config, plat, rng, lps.local_arena(), {&config.greedy, 1})
       .front();
 }
 
@@ -188,7 +176,7 @@ std::vector<CaseResult> run_sibling_cases(
   require_spread(config);
   require(!greedy.empty(), "run_sibling_cases: no greedy options");
   Rng rng(config.seed);
-  return run_case_on(config, plat, rng, &lps.local_arena(), greedy);
+  return run_case_on(config, plat, rng, lps.local_arena(), greedy);
 }
 
 platform::GeneratorParams sample_grid_params(const platform::Table1Grid& grid,

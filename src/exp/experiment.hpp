@@ -76,26 +76,18 @@ struct CaseResult {
 
 /// Generates the platform from config.seed and runs the requested methods.
 /// Every produced allocation is validated against equations (7); a
-/// violation throws (it would invalidate the whole experiment).
+/// violation throws (it would invalidate the whole experiment). Every LP
+/// solve in the case goes through one call-local BatchSolver arena.
 [[nodiscard]] CaseResult run_case(const CaseConfig& config);
 
-/// The same case kernel on a pre-built platform — the campaign runner's
-/// per-cell artifact cache hands one generated (or file-loaded) Platform
-/// to every case that differs only in objective/method/seed, so the
-/// platform and its route tables are built once. Payoffs and the LPRR
-/// coins are drawn from a fresh Rng(config.seed); config.params is
-/// ignored. Note the stream differs from run_case(config), which
-/// interleaves platform generation into the same Rng.
-[[nodiscard]] CaseResult run_case(const CaseConfig& config,
-                                  const platform::Platform& plat);
-
-/// The same kernels routed through a shared BatchSolver: every LP solve
-/// in the case (the relaxation behind LP/LPR/LPRG, LPRR's ~K^2 re-solves)
-/// reuses the calling thread's arena and the batch's shared
-/// column-structure cache. Numbers are bit-identical to the plain
-/// overloads — the batch only removes redundant analysis and allocation.
-/// Safe to share one BatchSolver across concurrent callers.
-[[nodiscard]] CaseResult run_case(const CaseConfig& config, lp::BatchSolver& lps);
+/// The same case kernel on a pre-built platform, with every LP solve
+/// (the relaxation behind LP/LPR/LPRG, LPRR's ~K^2 re-solves) routed
+/// through a shared BatchSolver: the calling thread's arena and the
+/// batch's shared column-structure cache. Payoffs and the LPRR coins are
+/// drawn from a fresh Rng(config.seed); config.params is ignored. Note
+/// the stream differs from run_case(config), which interleaves platform
+/// generation into the same Rng. Numbers do not depend on the batch's
+/// history. Safe to share one BatchSolver across concurrent callers.
 [[nodiscard]] CaseResult run_case(const CaseConfig& config,
                                   const platform::Platform& plat,
                                   lp::BatchSolver& lps);

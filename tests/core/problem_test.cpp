@@ -108,14 +108,14 @@ TEST(Problem, BetaFixingCapsAlpha) {
   EXPECT_NEAR(zero_sol.objective, 0.0, kTol);
 }
 
-TEST(Problem, WithPayoffsSharesRoutesAndRevalidates) {
+TEST(Problem, WithLoadsSharesRoutesAndRevalidates) {
   const auto plat = testing::two_symmetric_clusters();
   const SteadyStateProblem base(plat, {1.0, 1.0}, Objective::Sum);
-  const SteadyStateProblem swapped = base.with_payoffs({0.0, 2.0});
+  const SteadyStateProblem swapped =
+      base.with_loads(LoadSet::from_payoffs({0.0, 2.0}));
   EXPECT_EQ(&swapped.routes(), &base.routes());  // shared table, no rebuild
   EXPECT_EQ(swapped.payoffs()[1], 2.0);
-  EXPECT_THROW((void)base.with_payoffs({0.0, 0.0}), Error);
-  EXPECT_THROW((void)base.with_payoffs({1.0}), Error);
+  EXPECT_THROW((void)base.with_loads(LoadSet::from_payoffs({0.0, 0.0})), Error);
 }
 
 TEST(Problem, UpdateReducedPayoffsMatchesFreshBuild) {
@@ -128,7 +128,8 @@ TEST(Problem, UpdateReducedPayoffsMatchesFreshBuild) {
                                 Objective::Sum);
   auto cached = base.build_reduced();
   const std::vector<double> payoffs{0.0, 1.5, 0.7, 0.0, 1.0, 2.0};
-  const SteadyStateProblem repayoffed = base.with_payoffs(payoffs);
+  const SteadyStateProblem repayoffed =
+      base.with_loads(LoadSet::from_payoffs(payoffs));
   repayoffed.update_reduced_payoffs(cached);
   const auto fresh = repayoffed.build_reduced();
   const lp::Solution a = lp::SimplexSolver().solve(cached.model);

@@ -110,7 +110,6 @@ std::uint64_t lp_solves_total() {
 }
 
 TEST(Experiment, OneRelaxationPerCase) {
-  lp::BatchSolver lps;
   for (std::uint64_t seed : {3ULL, 8ULL}) {
     for (core::LocalExhaustPolicy exhaust :
          {core::LocalExhaustPolicy::TakeRemaining,
@@ -134,16 +133,14 @@ TEST(Experiment, OneRelaxationPerCase) {
             core::run_lprg(problem, core::solve_relaxation(problem), config.greedy)
                 .objective;
 
-        for (const bool batched : {false, true}) {
-          const std::uint64_t before = lp_solves_total();
-          const CaseResult r = batched ? run_case(config, lps) : run_case(config);
-          EXPECT_EQ(lp_solves_total() - before, 1u) << "batched " << batched;
-          ASSERT_TRUE(r.ok);
-          EXPECT_EQ(r.lp, lp);
-          EXPECT_EQ(r.lpr, lpr);
-          EXPECT_EQ(r.lprg, lprg);
-          for (const Timing& t : {r.t_lp, r.t_lpr, r.t_lprg}) EXPECT_EQ(t.lp_solves, 1);
-        }
+        const std::uint64_t before = lp_solves_total();
+        const CaseResult r = run_case(config);
+        EXPECT_EQ(lp_solves_total() - before, 1u);
+        ASSERT_TRUE(r.ok);
+        EXPECT_EQ(r.lp, lp);
+        EXPECT_EQ(r.lpr, lpr);
+        EXPECT_EQ(r.lprg, lprg);
+        for (const Timing& t : {r.t_lp, r.t_lpr, r.t_lprg}) EXPECT_EQ(t.lp_solves, 1);
       }
     }
   }
@@ -166,7 +163,8 @@ std::vector<std::uint64_t> value_bits(const CaseResult& r) {
 TEST(Experiment, SiblingCasesEqualStandaloneCasesBitwise) {
   // The exhaust siblings as one unit: one relaxation, LP, LPR and LPRR
   // shared, G and LPRG per sibling. Each entry must equal the case run
-  // alone, in every value, for each exhaust value and in either order.
+  // alone, in every value, for each exhaust value and in either order,
+  // whether the case runs on the unit's BatchSolver or on a fresh one.
   // Seed 36 under MaxMin has take and drop disagree on both G and LPRG,
   // so a unit that shared either would fail here.
   using core::LocalExhaustPolicy;
@@ -194,11 +192,12 @@ TEST(Experiment, SiblingCasesEqualStandaloneCasesBitwise) {
           CaseConfig alone = config;
           alone.greedy = greedy[i];
           const CaseResult batched = run_case(alone, plat, lps);
-          const CaseResult plain = run_case(alone, plat);
+          lp::BatchSolver fresh_lps;
+          const CaseResult fresh = run_case(alone, plat, fresh_lps);
           ASSERT_TRUE(batched.ok);
           EXPECT_EQ(value_bits(unit[i]), value_bits(batched))
               << "seed " << seed << " entry " << i;
-          EXPECT_EQ(value_bits(unit[i]), value_bits(plain))
+          EXPECT_EQ(value_bits(unit[i]), value_bits(fresh))
               << "seed " << seed << " entry " << i;
           // Each sibling's timings keep their standalone meaning.
           for (const Timing& t : {unit[i].t_lp, unit[i].t_lpr, unit[i].t_lprg})

@@ -400,7 +400,8 @@ TEST(SimplexPricing, HypersparseToggleIsBitIdentical) {
       if (step > 0) {
         payoffs[static_cast<std::size_t>(4 * step)] =
             step % 2 == 0 ? 0.0 : 1.7;  // departures and re-weightings
-        problem.with_payoffs(payoffs).update_reduced_payoffs(reduced);
+        problem.with_loads(core::LoadSet::from_payoffs(payoffs))
+            .update_reduced_payoffs(reduced);
       }
       const Solution h = SimplexSolver(hyper).solve(reduced.model, &hyper_state);
       const Solution d = SimplexSolver(dense).solve(reduced.model, &dense_state);

@@ -109,7 +109,7 @@ TEST(Rescheduler, LprWarmStaysValidWhileLpValueMatchesCold) {
   for (const auto& payoffs : event_sequence(10, 40, 5)) {
     const MultiReschedule rw = warm.reschedule(loads_of(payoffs));
     const MultiReschedule rc = cold.reschedule(loads_of(payoffs));
-    const auto problem = base.with_payoffs(payoffs);
+    const auto problem = base.with_loads(core::LoadSet::from_payoffs(payoffs));
     EXPECT_TRUE(core::validate_allocation(problem, warm.allocation()).ok);
     EXPECT_TRUE(core::validate_allocation(problem, cold.allocation()).ok);
     const double bound =
@@ -192,7 +192,7 @@ TEST(Rescheduler, GreedyAutoStaysColdAlwaysSeeds) {
     (void)seeded_sched.reschedule(loads_of(payoffs));
     EXPECT_FALSE(a.warm);  // greedy has no LP phase to skip under Auto
     // Both must produce valid allocations for the instance.
-    const auto problem = base.with_payoffs(payoffs);
+    const auto problem = base.with_loads(core::LoadSet::from_payoffs(payoffs));
     EXPECT_TRUE(core::validate_allocation(problem, auto_sched.allocation()).ok);
     EXPECT_TRUE(core::validate_allocation(problem, seeded_sched.allocation()).ok);
   }
